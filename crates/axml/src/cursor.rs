@@ -5,13 +5,16 @@
 //! [`Iterator`] over [`StreamItem`]s — the top-level
 //! `(tree, annotation)` pieces of a set-shaped result in document
 //! order, or a single scalar item — produced by a detached evaluation
-//! thread and handed over a **bounded** channel
-//! ([`STREAM_BUFFER_PIECES`] pieces of slack). Backpressure is
-//! therefore real: a consumer that stops pulling stops the producer
-//! within one buffer's worth of pieces, and a consumer that *drops*
-//! the cursor closes the channel, which the producer observes as
-//! [`axml_uxml::SinkClosed`] at its next emission and unwinds
-//! cleanly.
+//! thread running [`crate::PreparedQuery::eval_each`]'s push path and
+//! handed over a **bounded** channel ([`STREAM_BUFFER_PIECES`] pieces
+//! of slack). Backpressure is therefore real: a consumer that stops
+//! pulling stops the producer within one buffer's worth of pieces, and
+//! a consumer that *drops* the cursor closes the channel, which the
+//! producer observes as [`axml_uxml::SinkClosed`] at its next emission
+//! and unwinds cleanly.
+//!
+//! A consumer on a thread of its own choosing that wants no hand-off
+//! at all — the HTTP server — calls `eval_each` directly instead.
 //!
 //! The streamed pieces are **identical** — same trees, same
 //! annotations, same order — to the pieces of the materialized
@@ -25,9 +28,9 @@ use crate::error::AxmlError;
 use crate::options::SemiringKind;
 use crate::result::{AxmlResult, ResultPiece};
 use axml_semiring::{Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
-use axml_uxml::{Forest, ResultSink, SinkClosed, Tree, Value};
+use axml_uxml::{Forest, Tree, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 /// How many pieces the streaming channel buffers between the producer
@@ -213,39 +216,4 @@ fn rebuild(kind: SemiringKind, pieces: Vec<ResultPiece>) -> AxmlResult {
         Trio, Trio;
         Prob, Prob;
     )
-}
-
-/// The producer side: a [`ResultSink`] that clones each piece into the
-/// bounded channel. `send` blocks when the buffer is full (that *is*
-/// the backpressure) and fails when the consumer dropped the cursor,
-/// which we surface as [`SinkClosed`] so the evaluator unwinds.
-pub(crate) struct ChannelSink<'a, K: Semiring> {
-    tx: &'a SyncSender<Result<StreamItem, AxmlError>>,
-    produced: &'a AtomicUsize,
-    wrap: fn(Tree<K>, K) -> ResultPiece,
-}
-
-impl<'a, K: Semiring> ChannelSink<'a, K> {
-    pub(crate) fn new(
-        tx: &'a SyncSender<Result<StreamItem, AxmlError>>,
-        produced: &'a AtomicUsize,
-        wrap: fn(Tree<K>, K) -> ResultPiece,
-    ) -> Self {
-        ChannelSink { tx, produced, wrap }
-    }
-}
-
-impl<K: Semiring> ResultSink<K> for ChannelSink<'_, K> {
-    fn piece(&mut self, tree: &Tree<K>, ann: &K) -> Result<(), SinkClosed> {
-        // Count before the (possibly blocking) send so the counter
-        // reflects what the producer has *reached*, not what the
-        // consumer has accepted.
-        self.produced.fetch_add(1, Ordering::Relaxed);
-        self.tx
-            .send(Ok(StreamItem::Piece((self.wrap)(
-                tree.clone(),
-                ann.clone(),
-            ))))
-            .map_err(|_| SinkClosed)
-    }
 }

@@ -12,15 +12,17 @@
 //! The result-rendering half ([`result_json`], [`result_header`],
 //! [`result_pieces`]) is the single source of truth for the
 //! `--format json` shape: the CLI prints [`result_json`] whole, the
-//! server streams [`result_header`] + [`result_pieces`] + `}`
-//! incrementally, and because both compose the same pieces the bytes
-//! are identical either way.
+//! server streams [`result_header`], then each pushed piece rendered by
+//! [`tree_json`] (through `ResultPieceRef::write_json`), then `}`, and
+//! because both compose the same pieces the bytes are identical either
+//! way.
 
 use crate::options::EvalOptions;
 use crate::result::AxmlResult;
 use axml_semiring::Semiring;
 use axml_uxml::{Forest, Tree, Value};
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Escape `s` per JSON string rules (quotes, backslashes, control
 /// characters; non-ASCII passes through — JSON is UTF-8).
@@ -45,6 +47,35 @@ pub fn escape(s: &str) -> String {
 /// A quoted, escaped JSON string literal.
 pub fn string(s: &str) -> String {
     format!("\"{}\"", escape(s))
+}
+
+/// [`escape`] appended straight onto a byte buffer: runs of bytes that
+/// need no escaping are copied whole (multi-byte UTF-8 never does).
+fn escape_into(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\t' => b"\\t",
+            b'\r' => b"\\r",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        if short.is_empty() {
+            out.extend_from_slice(b"\\u00");
+            out.push(HEX[usize::from(b >> 4)]);
+            out.push(HEX[usize::from(b & 0xf)]);
+        } else {
+            out.extend_from_slice(short);
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
 }
 
 /// Append the scheduler-counter object for one pool snapshot. The
@@ -80,7 +111,9 @@ pub fn scheduler_json(j: &mut Json, s: &axml_pool::PoolStats) {
 
 /// An incremental builder for one JSON value — objects, arrays and
 /// scalars, with commas managed automatically. No reflection, no
-/// intermediate DOM: values stream into one `String`.
+/// intermediate DOM: values stream into one byte buffer, strings are
+/// escaped straight into it, and [`append_to`](Json::append_to) lets a
+/// response writer render into its own pending buffer instead.
 ///
 /// ```
 /// use axml::json::Json;
@@ -95,10 +128,14 @@ pub fn scheduler_json(j: &mut Json, s: &axml_pool::PoolStats) {
 /// ```
 #[derive(Debug, Default)]
 pub struct Json {
-    buf: String,
+    /// The rendered bytes. Only `str` data is ever appended, so the
+    /// buffer is always valid UTF-8.
+    buf: Vec<u8>,
     /// Whether the next emission at the current nesting level needs a
     /// leading comma (one flag per open container).
     need_comma: Vec<bool>,
+    /// Reused rendering space for [`display`](Json::display).
+    scratch: String,
 }
 
 impl Json {
@@ -110,42 +147,50 @@ impl Json {
     fn pre_value(&mut self) {
         if let Some(need) = self.need_comma.last_mut() {
             if *need {
-                self.buf.push(',');
+                self.buf.push(b',');
             }
             *need = true;
         }
     }
 
+    /// Append `s` as a quoted, escaped JSON string literal.
+    fn quoted(&mut self, s: &str) {
+        self.buf.push(b'"');
+        escape_into(&mut self.buf, s);
+        self.buf.push(b'"');
+    }
+
     /// Open an object (`{`).
     pub fn begin_obj(&mut self) {
         self.pre_value();
-        self.buf.push('{');
+        self.buf.push(b'{');
         self.need_comma.push(false);
     }
 
     /// Close the innermost object (`}`).
     pub fn end_obj(&mut self) {
         self.need_comma.pop();
-        self.buf.push('}');
+        self.buf.push(b'}');
     }
 
     /// Open an array (`[`).
     pub fn begin_arr(&mut self) {
         self.pre_value();
-        self.buf.push('[');
+        self.buf.push(b'[');
         self.need_comma.push(false);
     }
 
     /// Close the innermost array (`]`).
     pub fn end_arr(&mut self) {
         self.need_comma.pop();
-        self.buf.push(']');
+        self.buf.push(b']');
     }
 
     /// Emit an object key. Must be followed by exactly one value.
     pub fn key(&mut self, k: &str) {
         self.pre_value();
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.quoted(k);
+        self.buf.push(b':');
         // The value after a key is not a fresh element of the object.
         if let Some(need) = self.need_comma.last_mut() {
             *need = false;
@@ -155,7 +200,18 @@ impl Json {
     /// Emit a string value.
     pub fn str(&mut self, s: &str) {
         self.pre_value();
-        let _ = write!(self.buf, "\"{}\"", escape(s));
+        self.quoted(s);
+    }
+
+    /// Emit `v`'s `Display` rendering as a string value, formatted
+    /// through a scratch buffer the builder reuses across calls.
+    pub fn display(&mut self, v: &dyn std::fmt::Display) {
+        self.pre_value();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let _ = write!(scratch, "{v}");
+        self.quoted(&scratch);
+        self.scratch = scratch;
     }
 
     /// Emit a numeric value (finite; NaN/∞ become `null`, which JSON
@@ -165,7 +221,7 @@ impl Json {
         if n.is_finite() {
             let _ = write!(self.buf, "{n}");
         } else {
-            self.buf.push_str("null");
+            self.buf.extend_from_slice(b"null");
         }
     }
 
@@ -178,12 +234,28 @@ impl Json {
     /// Emit a boolean value.
     pub fn bool(&mut self, b: bool) {
         self.pre_value();
-        self.buf.push_str(if b { "true" } else { "false" });
+        self.buf
+            .extend_from_slice(if b { b"true" } else { b"false" });
+    }
+
+    /// Render one complete value through `f` onto the end of `out`
+    /// (typically a response's pending buffer), reusing this builder's
+    /// nesting stack and scratch space so a caller rendering many
+    /// values allocates nothing per value. The builder must hold no
+    /// open container.
+    pub fn append_to(&mut self, out: &mut Vec<u8>, f: impl FnOnce(&mut Json)) {
+        debug_assert!(
+            self.need_comma.is_empty(),
+            "append_to inside an open container"
+        );
+        std::mem::swap(&mut self.buf, out);
+        f(self);
+        std::mem::swap(&mut self.buf, out);
     }
 
     /// The finished JSON text.
     pub fn finish(self) -> String {
-        self.buf
+        String::from_utf8(self.buf).expect("the builder only appends UTF-8")
     }
 }
 
@@ -221,7 +293,7 @@ pub fn tree_json<K: Semiring + std::fmt::Display>(j: &mut Json, t: &Tree<K>, ann
     if let Some(k) = ann {
         if !k.is_one() {
             j.key("annotation");
-            j.str(&k.to_string());
+            j.display(k);
         }
     }
     if !t.is_leaf() {
@@ -254,7 +326,8 @@ pub fn result_value_json(j: &mut Json, out: &AxmlResult) {
 /// `{"query":…,"semiring":…,"route":…,"mode":…,"result":`.
 ///
 /// Streaming writers (the server) emit this first, then the pieces of
-/// [`result_pieces`], then the closing `}`.
+/// the result array (as [`result_pieces`] cuts them), then the
+/// closing `}`.
 pub fn result_header(query: &str, opts: &EvalOptions) -> String {
     let mut j = Json::new();
     j.begin_obj();
@@ -321,6 +394,7 @@ pub fn result_json(query: &str, opts: &EvalOptions, out: &AxmlResult) -> String 
 mod tests {
     use super::*;
     use crate::{Engine, EvalOptions, SemiringKind};
+    use proptest::prelude::*;
 
     #[test]
     fn escapes_specials() {
@@ -328,6 +402,56 @@ mod tests {
         assert_eq!(escape("x\ny"), "x\\ny");
         assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(string("hé"), "\"hé\"");
+    }
+
+    /// Arbitrary text weighted towards what escaping must get right:
+    /// quotes, backslashes, every control character, multibyte UTF-8.
+    fn text() -> impl Strategy<Value = String> {
+        let ch = prop_oneof![
+            proptest::sample::select(vec!['"', '\\', '\n', '\t', '\r', '\u{7f}', 'é', '中']),
+            (0u32..0x20).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x20u32..0x80).prop_map(|c| char::from_u32(c).unwrap()),
+            (0x80u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ];
+        proptest::collection::vec(ch, 0..24).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The in-place escaper emits exactly the bytes of the
+        /// reference `escape`, for strings, keys and `display`.
+        #[test]
+        fn str_key_and_display_match_the_reference_escape(s in text()) {
+            let quoted = format!("\"{}\"", escape(&s));
+            let mut j = Json::new();
+            j.str(&s);
+            prop_assert_eq!(j.finish(), quoted.clone());
+            let mut j = Json::new();
+            j.begin_obj();
+            j.key(&s);
+            j.display(&s);
+            j.end_obj();
+            prop_assert_eq!(j.finish(), format!("{{{quoted}:{quoted}}}"));
+        }
+    }
+
+    #[test]
+    fn append_to_renders_onto_a_foreign_buffer() {
+        let mut j = Json::new();
+        let mut out = b"[".to_vec();
+        for i in 0..2 {
+            j.append_to(&mut out, |j| {
+                j.begin_obj();
+                j.key("i");
+                j.int(i);
+                j.end_obj();
+            });
+            out.push(b',');
+        }
+        assert_eq!(out, br#"[{"i":0},{"i":1},"#);
+        // The builder's own buffer is untouched.
+        assert_eq!(j.finish(), "");
     }
 
     #[test]

@@ -186,6 +186,14 @@
 //! modes). [`AxmlResult::pieces`] gives the same piece view of an
 //! already-materialized result without matching its 7 variants.
 //!
+//! [`PreparedQuery::eval_each`] is the push form underneath: it runs
+//! the same evaluation on the **calling** thread, on the caller's pool,
+//! and hands each final piece to a callback as a borrowed
+//! [`ResultPieceRef`] — no thread, no channel, no copy. A callback
+//! returning [`SinkClosed`] stops the evaluation. The cursor's
+//! producer thread is `eval_each` with a channel-forwarding callback;
+//! the HTTP server calls it directly.
+//!
 //! Per-call limits live on [`EvalOptions`]: `deadline`/`timeout`
 //! (wall-clock, PR 7) and [`EvalOptions::memory_budget`] (a cap on
 //! evaluation-allocated tree nodes, charged at op and fixpoint-round
@@ -195,7 +203,7 @@
 //! from memory — never a panic and never a truncated-but-`Ok` result;
 //! on a live stream the trip arrives in-band as the cursor's final
 //! item. The HTTP server maps the two to 504 and 507, streams `/eval`
-//! chunks straight off this cursor (first byte before the evaluation
+//! pieces pushed by `eval_each` (first byte before the evaluation
 //! finishes), and windows the piece stream with `limit`/`offset`; the
 //! CLI's `query --stream` prints pieces as they surface,
 //! byte-identical to its one-shot `--format json` output.
@@ -276,6 +284,7 @@ mod registry;
 mod result;
 
 pub use axml_pool::{global_stats as scheduler_stats, Lane, Pool, PoolStats};
+pub use axml_uxml::SinkClosed;
 pub use cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
 pub use edit::{EditOp, EditScript};
 pub use engine::{EditStats, Engine, StorageStats, STORE_SHARDS};

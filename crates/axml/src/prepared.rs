@@ -14,22 +14,24 @@
 //! plans, and `Route::Differential` additionally replays the
 //! tree-walking interpreters and asserts agreement.
 
-use crate::cursor::{ChannelSink, EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
+use crate::cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
 use crate::dispatch::{Artifacts, KindCaches, KindDispatch};
 use crate::engine::{Engine, StoredDoc};
 use crate::error::{AxmlError, BudgetKind};
 use crate::options::{EvalMode, EvalOptions, Route, SemiringKind};
-use crate::result::{AxmlResult, ResultPiece};
+use crate::result::{AxmlResult, ResultPieceRef};
 use axml_core::ast::SurfaceExpr;
 use axml_core::eval::{eval_core, QueryEnv};
 use axml_core::path::{extract_path, Ineligible, PathQuery};
 use axml_core::{elaborate, parse_query};
 use axml_pool::ExecCtx;
 use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
-use axml_uxml::{hom::map_value, Forest, NodeBudget, StreamError, Streamed, Tree, Value};
+use axml_uxml::{
+    hom::map_value, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree, Value,
+};
 use std::collections::BTreeSet;
-use std::sync::atomic::AtomicUsize;
-use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -126,8 +128,8 @@ pub(crate) trait EvalKind: Semiring {
     fn specialize_value(sym: &Value<NatPoly>) -> Value<Self>;
     /// Tag a value of this kind as an [`AxmlResult`].
     fn wrap_value(v: Value<Self>) -> AxmlResult;
-    /// Tag one streamed piece of this kind as a [`ResultPiece`].
-    fn piece(t: Tree<Self>, k: Self) -> ResultPiece;
+    /// Tag one borrowed piece of this kind as a [`ResultPieceRef`].
+    fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a>;
 }
 
 impl EvalKind for NatPoly {
@@ -147,8 +149,8 @@ impl EvalKind for NatPoly {
     fn wrap_value(v: Value<NatPoly>) -> AxmlResult {
         AxmlResult::NatPoly(v)
     }
-    fn piece(t: Tree<NatPoly>, k: NatPoly) -> ResultPiece {
-        ResultPiece::NatPoly(t, k)
+    fn piece_ref<'a>(t: &'a Tree<NatPoly>, k: &'a NatPoly) -> ResultPieceRef<'a> {
+        ResultPieceRef::NatPoly(t, k)
     }
 }
 
@@ -172,8 +174,8 @@ macro_rules! eval_kind_via_dispatch {
             fn wrap_value(v: Value<Self>) -> AxmlResult {
                 AxmlResult::$variant(v)
             }
-            fn piece(t: Tree<Self>, k: Self) -> ResultPiece {
-                ResultPiece::$variant(t, k)
+            fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a> {
+                ResultPieceRef::$variant(t, k)
             }
         })*
     };
@@ -304,27 +306,7 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
         pool: Option<&axml_pool::Pool>,
     ) -> Result<AxmlResult, AxmlError> {
-        // Resolve the per-call parallelism once: `None` keeps every
-        // layer on its exact sequential code path.
-        let ctx_slot;
-        let ctx: Option<&ExecCtx<'_>> = if opts.parallelism.is_sequential() {
-            None
-        } else {
-            ctx_slot = match pool {
-                Some(p) => ExecCtx::new(p, opts.parallelism),
-                None => ExecCtx::global(opts.parallelism),
-            };
-            Some(&ctx_slot)
-        };
-        let budget = opts.memory_budget.map(NodeBudget::new);
-        let limits = Limits {
-            deadline: opts.deadline,
-            budget: budget.as_ref(),
-        };
-        // A lane hint classifies every scope this evaluation opens on
-        // the pool (thread-inherited, so nested fan-out stays in the
-        // lane); it never changes what is computed.
-        let run = || match opts.mode {
+        armed(&opts, pool, |ctx, limits| match opts.mode {
             EvalMode::ProvenanceFirst => {
                 let sym = self.value_in::<NatPoly>(engine, aliases, opts.route, ctx, limits)?;
                 if opts.semiring == SemiringKind::NatPoly {
@@ -338,11 +320,57 @@ impl PreparedQuery {
                 self.value_in::<S>(engine, aliases, opts.route, ctx, limits)
                     .map(S::wrap_value)
             }),
-        };
-        match opts.lane {
-            Some(lane) => axml_pool::with_lane(lane, run),
-            None => run(),
+        })
+    }
+
+    /// Evaluate and **push** each top-level `(tree, annotation)` piece
+    /// of a set-shaped result into `each` — borrowed, in document
+    /// order — as soon as it is final. The push happens on the calling
+    /// thread, and intra-query parallelism fans out on `pool` (`None` =
+    /// the global pool) in the [`EvalOptions::lane`] lane, exactly as
+    /// for [`eval_with`](Self::eval_with).
+    ///
+    /// Returns `Ok(None)` once a set-shaped result has been pushed
+    /// whole, or as soon as `each` returns [`SinkClosed`] (the caller
+    /// has seen enough: the evaluation is abandoned, not an error), and
+    /// `Ok(Some(result))` for a scalar result — a bare label or a single
+    /// unannotated tree — which has no pieces and never reaches `each`.
+    ///
+    /// `InSemiring` evaluations on the `Direct` and `ViaNrc` routes run
+    /// the plans' streaming entry points, so the first piece reaches
+    /// `each` while later ones are still being computed. The shredded
+    /// and differential routes and `ProvenanceFirst` mode only have
+    /// whole-result semantics; they run [`eval_with`](Self::eval_with)
+    /// and then push its pieces. Either way `each` sees the pieces of
+    /// the materialized result, in order. Errors — binding errors,
+    /// tripped deadlines and memory budgets — are returned, possibly
+    /// after some pieces were pushed.
+    pub fn eval_each(
+        &self,
+        engine: &Engine,
+        opts: EvalOptions,
+        aliases: &[(&str, &str)],
+        pool: Option<&axml_pool::Pool>,
+        mut each: impl FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>,
+    ) -> Result<Option<AxmlResult>, AxmlError> {
+        if !pushes_incrementally(&opts) {
+            let out = self.eval_with(engine, opts, aliases, pool)?;
+            return match out.pieces() {
+                Some(pieces) => {
+                    for p in pieces {
+                        if each(p).is_err() {
+                            break;
+                        }
+                    }
+                    Ok(None)
+                }
+                None => Ok(Some(out)),
+            };
         }
+        with_kind!(opts.semiring, S => {
+            let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
+            self.push_in::<S>(&inputs, opts, pool, &mut each)
+        })
     }
 
     /// Evaluate to a streaming cursor: top-level pieces of a
@@ -382,11 +410,19 @@ impl PreparedQuery {
     }
 
     /// [`eval_stream_bound`](Self::eval_stream_bound) with an explicit
-    /// scheduling pool for the *materializing* combinations (the
-    /// streaming analogue of [`eval_with`](Self::eval_with)). The
-    /// incremental combinations run on a detached producer thread that
-    /// cannot borrow a caller's pool, so they always schedule
-    /// intra-query parallelism on the global pool.
+    /// scheduling pool (the streaming analogue of
+    /// [`eval_with`](Self::eval_with)).
+    ///
+    /// **Pool note:** `pool` only schedules the *materializing*
+    /// combinations (shredded, differential, `ProvenanceFirst`), which
+    /// evaluate on the calling thread. The incremental combinations
+    /// run [`eval_each`](Self::eval_each)'s push path on a detached
+    /// producer thread that cannot borrow a caller's pool, so their
+    /// intra-query parallelism always fans out on the **global** pool.
+    /// A caller that needs every evaluation on its own pool — a server
+    /// with a dedicated worker pool — should call
+    /// [`eval_each`](Self::eval_each) instead, which also saves the
+    /// per-call thread and the per-piece channel hand-off.
     pub fn eval_stream_with(
         &self,
         engine: &Engine,
@@ -394,20 +430,16 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
         pool: Option<&axml_pool::Pool>,
     ) -> Result<EvalCursor, AxmlError> {
-        // Piece-wise specialization is unsound for `ProvenanceFirst`
-        // (the homomorphism can merge previously-distinct trees), and
-        // the shredded/differential routes only have whole-result
-        // semantics, so those combinations materialize-then-cursor.
-        let incremental = opts.mode == EvalMode::InSemiring
-            && matches!(opts.route, Route::Direct | Route::ViaNrc);
-        if !incremental {
+        if !pushes_incrementally(&opts) {
             let out = self.eval_with(engine, opts, aliases, pool)?;
             return Ok(EvalCursor::ready(out));
         }
         with_kind!(opts.semiring, S => self.stream_in::<S>(engine, opts, aliases))
     }
 
-    /// Spawn the detached producer for an incremental stream in `S`.
+    /// Spawn the detached producer for an incremental stream in `S`:
+    /// the push path of [`eval_each`](Self::eval_each), forwarding each
+    /// piece into the cursor's bounded channel.
     fn stream_in<S: EvalKind>(
         &self,
         engine: &Engine,
@@ -415,8 +447,8 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
     ) -> Result<EvalCursor, AxmlError> {
         // Bind before spawning: unknown-document errors stay
-        // synchronous (a server maps them to a status line *before*
-        // any body bytes).
+        // synchronous (a caller maps them to an error *before* it
+        // consumes anything).
         let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
         let me = self.clone();
         let (tx, rx) = sync_channel(STREAM_BUFFER_PIECES);
@@ -424,9 +456,77 @@ impl PreparedQuery {
         let counter = Arc::clone(&produced);
         std::thread::Builder::new()
             .name("axml-eval-stream".into())
-            .spawn(move || produce::<S>(&me, opts, &inputs, &tx, &counter))
+            .spawn(move || {
+                // `send` blocks while the channel is full (that *is*
+                // the backpressure) and fails once the cursor is
+                // dropped, which stops the evaluation.
+                let pushed = me.push_in::<S>(&inputs, opts, None, &mut |p| {
+                    // Count before the (possibly blocking) send so the
+                    // counter reflects what the producer has *reached*,
+                    // not what the consumer has accepted.
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    tx.send(Ok(StreamItem::Piece(p.to_piece())))
+                        .map_err(|_| SinkClosed)
+                });
+                let last = match pushed {
+                    // A finished (or abandoned) set: dropping `tx`
+                    // closes the channel, which the cursor reads as
+                    // end-of-stream.
+                    Ok(None) => return,
+                    Ok(Some(scalar)) => Ok(StreamItem::Scalar(scalar)),
+                    Err(e) => Err(e),
+                };
+                let _ = tx.send(last);
+            })
             .expect("spawn streaming producer thread");
         Ok(EvalCursor::live(rx, produced, opts.semiring))
+    }
+
+    /// The push path of an incremental combination: run the route's
+    /// streaming plan entry on this thread, handing each final piece
+    /// to `each`. See [`eval_each`](Self::eval_each) for the outcome.
+    fn push_in<S: EvalKind>(
+        &self,
+        inputs: &BoundInputs<S>,
+        opts: EvalOptions,
+        pool: Option<&axml_pool::Pool>,
+        each: &mut dyn FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>,
+    ) -> Result<Option<AxmlResult>, AxmlError> {
+        let arts = S::artifacts(&self.inner);
+        let mut sink = EachSink(each);
+        let outcome = armed(&opts, pool, |ctx, limits| {
+            check_deadline(limits.deadline).map_err(StreamError::Eval)?;
+            match opts.route {
+                Route::Direct => {
+                    let bound: Vec<(&str, Value<S>)> = inputs
+                        .iter()
+                        .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
+                        .collect();
+                    arts.core_plan
+                        .eval_stream_ctx(&bound, ctx, limits.budget, &mut sink)
+                        .map_err(stream_err)
+                }
+                Route::ViaNrc => {
+                    let bound: Vec<(&str, &Forest<S>)> = inputs
+                        .iter()
+                        .map(|b| (b.name.as_str(), &*b.forest))
+                        .collect();
+                    arts.nrc_plan
+                        .eval_stream_with_forests_ctx(&bound, ctx, limits.budget, &mut sink)
+                        .map_err(stream_err)
+                }
+                Route::Shredded | Route::Differential => {
+                    unreachable!("only the incremental combinations push piece by piece")
+                }
+            }
+        });
+        match outcome {
+            // The set was pushed whole, or the consumer stopped
+            // listening — either way there is nothing more to say.
+            Ok(Streamed::Set) | Err(StreamError::Closed) => Ok(None),
+            Ok(Streamed::Scalar(v)) => Ok(Some(S::wrap_value(v))),
+            Err(StreamError::Eval(e)) => Err(e),
+        }
     }
 
     /// Evaluate to a `Value` natively in `S`, resolving artifacts and
@@ -518,74 +618,57 @@ fn check_deadline(deadline: Option<Instant>) -> Result<(), AxmlError> {
     }
 }
 
-/// The detached producer behind one [`EvalCursor`]: evaluate through
-/// the streaming plan entry points, pushing each final piece into the
-/// bounded channel. Runs on its own thread, so intra-query
-/// parallelism fans out on the **global** pool (a detached producer
-/// cannot borrow a caller's pool). Errors are sent in-band; a closed
-/// channel (the consumer dropped the cursor) just ends the thread.
-fn produce<S: EvalKind>(
-    me: &PreparedQuery,
-    opts: EvalOptions,
-    inputs: &BoundInputs<S>,
-    tx: &SyncSender<Result<StreamItem, AxmlError>>,
-    produced: &AtomicUsize,
-) {
-    let budget = opts.memory_budget.map(NodeBudget::new);
+/// Whether `opts` selects a combination that produces pieces
+/// incrementally: `InSemiring` on the `Direct` or `ViaNrc` route.
+/// Piece-wise specialization is unsound for `ProvenanceFirst` (the
+/// homomorphism can merge previously-distinct trees), and the
+/// shredded/differential routes only have whole-result semantics, so
+/// every other combination materializes first.
+fn pushes_incrementally(opts: &EvalOptions) -> bool {
+    opts.mode == EvalMode::InSemiring && matches!(opts.route, Route::Direct | Route::ViaNrc)
+}
+
+/// Arm one call's execution context once — the pool context for
+/// intra-query parallelism (`None` = global pool; sequential options
+/// get no context at all, keeping every layer on its exact sequential
+/// code path), one fresh [`NodeBudget`] for the whole call, the
+/// deadline, and the lane hint — and run `run` under it. The lane
+/// classifies every scope the evaluation opens on the pool (thread-
+/// inherited, so nested fan-out stays in the lane); it never changes
+/// what is computed.
+fn armed<R>(
+    opts: &EvalOptions,
+    pool: Option<&axml_pool::Pool>,
+    run: impl FnOnce(Option<&ExecCtx<'_>>, Limits<'_>) -> R,
+) -> R {
     let ctx_slot;
     let ctx: Option<&ExecCtx<'_>> = if opts.parallelism.is_sequential() {
         None
     } else {
-        ctx_slot = ExecCtx::global(opts.parallelism);
+        ctx_slot = match pool {
+            Some(p) => ExecCtx::new(p, opts.parallelism),
+            None => ExecCtx::global(opts.parallelism),
+        };
         Some(&ctx_slot)
     };
-    if let Err(e) = check_deadline(opts.deadline) {
-        let _ = tx.send(Err(e));
-        return;
+    let budget = opts.memory_budget.map(NodeBudget::new);
+    let limits = Limits {
+        deadline: opts.deadline,
+        budget: budget.as_ref(),
+    };
+    match opts.lane {
+        Some(lane) => axml_pool::with_lane(lane, || run(ctx, limits)),
+        None => run(ctx, limits),
     }
-    let arts = S::artifacts(&me.inner);
-    let mut sink = ChannelSink::new(tx, produced, S::piece);
-    // The lane hint must be re-armed here: it is thread-local and the
-    // producer is a fresh thread, not the request handler's.
-    let mut run = || match opts.route {
-        Route::Direct => {
-            let bound: Vec<(&str, Value<S>)> = inputs
-                .iter()
-                .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
-                .collect();
-            arts.core_plan
-                .eval_stream_ctx(&bound, ctx, budget.as_ref(), &mut sink)
-                .map_err(stream_err)
-        }
-        Route::ViaNrc => {
-            let bound: Vec<(&str, &Forest<S>)> = inputs
-                .iter()
-                .map(|b| (b.name.as_str(), &*b.forest))
-                .collect();
-            arts.nrc_plan
-                .eval_stream_with_forests_ctx(&bound, ctx, budget.as_ref(), &mut sink)
-                .map_err(stream_err)
-        }
-        Route::Shredded | Route::Differential => {
-            unreachable!("non-incremental routes materialize in eval_stream_bound")
-        }
-    };
-    let outcome = match opts.lane {
-        Some(lane) => axml_pool::with_lane(lane, run),
-        None => run(),
-    };
-    match outcome {
-        // A finished set: dropping `tx` closes the channel, which the
-        // cursor reads as end-of-stream.
-        Ok(Streamed::Set) => {}
-        Ok(Streamed::Scalar(v)) => {
-            let _ = tx.send(Ok(StreamItem::Scalar(S::wrap_value(v))));
-        }
-        // The consumer lost interest; nobody is listening.
-        Err(StreamError::Closed) => {}
-        Err(StreamError::Eval(e)) => {
-            let _ = tx.send(Err(e));
-        }
+}
+
+/// Adapts an [`PreparedQuery::eval_each`] callback to the plans'
+/// [`ResultSink`], tagging each borrowed piece with its kind.
+struct EachSink<'f>(&'f mut dyn FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>);
+
+impl<S: EvalKind> ResultSink<S> for EachSink<'_> {
+    fn piece(&mut self, tree: &Tree<S>, ann: &S) -> Result<(), SinkClosed> {
+        (self.0)(S::piece_ref(tree, ann))
     }
 }
 

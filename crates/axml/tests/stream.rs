@@ -16,11 +16,14 @@
 //!    surfaces as typed `AxmlError::Budget { resource: Memory }` on
 //!    every route, materialized and streamed, never a panic and never
 //!    a truncated-but-`Ok` result.
+//! 5. **Push parity**: `PreparedQuery::eval_each` hands its callback
+//!    exactly the materialized pieces (or returns the scalar, or the
+//!    error), and stops as soon as the callback says so.
 
 use axml::json::{result_header, result_json};
 use axml::{
-    AxmlError, BudgetKind, Engine, EvalCursor, EvalOptions, PreparedQuery, Route, SemiringKind,
-    StreamItem, STREAM_BUFFER_PIECES,
+    AxmlError, BudgetKind, Engine, EvalCursor, EvalOptions, Pool, PreparedQuery, Route,
+    SemiringKind, SinkClosed, StreamItem, STREAM_BUFFER_PIECES,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -227,5 +230,86 @@ fn streamed_budget_trips_end_the_stream_with_a_typed_error() {
             q.eval_stream(&engine, opts).unwrap().collect_result(),
             Err(AxmlError::Budget { .. })
         ));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `eval_each` pushes exactly the materialized result's pieces, in
+    /// order — or returns its scalar, or its error — on every
+    /// combination, on the global pool and on a caller's pool alike.
+    #[test]
+    fn eval_each_pushes_the_materialized_pieces(
+        qi in 0..QUERY_POOL.len(),
+        ki in 0..SemiringKind::ALL.len(),
+        ri in 0..ROUTES.len(),
+        pf in 0..2usize,
+        par in 0..3usize,
+    ) {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        let fix = fixture();
+        let q = &fix.prepared[qi];
+        let mut opts = EvalOptions::new()
+            .semiring(SemiringKind::ALL[ki])
+            .route(ROUTES[ri]);
+        if pf == 1 {
+            opts = opts.provenance_first();
+        }
+        let pool = match par {
+            0 => None,
+            1 => {
+                opts = opts.parallel(4);
+                None
+            }
+            _ => {
+                opts = opts.parallel(4);
+                Some(POOL.get_or_init(|| Pool::new(2)))
+            }
+        };
+        let materialized = q.eval(&fix.engine, opts);
+        let mut pushed = Vec::new();
+        let each = q.eval_each(&fix.engine, opts, &[], pool, |p| {
+            pushed.push(p.json());
+            Ok(())
+        });
+        match (&materialized, each) {
+            (Ok(m), Ok(None)) => {
+                let want: Vec<String> = m.pieces().expect("a set").iter().map(|p| p.json()).collect();
+                prop_assert_eq!(pushed, want);
+            }
+            (Ok(m), Ok(Some(scalar))) => {
+                prop_assert!(m.pieces().is_none() && pushed.is_empty());
+                prop_assert_eq!(m, &scalar);
+            }
+            (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
+            (m, each) => panic!("eval gave {}, eval_each gave {each:?}", rendered(m)),
+        }
+    }
+}
+
+/// A callback that has seen enough stops the evaluation: `eval_each`
+/// returns `Ok(None)` right after the piece that said so, on every
+/// route.
+#[test]
+fn eval_each_stops_when_the_callback_closes() {
+    let engine = Engine::new();
+    let body: String = (0..100).map(|i| format!("b{i} {{x{i}}} ")).collect();
+    engine
+        .load_document("S", &format!("<a> {body} </a>"))
+        .unwrap();
+    let q = engine.prepare("$S/*").unwrap();
+    for route in ROUTES {
+        let mut seen = 0;
+        let out = q.eval_each(&engine, EvalOptions::new().route(route), &[], None, |_| {
+            seen += 1;
+            if seen == 3 {
+                Err(SinkClosed)
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(out, Ok(None)), "{route:?}: {out:?}");
+        assert_eq!(seen, 3, "{route:?}");
     }
 }

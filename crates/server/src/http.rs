@@ -477,7 +477,34 @@ fn read_line<R: BufRead>(
     }
 }
 
-/// Write a complete response with `Content-Length` framing.
+/// Pending body bytes at which [`ChunkedWriter`] emits a frame: large
+/// enough that a streamed result costs a handful of writes (and
+/// packets) instead of several per piece, small enough to bound what
+/// sits in memory between emissions.
+pub const CHUNK_BYTES: usize = 16 * 1024;
+
+/// Append a status line and the common headers (everything but the
+/// blank line that ends the head).
+fn head(
+    out: &mut Vec<u8>,
+    status: u16,
+    reason: &str,
+    content_type: &str,
+    framing: std::fmt::Arguments<'_>,
+    keep_alive: bool,
+) {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n{framing}\r\nConnection: {connection}\r\n",
+    );
+}
+
+/// Write a complete response with `Content-Length` framing. Head and
+/// body are assembled in one buffer and leave in a single `write_all`
+/// plus `flush` — one segment on a `TCP_NODELAY` socket, not one per
+/// header line.
 pub fn write_response<W: Write>(
     w: &mut W,
     status: u16,
@@ -487,29 +514,40 @@ pub fn write_response<W: Write>(
     keep_alive: bool,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    )?;
+    let mut out = Vec::with_capacity(160 + body.len());
+    let length = format_args!("Content-Length: {}", body.len());
+    head(&mut out, status, reason, content_type, length, keep_alive);
     for (name, value) in extra_headers {
-        write!(w, "{name}: {value}\r\n")?;
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
-/// An incremental `Transfer-Encoding: chunked` response body: each
-/// [`chunk`](ChunkedWriter::chunk) is written and flushed immediately,
-/// so results stream to the client as they are produced.
+/// An incremental `Transfer-Encoding: chunked` response body that
+/// **coalesces**: [`chunk`](ChunkedWriter::chunk) only appends to a
+/// pending buffer, and a frame goes out once [`CHUNK_BYTES`] are
+/// pending. [`flush`](ChunkedWriter::flush) sends what is pending now
+/// (a streaming writer calls it after its first piece, to keep the
+/// time to first byte), and [`finish`](ChunkedWriter::finish) sends
+/// the rest together with the terminal chunk. The head is held back
+/// until the first emission, so a writer that fails before it can
+/// still [abandon](ChunkedWriter::into_inner) the response and send a
+/// clean error status instead. Every emission is one `write_all`.
 pub struct ChunkedWriter<'a, W: Write> {
     w: &'a mut W,
+    /// Bytes ready for the wire: the head until the first emission,
+    /// then the frame being assembled.
+    out: Vec<u8>,
+    /// Body bytes not yet framed.
+    pending: Vec<u8>,
 }
 
 impl<'a, W: Write> ChunkedWriter<'a, W> {
-    /// Write the status line and headers, leaving the body open.
+    /// Start a response: the status line and headers are buffered and
+    /// go out with the first emitted frame.
     pub fn begin(
         w: &'a mut W,
         status: u16,
@@ -517,30 +555,71 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         content_type: &str,
         keep_alive: bool,
     ) -> std::io::Result<Self> {
-        write!(
+        let mut out = Vec::new();
+        let framing = format_args!("Transfer-Encoding: chunked");
+        head(&mut out, status, reason, content_type, framing, keep_alive);
+        out.extend_from_slice(b"\r\n");
+        Ok(ChunkedWriter {
             w,
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" },
-        )?;
-        Ok(ChunkedWriter { w })
+            out,
+            pending: Vec::new(),
+        })
     }
 
-    /// Write one chunk and flush it (empty input is skipped — a
-    /// zero-length chunk would terminate the body).
+    /// Append `data` to the body; a frame goes out once
+    /// [`CHUNK_BYTES`] are pending.
     pub fn chunk(&mut self, data: &[u8]) -> std::io::Result<()> {
-        if data.is_empty() {
-            return Ok(());
+        self.chunk_with(|pending| pending.extend_from_slice(data))
+    }
+
+    /// Append to the body by rendering straight into the pending
+    /// buffer (no intermediate copy); a frame goes out once
+    /// [`CHUNK_BYTES`] are pending.
+    pub fn chunk_with(&mut self, render: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+        render(&mut self.pending);
+        if self.pending.len() >= CHUNK_BYTES {
+            self.flush()?;
         }
-        write!(self.w, "{:x}\r\n", data.len())?;
-        self.w.write_all(data)?;
-        self.w.write_all(b"\r\n")?;
+        Ok(())
+    }
+
+    /// Send everything pending (the head too, the first time) and
+    /// flush the underlying writer.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.frame();
+        if !self.out.is_empty() {
+            self.w.write_all(&self.out)?;
+            self.out.clear();
+        }
         self.w.flush()
     }
 
-    /// Terminate the body (the zero chunk).
-    pub fn finish(self) -> std::io::Result<()> {
-        self.w.write_all(b"0\r\n\r\n")?;
+    /// Send the rest of the body and the terminal zero chunk.
+    pub fn finish(mut self) -> std::io::Result<()> {
+        self.frame();
+        self.out.extend_from_slice(b"0\r\n\r\n");
+        self.w.write_all(&self.out)?;
         self.w.flush()
+    }
+
+    /// Abandon the response, discarding everything not yet emitted,
+    /// and hand back the writer. Only a response that has emitted
+    /// nothing (no [`flush`](Self::flush), fewer than [`CHUNK_BYTES`]
+    /// appended) can be replaced by another one this way.
+    pub fn into_inner(self) -> &'a mut W {
+        self.w
+    }
+
+    /// Move the pending body into `out` as one chunk (an empty body is
+    /// skipped: a zero-length chunk would terminate the body).
+    fn frame(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let _ = write!(self.out, "{:x}\r\n", self.pending.len());
+        self.out.extend_from_slice(&self.pending);
+        self.out.extend_from_slice(b"\r\n");
+        self.pending.clear();
     }
 }
 
@@ -603,6 +682,83 @@ mod tests {
                 String::from_utf8_lossy(bytes)
             );
         }
+    }
+
+    /// Records every `write` call and how many bytes each `flush`
+    /// pushed out.
+    #[derive(Default)]
+    struct Recorder {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushed: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushed = self.bytes.len();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_leaves_in_one_write() {
+        let mut w = Recorder::default();
+        write_response(
+            &mut w,
+            503,
+            "Service Unavailable",
+            "application/json",
+            b"{}\n",
+            false,
+            &[("Retry-After", "1"), ("X-Extra", "y")],
+        )
+        .unwrap();
+        assert_eq!(w.writes, 1, "head and body in one write");
+        assert_eq!(w.flushed, w.bytes.len());
+        assert_eq!(
+            std::str::from_utf8(&w.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 3\r\nConnection: close\r\nRetry-After: 1\r\nX-Extra: y\r\n\r\n{}\n"
+        );
+    }
+
+    #[test]
+    fn chunked_writes_coalesce_up_to_the_threshold() {
+        let mut w = Recorder::default();
+        let mut cw = ChunkedWriter::begin(&mut w, 200, "OK", "text/plain", true).unwrap();
+        // Nothing goes out below the threshold — not even the head.
+        let piece = [b'x'; 100];
+        let below = (CHUNK_BYTES - 1) / piece.len();
+        for _ in 0..below {
+            cw.chunk(&piece).unwrap();
+        }
+        cw.chunk(b"").unwrap();
+        assert_eq!(cw.w.writes, 0);
+        // The piece that crosses it emits head and one frame together.
+        cw.chunk(&piece).unwrap();
+        let framed = (below + 1) * piece.len();
+        assert_eq!(cw.w.writes, 1);
+        assert_eq!(cw.w.flushed, cw.w.bytes.len());
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+        let frame = format!("{framed:x}\r\n");
+        assert!(cw.w.bytes.starts_with(format!("{head}{frame}").as_bytes()));
+        // `flush` sends what is pending now; `finish` the rest and the
+        // terminal chunk, each in one write.
+        cw.chunk(b"abc").unwrap();
+        cw.flush().unwrap();
+        assert_eq!(cw.w.writes, 2);
+        assert!(cw.w.bytes.ends_with(b"3\r\nabc\r\n"));
+        cw.chunk(b"de").unwrap();
+        cw.finish().unwrap();
+        assert_eq!(w.writes, 3);
+        assert!(w.bytes.ends_with(b"2\r\nde\r\n0\r\n\r\n"));
+        assert_eq!(w.flushed, w.bytes.len());
     }
 
     #[test]

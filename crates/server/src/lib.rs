@@ -18,9 +18,10 @@
 //!                                                                   ▼
 //!                    /prepare ─▶ QueryRegistry (compile once, stable handle,
 //!                    │                          LRU-bounded at max_prepared)
-//!                    /eval ────▶ PreparedQuery::eval_stream_with(engine, pool)
-//!                                   │ pieces flush as chunked JSON while
-//!                                   │ the evaluation is still running
+//!                    /eval ────▶ PreparedQuery::eval_each(engine, pool)
+//!                                   │ pieces pushed on the connection thread,
+//!                                   │ first one flushed at once, the rest
+//!                                   │ coalesced into 16 KiB chunks
 //!                                   ▼
 //!                    /documents  load / list / remove on the shared Engine
 //! ```
@@ -46,7 +47,8 @@
 //! query parameters; its body is byte-identical to the CLI's
 //! `axml query --format json` output for the same options, and on the
 //! incremental route/mode combinations the first chunk is written
-//! before the evaluation has finished. Errors are structured JSON
+//! before the evaluation has finished; later pieces are coalesced
+//! into [`http::CHUNK_BYTES`] chunks. Errors are structured JSON
 //! (`{"error":{"kind":…,"message":…}}`) with parse errors carrying
 //! `line`/`column`/`line_text`; a tripped wall-clock deadline is a
 //! `504`, a tripped memory budget a `507`.

@@ -22,19 +22,31 @@
 //!   closed, so overload sheds load instead of queueing it. The slot
 //!   is released by a drop guard, so even a panicking connection
 //!   cannot leak admission capacity.
-//! - **Streaming results.** A successful `/eval` streams the exact
-//!   bytes of [`axml::json::result_json`] as a chunked body, one chunk
-//!   per `(tree, annotation)` pair, pulled from a
-//!   [`PreparedQuery::eval_stream_with`] cursor: on the incremental
-//!   combinations (`InSemiring` × direct/via-NRC) the first chunk is
-//!   on the wire while the evaluation is still producing later
-//!   pieces. `limit`/`offset` window the piece stream server-side
-//!   (the body is a literal prefix/slice of the unlimited bytes), and
-//!   `memory_budget` caps evaluation memory per request. Errors that
-//!   precede the first output byte — including tripped budgets — get
-//!   clean status lines (504 wall-clock, 507 memory); an error after
-//!   the 200 is out aborts the chunked body without a terminal chunk,
-//!   so clients see a truncated transfer, never a short-but-valid one.
+//! - **Streaming results, pushed and coalesced.** A successful `/eval`
+//!   streams the exact bytes of [`axml::json::result_json`] as a
+//!   chunked body. The evaluation runs on the connection thread
+//!   through [`PreparedQuery::eval_each`], with its fan-out on the
+//!   server's pool in the request's lane, and pushes each final
+//!   `(tree, annotation)` piece into the response: no producer thread,
+//!   no channel, no per-piece copy. Pieces render straight into the
+//!   response's pending buffer. The status line, the result header and
+//!   the first piece are flushed together as soon as that piece exists
+//!   (on the incremental combinations, `InSemiring` × direct/via-NRC,
+//!   while the evaluation is still producing later pieces), so time to
+//!   first byte is kept; later pieces coalesce into
+//!   [`crate::http::CHUNK_BYTES`] frames, one write each.
+//!   `limit`/`offset` window the piece stream server-side (the body is
+//!   a literal prefix/slice of the unlimited bytes; a full window
+//!   stops the evaluation), and `memory_budget` caps evaluation memory
+//!   per request. Errors that precede the first output byte —
+//!   including tripped budgets — get clean status lines (504
+//!   wall-clock, 507 memory); an error after the 200 is out aborts the
+//!   chunked body without a terminal chunk, so clients see a truncated
+//!   transfer, never a short-but-valid one. HTTP/1.0 clients get the
+//!   same window, buffered whole behind a `Content-Length`.
+//! - **One write per response.** Every other reply is assembled in one
+//!   buffer and leaves in a single write, so on a `TCP_NODELAY` socket
+//!   it is one segment, not one per header line.
 //! - **Graceful shutdown.** [`ServerHandle::shutdown`] flips a flag
 //!   and nudges the accept loop; the pool scope then drains: requests
 //!   already in flight complete, idle keep-alive connections notice
@@ -43,8 +55,8 @@
 use crate::http::{read_request, write_response, ChunkedWriter, Limits, ReadOutcome, Request};
 use axml::json::{result_header, result_value_json, Json};
 use axml::{
-    AxmlError, BudgetKind, Engine, EvalOptions, Lane, PreparedQuery, QueryRegistry, Route,
-    StreamItem,
+    AxmlError, AxmlResult, BudgetKind, Engine, EvalOptions, Lane, PreparedQuery, QueryRegistry,
+    ResultPieceRef, Route, SinkClosed,
 };
 use axml_pool::Pool;
 use std::io::{self, BufReader, Write};
@@ -673,12 +685,6 @@ fn eval_endpoint<W: Write>(
     }
     let (offset, limit) = window;
 
-    // Evaluation is pulled through a cursor: binding errors (unknown
-    // documents, bad options) surface from `eval_stream_bound` itself
-    // and the first cursor item is pulled *before* the status line, so
-    // every error that can precede output gets a clean status code. On
-    // the incremental routes the first piece arrives while the rest of
-    // the evaluation is still running — that is the first-byte win.
     // Scheduling lane: classify by per-query cost history when this
     // handle has been evaluated before (EWMA ≥ 1ms ⇒ expensive),
     // otherwise by route (the fixpoint-running routes start out
@@ -705,123 +711,188 @@ fn eval_endpoint<W: Write>(
         start: Instant::now(),
     });
 
-    let mut cursor = match prepared.eval_stream_with(state.engine, opts, &[], Some(state.pool)) {
-        Ok(c) => c,
-        Err(e) => return axml_error(w, &e, keep_alive),
-    };
-
-    // Skip `offset` pieces, then take the first piece of the window.
-    // Any in-band error met while skipping — deadline, memory budget,
-    // evaluation failure — still precedes all output, so it too gets a
-    // clean status line.
-    enum First {
-        Empty,
-        Scalar(axml::AxmlResult),
-        Piece(axml::ResultPiece),
-    }
-    let mut skipped = 0usize;
-    let first = loop {
-        match cursor.next() {
-            None => break First::Empty,
-            Some(Err(e)) => return axml_error(w, &e, keep_alive),
-            Some(Ok(StreamItem::Scalar(out))) => break First::Scalar(out),
-            Some(Ok(StreamItem::Piece(p))) => {
-                // `limit`/`offset` window *set pieces*; scalars pass
-                // through untouched.
-                if limit == Some(0) {
-                    break First::Empty;
-                }
-                if skipped < offset {
-                    skipped += 1;
-                    continue;
-                }
-                break First::Piece(p);
-            }
-        }
-    };
-
+    // Evaluation pushes each final piece straight into the response on
+    // this thread (fan-out runs on the server's pool). Nothing reaches
+    // the wire before the first piece of the window, so every error
+    // that precedes it — binding, deadline, memory budget, evaluation
+    // failure — still gets a clean status line.
     let header = result_header(prepared.source(), &opts);
-    if !req.http11 {
-        // HTTP/1.0 has no chunked encoding: buffer the window whole.
-        // Nothing has been written yet, so errors stay clean statuses.
-        let mut body = header;
-        match first {
-            First::Empty => body.push_str("[]"),
-            First::Scalar(out) => {
-                let mut j = Json::new();
-                result_value_json(&mut j, &out);
-                body.push_str(&j.finish());
-            }
-            First::Piece(p) => {
-                body.push('[');
-                body.push_str(&p.json());
-                let mut kept = 1usize;
-                while limit.is_none_or(|n| kept < n) {
-                    match cursor.next() {
-                        None => break,
-                        Some(Err(e)) => return axml_error(w, &e, keep_alive),
-                        Some(Ok(StreamItem::Piece(p))) => {
-                            body.push(',');
-                            body.push_str(&p.json());
-                            kept += 1;
-                        }
-                        Some(Ok(StreamItem::Scalar(_))) => unreachable!("scalar after a piece"),
-                    }
-                }
-                body.push(']');
-            }
-        }
-        body.push_str("}\n");
-        return write_response(
-            w,
-            200,
-            "OK",
-            "application/json",
-            body.as_bytes(),
+    let mut sink = EvalSink::new(w, req.http11, keep_alive, header, offset, limit)?;
+    let pushed = prepared.eval_each(state.engine, opts, &[], Some(state.pool), |p| sink.piece(p));
+    sink.finish(pushed)
+}
+
+/// Where one `/eval` response body accumulates.
+enum Out<'w, W: Write> {
+    /// HTTP/1.1: a coalescing chunked body (its head is buffered until
+    /// the first emission).
+    Chunked(ChunkedWriter<'w, W>),
+    /// HTTP/1.0 has no chunked encoding: the window is buffered whole
+    /// and sent with a `Content-Length` at the end.
+    Whole(&'w mut W, Vec<u8>),
+}
+
+/// The response side of one `/eval`: windows the pushed pieces by
+/// `offset`/`limit` and renders the survivors straight into the
+/// response's pending buffer. On HTTP/1.1 the status line, the result
+/// header and the first piece are flushed together (time to first
+/// byte); later pieces coalesce into [`crate::http::CHUNK_BYTES`]
+/// frames. HTTP/1.0 takes the same path with flushing off.
+struct EvalSink<'w, W: Write> {
+    out: Out<'w, W>,
+    keep_alive: bool,
+    /// `{"query":…,"result":`, sent with the first piece of the window.
+    header: String,
+    /// Pieces still to skip, and the most to write.
+    offset: usize,
+    limit: Option<usize>,
+    /// Pieces written so far.
+    kept: usize,
+    json: Json,
+    /// A transport failure met while pushing; the evaluation was
+    /// abandoned and the connection is lost.
+    failed: Option<io::Error>,
+}
+
+impl<'w, W: Write> EvalSink<'w, W> {
+    fn new(
+        w: &'w mut W,
+        http11: bool,
+        keep_alive: bool,
+        header: String,
+        offset: usize,
+        limit: Option<usize>,
+    ) -> io::Result<Self> {
+        let out = if http11 {
+            Out::Chunked(ChunkedWriter::begin(
+                w,
+                200,
+                "OK",
+                "application/json",
+                keep_alive,
+            )?)
+        } else {
+            Out::Whole(w, Vec::new())
+        };
+        Ok(EvalSink {
+            out,
             keep_alive,
-            &[],
-        );
+            header,
+            offset,
+            limit,
+            kept: 0,
+            json: Json::new(),
+            failed: None,
+        })
     }
 
-    // HTTP/1.1: chunked, each piece flushed as it is produced.
-    let mut cw = ChunkedWriter::begin(w, 200, "OK", "application/json", keep_alive)?;
-    cw.chunk(header.as_bytes())?;
-    match first {
-        First::Empty => cw.chunk(b"[]")?,
-        First::Scalar(out) => {
-            let mut j = Json::new();
-            result_value_json(&mut j, &out);
-            cw.chunk(j.finish().as_bytes())?;
-        }
-        First::Piece(p) => {
-            cw.chunk(b"[")?;
-            cw.chunk(p.json().as_bytes())?;
-            let mut kept = 1usize;
-            while limit.is_none_or(|n| kept < n) {
-                match cursor.next() {
-                    None => break,
-                    Some(Ok(StreamItem::Piece(p))) => {
-                        cw.chunk(b",")?;
-                        cw.chunk(p.json().as_bytes())?;
-                        kept += 1;
-                    }
-                    Some(Ok(StreamItem::Scalar(_))) => unreachable!("scalar after a piece"),
-                    Some(Err(e)) => {
-                        // The 200 status line is long gone. Never end
-                        // the chunked body cleanly on a failed stream —
-                        // abort the connection so the client sees a
-                        // truncated body, not a valid-looking prefix.
-                        return Err(io::Error::other(format!("eval failed mid-stream: {e}")));
-                    }
-                }
+    /// Append through `render`; on HTTP/1.1 a frame goes out once
+    /// enough is pending.
+    fn append(&mut self, render: impl FnOnce(&mut Vec<u8>, &mut Json)) -> io::Result<()> {
+        let json = &mut self.json;
+        match &mut self.out {
+            Out::Chunked(cw) => cw.chunk_with(|buf| render(buf, json)),
+            Out::Whole(_, body) => {
+                render(body, json);
+                Ok(())
             }
-            cw.chunk(b"]")?;
         }
     }
-    // Dropping the cursor early (limit reached) cancels the producer.
-    drop(cursor);
-    cw.chunk(b"}\n")?;
-    cw.finish()
+
+    /// Accept one pushed piece. `Err(SinkClosed)` stops the
+    /// evaluation: the window is full, or the client is gone.
+    fn piece(&mut self, p: ResultPieceRef<'_>) -> Result<(), SinkClosed> {
+        if self.limit == Some(self.kept) {
+            return Err(SinkClosed);
+        }
+        if self.offset > 0 {
+            self.offset -= 1;
+            return Ok(());
+        }
+        let first = self.kept == 0;
+        self.kept += 1;
+        // The header goes out exactly once: with the first piece, or
+        // (when no piece makes the window) in `finish`.
+        let header = if first {
+            std::mem::take(&mut self.header)
+        } else {
+            String::new()
+        };
+        let mut sent = self.append(|buf, json| {
+            if first {
+                buf.extend_from_slice(header.as_bytes());
+                buf.push(b'[');
+            } else {
+                buf.push(b',');
+            }
+            json.append_to(buf, |j| p.write_json(j));
+        });
+        if first && sent.is_ok() {
+            if let Out::Chunked(cw) = &mut self.out {
+                sent = cw.flush();
+            }
+        }
+        match sent {
+            Err(e) => {
+                self.failed = Some(e);
+                Err(SinkClosed)
+            }
+            Ok(()) if self.limit == Some(self.kept) => Err(SinkClosed),
+            Ok(()) => Ok(()),
+        }
+    }
+
+    /// Close the response once the evaluation has returned.
+    fn finish(mut self, pushed: Result<Option<AxmlResult>, AxmlError>) -> io::Result<()> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        let scalar = match pushed {
+            Ok(scalar) => scalar,
+            // The 200 status line is on the wire. Never end the chunked
+            // body cleanly on a failed stream — abort the connection so
+            // the client sees a truncated body, not a valid-looking
+            // prefix.
+            Err(e) if self.kept > 0 && matches!(self.out, Out::Chunked(_)) => {
+                return Err(io::Error::other(format!("eval failed mid-stream: {e}")));
+            }
+            // Nothing has been sent: answer with a clean status.
+            Err(e) => {
+                let w = match self.out {
+                    Out::Chunked(cw) => cw.into_inner(),
+                    Out::Whole(w, _) => w,
+                };
+                return axml_error(w, &e, self.keep_alive);
+            }
+        };
+        let (kept, header) = (self.kept, std::mem::take(&mut self.header));
+        self.append(|buf, json| {
+            if kept > 0 {
+                buf.push(b']');
+            } else {
+                buf.extend_from_slice(header.as_bytes());
+                match &scalar {
+                    // `limit`/`offset` window set pieces; a scalar
+                    // passes through untouched.
+                    Some(out) => json.append_to(buf, |j| result_value_json(j, out)),
+                    None => buf.extend_from_slice(b"[]"),
+                }
+            }
+            buf.extend_from_slice(b"}\n");
+        })?;
+        match self.out {
+            Out::Chunked(cw) => cw.finish(),
+            Out::Whole(w, body) => write_response(
+                w,
+                200,
+                "OK",
+                "application/json",
+                &body,
+                self.keep_alive,
+                &[],
+            ),
+        }
+    }
 }
 
 fn ok_json<W: Write>(w: &mut W, mut body: String, keep_alive: bool) -> io::Result<()> {
@@ -921,4 +992,220 @@ fn axml_error<W: Write>(w: &mut W, e: &AxmlError, keep_alive: bool) -> io::Resul
         keep_alive,
         &[],
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::CHUNK_BYTES;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// What a [`Recorder`] saw: every byte, the number of `write`
+    /// calls, and how many bytes the last `flush` covered.
+    #[derive(Default)]
+    struct Log {
+        bytes: Vec<u8>,
+        writes: usize,
+        flushed: usize,
+    }
+
+    /// A writer the test can inspect while a sink still borrows it.
+    #[derive(Clone, Default)]
+    struct Recorder(Rc<RefCell<Log>>);
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut log = self.0.borrow_mut();
+            log.writes += 1;
+            log.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            let mut log = self.0.borrow_mut();
+            log.flushed = log.bytes.len();
+            Ok(())
+        }
+    }
+
+    /// Split a recorded chunked response into its head, its de-chunked
+    /// body, and whether the terminal zero chunk arrived.
+    fn dechunk(wire: &[u8]) -> (String, String, bool) {
+        let text = std::str::from_utf8(wire).unwrap();
+        let (head, mut rest) = text.split_once("\r\n\r\n").expect("a complete head");
+        let mut body = String::new();
+        while let Some((size, after)) = rest.split_once("\r\n") {
+            let size = usize::from_str_radix(size, 16).unwrap();
+            if size == 0 {
+                assert_eq!(after, "\r\n", "nothing after the terminal chunk");
+                return (head.to_owned(), body, true);
+            }
+            body.push_str(&after[..size]);
+            rest = after[size..]
+                .strip_prefix("\r\n")
+                .expect("CRLF after chunk data");
+        }
+        (head.to_owned(), body, false)
+    }
+
+    const QUERY: &str = "$S/*";
+
+    /// A 1500-piece set result (~50 KiB of JSON) and its options.
+    fn wide() -> (AxmlResult, EvalOptions) {
+        let engine = Engine::new();
+        let kids: String = (0..1500).map(|i| format!("b{i} {{x{i}}} ")).collect();
+        engine
+            .load_document("S", &format!("<a> {kids} </a>"))
+            .unwrap();
+        let opts = EvalOptions::new();
+        (engine.run(QUERY, opts).unwrap(), opts)
+    }
+
+    fn sink<'w>(w: &'w mut Recorder, http11: bool, opts: &EvalOptions) -> EvalSink<'w, Recorder> {
+        EvalSink::new(w, http11, true, result_header(QUERY, opts), 0, None).unwrap()
+    }
+
+    fn budget_trip() -> AxmlError {
+        AxmlError::Budget {
+            resource: BudgetKind::Memory,
+            at: "test".into(),
+        }
+    }
+
+    #[test]
+    fn the_first_piece_is_flushed_and_later_pieces_coalesce() {
+        let (out, opts) = wide();
+        let pieces = out.pieces().unwrap();
+        let mut w = Recorder::default();
+        let log = Rc::clone(&w.0);
+        let mut s = sink(&mut w, true, &opts);
+
+        // Piece 1: status line, headers, result header and the piece
+        // leave together, and are flushed.
+        s.piece(pieces[0]).unwrap();
+        {
+            let log = log.borrow();
+            assert_eq!(log.writes, 1);
+            assert_eq!(log.flushed, log.bytes.len());
+            let (head, body, done) = dechunk(&log.bytes);
+            assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{head}");
+            assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
+            assert_eq!(
+                body,
+                format!("{}[{}", result_header(QUERY, &opts), pieces[0].json())
+            );
+            assert!(!done);
+        }
+
+        // Later pieces stay pending until a full frame's worth is.
+        let mut pending = 0;
+        let mut writes = 1;
+        for p in &pieces[1..] {
+            s.piece(*p).unwrap();
+            pending += 1 + p.json().len();
+            let log = log.borrow();
+            assert_eq!(log.flushed, log.bytes.len(), "nothing written unflushed");
+            if log.writes > writes {
+                assert_eq!(log.writes, writes + 1, "one write per frame");
+                assert!(pending >= CHUNK_BYTES, "emitted at {pending} bytes");
+                writes = log.writes;
+                pending = 0;
+            } else {
+                assert!(pending < CHUNK_BYTES, "held {pending} bytes");
+            }
+        }
+        assert!(writes >= 3, "a 50 KiB body spans several frames");
+
+        // The end of the body goes out with the terminal chunk.
+        s.finish(Ok(None)).unwrap();
+        let log = log.borrow();
+        assert_eq!(log.writes, writes + 1);
+        assert_eq!(log.flushed, log.bytes.len());
+        let (_, body, done) = dechunk(&log.bytes);
+        assert!(done);
+        assert_eq!(
+            body,
+            format!("{}\n", axml::json::result_json(QUERY, &opts, &out))
+        );
+    }
+
+    #[test]
+    fn a_mid_stream_error_leaves_no_terminal_chunk() {
+        let (out, opts) = wide();
+        let pieces = out.pieces().unwrap();
+        let mut w = Recorder::default();
+        let log = Rc::clone(&w.0);
+        let mut s = sink(&mut w, true, &opts);
+        for p in &pieces[..600] {
+            s.piece(*p).unwrap();
+        }
+        assert!(
+            s.finish(Err(budget_trip())).is_err(),
+            "the connection aborts"
+        );
+        let log = log.borrow();
+        let (head, _, done) = dechunk(&log.bytes);
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(!done, "no terminal chunk after a failed stream");
+        assert!(!log.bytes.ends_with(b"0\r\n\r\n"));
+    }
+
+    #[test]
+    fn an_error_before_the_first_piece_is_a_clean_status() {
+        let (_, opts) = wide();
+        for http11 in [true, false] {
+            let mut w = Recorder::default();
+            let log = Rc::clone(&w.0);
+            sink(&mut w, http11, &opts)
+                .finish(Err(budget_trip()))
+                .unwrap();
+            let log = log.borrow();
+            assert_eq!(log.writes, 1);
+            let text = std::str::from_utf8(&log.bytes).unwrap();
+            assert!(text.starts_with("HTTP/1.1 507 "), "{text}");
+            assert!(text.contains("\"kind\":\"Budget\""), "{text}");
+        }
+    }
+
+    #[test]
+    fn http_1_0_buffers_the_window_and_writes_once() {
+        let (out, opts) = wide();
+        let pieces = out.pieces().unwrap();
+        let mut w = Recorder::default();
+        let log = Rc::clone(&w.0);
+        let mut s = sink(&mut w, false, &opts);
+        for p in &pieces {
+            s.piece(*p).unwrap();
+        }
+        assert_eq!(log.borrow().writes, 0, "nothing goes out before the end");
+        s.finish(Ok(None)).unwrap();
+        let log = log.borrow();
+        assert_eq!(log.writes, 1);
+        let text = std::str::from_utf8(&log.bytes).unwrap();
+        let (head, body) = text.split_once("\r\n\r\n").unwrap();
+        assert!(
+            head.contains(&format!("Content-Length: {}", body.len())),
+            "{head}"
+        );
+        assert_eq!(
+            body,
+            format!("{}\n", axml::json::result_json(QUERY, &opts, &out))
+        );
+    }
+
+    #[test]
+    fn a_full_window_stops_the_evaluation() {
+        let (out, opts) = wide();
+        let pieces = out.pieces().unwrap();
+        let mut w = Recorder::default();
+        let header = result_header(QUERY, &opts);
+        let mut s = EvalSink::new(&mut w, true, true, header, 2, Some(3)).unwrap();
+        assert!(s.piece(pieces[0]).is_ok(), "skipped by the offset");
+        assert!(s.piece(pieces[1]).is_ok(), "skipped by the offset");
+        assert!(s.piece(pieces[2]).is_ok());
+        assert!(s.piece(pieces[3]).is_ok());
+        assert_eq!(s.piece(pieces[4]), Err(SinkClosed), "the third kept piece");
+        assert_eq!(s.piece(pieces[5]), Err(SinkClosed));
+        s.finish(Ok(None)).unwrap();
+    }
 }

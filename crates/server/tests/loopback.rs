@@ -127,6 +127,43 @@ fn try_request(
     try_read_response(&mut conn)
 }
 
+/// One `POST` on a fresh connection in either HTTP version.
+fn post(server: &ServerHandle, target: &str, body: &[u8], http11: bool) -> Response {
+    if http11 {
+        return request(server, "POST", target, body);
+    }
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    write!(
+        conn,
+        "POST {target} HTTP/1.0\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    conn.write_all(body).unwrap();
+    let r = read_response(&mut conn);
+    assert!(
+        r.headers.contains_key("content-length"),
+        "HTTP/1.0 replies carry a Content-Length"
+    );
+    r
+}
+
+/// The sum of the `executed_*` scheduler counters in a `/stats` body.
+fn executed_tasks(stats: &str) -> u64 {
+    ["owned", "helped", "stolen", "injected"]
+        .iter()
+        .map(|what| {
+            let key = format!("\"executed_{what}\":");
+            let at = stats.find(&key).expect("scheduler counter") + key.len();
+            let digits: String = stats[at..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect();
+            digits.parse::<u64>().unwrap()
+        })
+        .sum()
+}
+
 fn server() -> ServerHandle {
     start(ServerConfig::default(), Arc::new(Engine::new())).unwrap()
 }
@@ -673,6 +710,111 @@ fn limit_and_offset_window_the_stream_byte_identically() {
         unlimited.body_str().starts_with(trimmed),
         "limited body must be a prefix of the unlimited stream"
     );
+
+    // The same windows on every route and mode, in both HTTP versions:
+    // incremental and materializing evaluations window identically.
+    let prepared = engine.prepare("$S/*").unwrap();
+    for (route, mode) in [
+        ("direct", "in-semiring"),
+        ("via-nrc", "in-semiring"),
+        ("shredded", "in-semiring"),
+        ("differential", "in-semiring"),
+        ("direct", "provenance-first"),
+        ("via-nrc", "provenance-first"),
+    ] {
+        let mut opts = EvalOptions::new()
+            .semiring(SemiringKind::Why)
+            .route(route.parse().unwrap());
+        opts.mode = mode.parse().unwrap();
+        let out = prepared.eval(&engine, opts).unwrap();
+        let pieces: Vec<String> = out.pieces().unwrap().iter().map(|p| p.json()).collect();
+        let header = axml::json::result_header("$S/*", &opts);
+        let window = |lo: usize, hi: usize| {
+            format!("{header}[{}]}}\n", pieces[lo.min(6)..hi.min(6)].join(","))
+        };
+        let params = format!("semiring=why&route={route}&mode={mode}");
+        for http11 in [true, false] {
+            for (extra, lo, hi) in [
+                ("", 0, 6),
+                ("&limit=3", 0, 3),
+                ("&offset=2", 2, 6),
+                ("&offset=1&limit=2", 1, 3),
+                ("&limit=0", 0, 0),
+                ("&offset=100", 6, 6),
+                ("&limit=100", 0, 6),
+            ] {
+                let target = format!("/eval?{params}{extra}");
+                let r = post(&server, &target, b"$S/*", http11);
+                assert_eq!(r.status, 200, "{target} (1.1: {http11}): {}", r.body_str());
+                assert_eq!(r.body_str(), window(lo, hi), "{target} (1.1: {http11})");
+            }
+        }
+    }
+
+    // A scalar result has no pieces to window: `offset`/`limit` pass
+    // it through whole.
+    let scalar_q = "element p { $S/* }";
+    let scalar = engine.prepare(scalar_q).unwrap();
+    for route in ["direct", "via-nrc", "differential"] {
+        let opts = EvalOptions::new().route(route.parse().unwrap());
+        let whole = axml::json::result_json(scalar_q, &opts, &scalar.eval(&engine, opts).unwrap());
+        for http11 in [true, false] {
+            for extra in ["", "&offset=1", "&limit=0", "&offset=2&limit=1"] {
+                let target = format!("/eval?route={route}{extra}");
+                let r = post(&server, &target, scalar_q.as_bytes(), http11);
+                assert_eq!(r.status, 200, "{target} (1.1: {http11}): {}", r.body_str());
+                assert_eq!(
+                    r.body_str(),
+                    format!("{whole}\n"),
+                    "{target} (1.1: {http11})"
+                );
+            }
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
+fn parallel_direct_evals_fan_out_on_the_server_pool() {
+    let mut server = start(
+        ServerConfig {
+            pool_workers: 2,
+            ..ServerConfig::default()
+        },
+        Arc::new(Engine::new()),
+    )
+    .unwrap();
+    let engine = Arc::clone(server.engine());
+    // Enough top-level binders for the compiled plan's parallel `for`.
+    let kids: String = (0..200)
+        .map(|i| format!("<b{i}> c {{x{i}}} </b{i}> "))
+        .collect();
+    request(
+        &server,
+        "PUT",
+        "/documents/S",
+        format!("<a> {kids} </a>").as_bytes(),
+    );
+    let query = "for $x in $S/* return ($x)/*";
+    let opts = EvalOptions::new().parallel(2);
+    let want = axml::json::result_json(
+        query,
+        &opts,
+        &engine.prepare(query).unwrap().eval(&engine, opts).unwrap(),
+    );
+    let before = executed_tasks(request(&server, "GET", "/stats", b"").body_str());
+    let r = request(
+        &server,
+        "POST",
+        "/eval?route=direct&parallelism=2",
+        query.as_bytes(),
+    );
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    assert_eq!(r.body_str(), format!("{want}\n"));
+    // The streamed evaluation's fan-out ran on the server's pool (in
+    // the request's lane), so its scheduler counters moved.
+    let after = executed_tasks(request(&server, "GET", "/stats", b"").body_str());
+    assert!(after > before, "executed tasks {before} -> {after}");
     server.shutdown();
 }
 
