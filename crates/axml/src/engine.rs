@@ -129,7 +129,7 @@ pub struct Engine {
     arenas: KindArenas,
     /// Monotonic counters of the incremental layer (edits, ±Δ facts,
     /// memo hits/misses) — surfaced via [`Engine::storage_stats`].
-    counters: IncrCounters,
+    counters: Arc<IncrCounters>,
 }
 
 /// Storage statistics of an engine's document store: how many nodes
@@ -190,7 +190,7 @@ impl Default for Engine {
             spec_queue: Mutex::new(VecDeque::new()),
             clock: AtomicU64::new(0),
             arenas: KindArenas::default(),
-            counters: IncrCounters::default(),
+            counters: Arc::default(),
         }
     }
 }
@@ -386,7 +386,7 @@ impl Engine {
         }
     }
 
-    pub(crate) fn incr_counters(&self) -> &IncrCounters {
+    pub(crate) fn incr_counters(&self) -> &Arc<IncrCounters> {
         &self.counters
     }
 

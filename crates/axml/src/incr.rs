@@ -44,7 +44,30 @@
 //! construction: an edited subtree is a different value and simply
 //! misses. Memoized evaluation is pure caching of
 //! `axml_core::eval_path`, which the differential route's sixth leg
-//! re-verifies against the compiled direct plan on demand.
+//! re-verifies against the compiled direct plan on demand. Every entry
+//! point — `eval_with`, `eval_each` and the streaming cursor — serves
+//! §7-fragment reads of an edited, current snapshot from the memo.
+//!
+//! # Bounds
+//!
+//! The incremental state stays proportional to the live document, not
+//! to the edit history:
+//!
+//! - a [`PathMemo`] stores no subtree under
+//!   [`axml_core::MEMO_MIN_NODES`] nodes (except the document's
+//!   top-level trees), and after an evaluation that leaves its tables
+//!   holding more than twice what its previous sweep kept (plus a
+//!   small constant) it sweeps every entry not keyed on a subtree of
+//!   the version just evaluated;
+//! - each `(document, kind)` keeps at most [`MAX_MEMOS`] memos,
+//!   evicting the least recently used, and at most
+//!   [`MAX_QUERY_STATES`] retained fixpoints, evicting the stalest;
+//! - the delta log keeps the last [`MAX_LOG`] deltas.
+//!
+//! The memos' size is reported as the `memo_entries` gauge of
+//! [`IncrStats`]. Memo evaluation honours the call's limits: the
+//! deadline is checked every 1024 computed closures and every forest
+//! it builds or clones is charged to the memory budget.
 //!
 //! *Engagement guard.* All incremental paths engage only when the
 //! evaluated snapshot is the incr state's current version
@@ -54,11 +77,11 @@
 //! future document.
 
 use crate::engine::StoredDoc;
-use crate::error::AxmlError;
+use crate::error::{AxmlError, BudgetKind};
 use crate::options::SemiringKind;
 use crate::prepared::EvalKind;
 use axml_core::path::PathQuery;
-use axml_core::{eval_path_memo, PathMemo};
+use axml_core::{eval_path_memo, MemoStop, PathMemo};
 use axml_pool::ExecCtx;
 use axml_relational::datalog::{
     eval_datalog_idb_limits_ctx, eval_datalog_idb_resume, DEFAULT_MAX_ITERS,
@@ -96,6 +119,11 @@ pub(crate) struct IncrCounters {
     pub memo_misses: AtomicU64,
     pub incremental_evals: AtomicU64,
     pub full_fallbacks: AtomicU64,
+    /// Entries held by the path memos of every live [`DocIncr`] — a
+    /// gauge, not a counter: each document adds its memos' growth and
+    /// subtracts their sweeps and evictions, and takes its whole share
+    /// back when it is dropped.
+    pub memo_entries: AtomicU64,
 }
 
 impl IncrCounters {
@@ -115,6 +143,17 @@ impl IncrCounters {
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
             incremental_evals: self.incremental_evals.load(Ordering::Relaxed),
             full_fallbacks: self.full_fallbacks.load(Ordering::Relaxed),
+            memo_entries: self.memo_entries.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Move the memo-entries gauge from one document's old share to
+    /// its new one.
+    fn reshare_memo_entries(&self, old: u64, new: u64) {
+        if new >= old {
+            self.memo_entries.fetch_add(new - old, Ordering::Relaxed);
+        } else {
+            self.memo_entries.fetch_sub(old - new, Ordering::Relaxed);
         }
     }
 }
@@ -144,6 +183,11 @@ pub struct IncrStats {
     /// stateless route (snapshot behind the incr state, or state
     /// evicted).
     pub full_fallbacks: u64,
+    /// Entries currently held by the subtree-fingerprint memos of
+    /// every live document — a gauge: it falls when a memo sweeps
+    /// dead spines, when a memo is evicted, and when its document is
+    /// replaced or removed.
+    pub memo_entries: u64,
 }
 
 /// Per-document incremental state; see the module docs.
@@ -158,6 +202,19 @@ pub(crate) struct DocIncr {
     /// Per-kind state, keyed by runtime tag, stored type-erased (one
     /// concrete [`KindIncr<S>`] per kind).
     kinds: HashMap<SemiringKind, Box<dyn Any + Send>>,
+    /// Entries this document's path memos hold: its share of the
+    /// engine's `memo_entries` gauge, which `gauge` points at once a
+    /// memo has been used.
+    memo_entries: u64,
+    gauge: Option<Arc<IncrCounters>>,
+}
+
+impl Drop for DocIncr {
+    fn drop(&mut self) {
+        if let Some(gauge) = &self.gauge {
+            gauge.reshare_memo_entries(self.memo_entries, 0);
+        }
+    }
 }
 
 /// The per-semiring slice of a document's incremental state.
@@ -170,7 +227,45 @@ struct KindIncr<S: Semiring> {
     /// evaluation never clones the edge relation).
     db: Database<S>,
     queries: HashMap<String, QueryState<S>>,
-    memos: HashMap<String, PathMemo<S>>,
+    memos: HashMap<String, MemoSlot<S>>,
+    /// Bumped on every memo use; orders `memos` for LRU eviction.
+    memo_clock: u64,
+}
+
+/// One query's path memo and the `memo_clock` reading of its last use.
+struct MemoSlot<S: Semiring> {
+    memo: PathMemo<S>,
+    last_used: u64,
+}
+
+impl<S: Semiring> KindIncr<S> {
+    /// The memo of query `key`, created on first use. A new memo past
+    /// [`MAX_MEMOS`] evicts the least recently used one; the second
+    /// value is the number of entries that eviction freed.
+    fn memo_for(&mut self, key: &str) -> (&mut PathMemo<S>, u64) {
+        self.memo_clock += 1;
+        let mut freed = 0;
+        if !self.memos.contains_key(key) {
+            if self.memos.len() >= MAX_MEMOS {
+                let lru = self
+                    .memos
+                    .iter()
+                    .min_by_key(|(_, slot)| slot.last_used)
+                    .map(|(k, _)| k.clone());
+                if let Some(slot) = lru.and_then(|k| self.memos.remove(&k)) {
+                    freed = slot.memo.entry_count() as u64;
+                }
+            }
+            let slot = MemoSlot {
+                memo: PathMemo::new(),
+                last_used: 0,
+            };
+            self.memos.insert(key.to_owned(), slot);
+        }
+        let slot = self.memos.get_mut(key).expect("inserted above");
+        slot.last_used = self.memo_clock;
+        (&mut slot.memo, freed)
+    }
 }
 
 /// A retained Datalog fixpoint for one query over one document, plus
@@ -249,6 +344,7 @@ fn kind_mut<S: EvalKind>(
                 db: Database::new().with("E", KRelation::new(edge_schema())),
                 queries: HashMap::new(),
                 memos: HashMap::new(),
+                memo_clock: 0,
             })
         })
         .downcast_mut::<KindIncr<S>>()
@@ -277,6 +373,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
         shadow,
         log,
         kinds,
+        ..
     } = &mut *incr;
     if *version != doc.version {
         return None;
@@ -292,7 +389,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
             if let Some(b) = budget {
                 if b.charge(out.size()).is_err() {
                     return Some(Err(AxmlError::Budget {
-                        resource: crate::error::BudgetKind::Memory,
+                        resource: BudgetKind::Memory,
                         at: "cached shredded result".into(),
                     }));
                 }
@@ -439,7 +536,9 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
 }
 
 /// Fingerprint-memoized path evaluation for the direct/NRC routes.
-/// `None` = not engaged; the caller runs its compiled plan.
+/// `None` = not engaged; the caller runs its compiled plan. The memo
+/// evaluation honours `deadline` and `budget` itself (see
+/// [`eval_path_memo`]) and keeps the engine's `memo_entries` gauge.
 pub(crate) fn eval_path_memoized<S: EvalKind>(
     doc: &Arc<StoredDoc>,
     forest: &Forest<S>,
@@ -447,32 +546,24 @@ pub(crate) fn eval_path_memoized<S: EvalKind>(
     p: &PathQuery,
     deadline: Option<Instant>,
     budget: Option<&NodeBudget>,
-    counters: &IncrCounters,
+    counters: &Arc<IncrCounters>,
 ) -> Option<Result<Forest<S>, AxmlError>> {
     if doc.version == 0 {
         return None;
-    }
-    if let Some(d) = deadline {
-        if Instant::now() >= d {
-            return Some(Err(AxmlError::Budget {
-                resource: crate::error::BudgetKind::WallClock,
-                at: "route start".into(),
-            }));
-        }
     }
     let mut incr = doc.incr.lock().unwrap_or_else(|e| e.into_inner());
     if incr.version != doc.version {
         return None;
     }
-    let kind = kind_mut::<S>(&mut incr.kinds);
-    if !kind.memos.contains_key(key) && kind.memos.len() >= MAX_MEMOS {
-        if let Some(evict) = kind.memos.keys().next().cloned() {
-            kind.memos.remove(&evict);
-        }
-    }
-    let memo = kind.memos.entry(key.to_owned()).or_default();
-    let (h0, m0) = (memo.hits, memo.misses);
-    let out = eval_path_memo(forest, p, memo);
+    let DocIncr {
+        kinds,
+        memo_entries,
+        gauge,
+        ..
+    } = &mut *incr;
+    let (memo, freed) = kind_mut::<S>(kinds).memo_for(key);
+    let (h0, m0, e0) = (memo.hits, memo.misses, memo.entry_count() as u64);
+    let out = eval_path_memo(forest, p, memo, deadline, budget);
     counters
         .memo_hits
         .fetch_add(memo.hits - h0, Ordering::Relaxed);
@@ -480,15 +571,44 @@ pub(crate) fn eval_path_memoized<S: EvalKind>(
         .memo_misses
         .fetch_add(memo.misses - m0, Ordering::Relaxed);
     counters.incremental_evals.fetch_add(1, Ordering::Relaxed);
-    if let Some(b) = budget {
-        // The memo table holds intermediates beyond the result; charge
-        // the result like any other set-producing op boundary.
-        if b.charge(out.size()).is_err() {
-            return Some(Err(AxmlError::Budget {
-                resource: crate::error::BudgetKind::Memory,
-                at: "memoized path evaluation".into(),
-            }));
+    let share = *memo_entries + memo.entry_count() as u64 - e0 - freed;
+    gauge
+        .get_or_insert_with(|| Arc::clone(counters))
+        .reshare_memo_entries(*memo_entries, share);
+    *memo_entries = share;
+    let stopped = |resource| AxmlError::Budget {
+        resource,
+        at: "memoized path evaluation".into(),
+    };
+    Some(out.map_err(|stop| match stop {
+        MemoStop::Deadline => stopped(BudgetKind::WallClock),
+        MemoStop::Budget => stopped(BudgetKind::Memory),
+    }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With more queries than memo slots, the memo evicted is the
+    /// least recently used one — never the one just used.
+    #[test]
+    fn the_least_recently_used_memo_is_evicted() {
+        let mut kinds = HashMap::new();
+        let kind = kind_mut::<NatPoly>(&mut kinds);
+        for q in 0..MAX_MEMOS {
+            kind.memo_for(&format!("q{q}"));
         }
+        kind.memo_for("q0");
+        kind.memo_for(&format!("q{MAX_MEMOS}"));
+        assert_eq!(kind.memos.len(), MAX_MEMOS);
+        assert!(
+            kind.memos.contains_key("q0"),
+            "the hottest memo was evicted"
+        );
+        assert!(
+            !kind.memos.contains_key("q1"),
+            "q1 was the least recently used"
+        );
     }
-    Some(Ok(out))
 }

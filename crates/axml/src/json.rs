@@ -109,6 +109,32 @@ pub fn scheduler_json(j: &mut Json, s: &axml_pool::PoolStats) {
     j.end_obj();
 }
 
+/// Append the incremental-layer object for one [`crate::IncrStats`]
+/// snapshot: the single source of the `incremental` stats shape that
+/// the server's `GET /stats` and the CLI's `--stats` line both emit.
+pub fn incremental_json(j: &mut Json, s: &crate::IncrStats) {
+    j.begin_obj();
+    j.key("edits_applied");
+    j.int(s.edits_applied);
+    j.key("spine_nodes_interned");
+    j.int(s.spine_nodes_interned);
+    j.key("delta_facts_retired");
+    j.int(s.delta_facts_retired);
+    j.key("delta_facts_added");
+    j.int(s.delta_facts_added);
+    j.key("memo_hits");
+    j.int(s.memo_hits);
+    j.key("memo_misses");
+    j.int(s.memo_misses);
+    j.key("memo_entries");
+    j.int(s.memo_entries);
+    j.key("incremental_evals");
+    j.int(s.incremental_evals);
+    j.key("full_fallbacks");
+    j.int(s.full_fallbacks);
+    j.end_obj();
+}
+
 /// An incremental builder for one JSON value — objects, arrays and
 /// scalars, with commas managed automatically. No reflection, no
 /// intermediate DOM: values stream into one byte buffer, strings are

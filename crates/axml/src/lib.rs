@@ -240,7 +240,11 @@
 //!   the same value identity the arena hash-conses on. A memo entry
 //!   keys on the subtree **value**, never its position, so entries
 //!   stay valid across arbitrary edits with no invalidation protocol:
-//!   after an edit only the fresh spine misses.
+//!   after an edit only the fresh spine misses. `eval_with`,
+//!   `eval_each` (the server's push path) and the streaming cursor
+//!   all take the memo. Its tables are bounded by the live document:
+//!   subtrees under 16 nodes are not stored, and a sweep drops the
+//!   values of edited-away spines once the tables double.
 //!
 //! Soundness is continuously cross-checked: `Route::Differential`
 //! runs the memoized evaluator as an extra leg and asserts
@@ -251,7 +255,8 @@
 //! existing name) atomically drops every piece of derived state and
 //! resets the edit lineage. [`Engine::storage_stats`] reports the
 //! [`IncrStats`] counters (edits applied, spine nodes interned,
-//! Δ facts, memo hits/misses, incremental vs fallback evaluations).
+//! Δ facts, memo hits/misses, the `memo_entries` gauge, incremental
+//! vs fallback evaluations).
 //!
 //! Under the hood the document store is **sharded**
 //! ([`STORE_SHARDS`] independently-locked maps keyed by name hash), so

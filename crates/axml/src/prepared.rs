@@ -18,6 +18,7 @@ use crate::cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
 use crate::dispatch::{Artifacts, KindCaches, KindDispatch};
 use crate::engine::{Engine, StoredDoc};
 use crate::error::{AxmlError, BudgetKind};
+use crate::incr::IncrCounters;
 use crate::options::{EvalMode, EvalOptions, Route, SemiringKind};
 use crate::result::{AxmlResult, ResultPieceRef};
 use axml_core::ast::SurfaceExpr;
@@ -338,13 +339,16 @@ impl PreparedQuery {
     ///
     /// `InSemiring` evaluations on the `Direct` and `ViaNrc` routes run
     /// the plans' streaming entry points, so the first piece reaches
-    /// `each` while later ones are still being computed. The shredded
-    /// and differential routes and `ProvenanceFirst` mode only have
-    /// whole-result semantics; they run [`eval_with`](Self::eval_with)
-    /// and then push its pieces. Either way `each` sees the pieces of
-    /// the materialized result, in order. Errors — binding errors,
-    /// tripped deadlines and memory budgets — are returned, possibly
-    /// after some pieces were pushed.
+    /// `each` while later ones are still being computed — except on an
+    /// edited document, where the subtree-fingerprint memo serves the
+    /// query exactly when [`eval_with`](Self::eval_with)'s would (same
+    /// engagement decision, same limits) and its result's pieces are
+    /// pushed. The shredded and differential routes and
+    /// `ProvenanceFirst` mode only have whole-result semantics; they
+    /// run [`eval_with`](Self::eval_with) and then push its pieces.
+    /// Either way `each` sees the pieces of the materialized result, in
+    /// order. Errors — binding errors, tripped deadlines and memory
+    /// budgets — are returned, possibly after some pieces were pushed.
     pub fn eval_each(
         &self,
         engine: &Engine,
@@ -369,7 +373,7 @@ impl PreparedQuery {
         }
         with_kind!(opts.semiring, S => {
             let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
-            self.push_in::<S>(&inputs, opts, pool, &mut each)
+            self.push_in::<S>(&inputs, opts, pool, engine.incr_counters(), &mut each)
         })
     }
 
@@ -382,12 +386,14 @@ impl PreparedQuery {
     /// result equal to [`eval`](Self::eval) with the same options —
     /// same pieces, same document order, same errors — so streaming is
     /// purely a latency choice. `InSemiring` evaluations on the
-    /// `Direct` and `ViaNrc` routes run on a detached producer thread
-    /// and emit incrementally (streamable root shapes emit each piece
-    /// the moment it is final; others materialize inside the producer
-    /// and then emit); the `Shredded` and `Differential` routes and
-    /// `ProvenanceFirst` mode — where a result is only meaningful
-    /// whole — materialize synchronously and cursor over the result.
+    /// `Direct` and `ViaNrc` routes run [`eval_each`](Self::eval_each)'s
+    /// push path on a detached producer thread and emit incrementally
+    /// (streamable root shapes emit each piece the moment it is final;
+    /// others — and memo-served reads of edited documents —
+    /// materialize inside the producer and then emit); the `Shredded`
+    /// and `Differential` routes and `ProvenanceFirst` mode — where a
+    /// result is only meaningful whole — materialize synchronously and
+    /// cursor over the result.
     ///
     /// Binding errors (unknown documents, parse-stage leftovers)
     /// surface synchronously from this call; evaluation errors —
@@ -451,6 +457,7 @@ impl PreparedQuery {
         // consumes anything).
         let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
         let me = self.clone();
+        let counters = Arc::clone(engine.incr_counters());
         let (tx, rx) = sync_channel(STREAM_BUFFER_PIECES);
         let produced = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&produced);
@@ -460,7 +467,7 @@ impl PreparedQuery {
                 // `send` blocks while the channel is full (that *is*
                 // the backpressure) and fails once the cursor is
                 // dropped, which stops the evaluation.
-                let pushed = me.push_in::<S>(&inputs, opts, None, &mut |p| {
+                let pushed = me.push_in::<S>(&inputs, opts, None, &counters, &mut |p| {
                     // Count before the (possibly blocking) send so the
                     // counter reflects what the producer has *reached*,
                     // not what the consumer has accepted.
@@ -482,20 +489,33 @@ impl PreparedQuery {
         Ok(EvalCursor::live(rx, produced, opts.semiring))
     }
 
-    /// The push path of an incremental combination: run the route's
-    /// streaming plan entry on this thread, handing each final piece
-    /// to `each`. See [`eval_each`](Self::eval_each) for the outcome.
+    /// The push path of an incremental combination. On an edited
+    /// document the subtree memo serves the query when it engages
+    /// ([`try_memoized`], the same decision [`eval_with`](Self::eval_with)
+    /// makes) and its result's pieces are pushed in document order;
+    /// otherwise the route's streaming plan entry runs on this thread,
+    /// handing each final piece to `each`. See
+    /// [`eval_each`](Self::eval_each) for the outcome.
     fn push_in<S: EvalKind>(
         &self,
         inputs: &BoundInputs<S>,
         opts: EvalOptions,
         pool: Option<&axml_pool::Pool>,
+        counters: &Arc<IncrCounters>,
         each: &mut dyn FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>,
     ) -> Result<Option<AxmlResult>, AxmlError> {
         let arts = S::artifacts(&self.inner);
         let mut sink = EachSink(each);
         let outcome = armed(&opts, pool, |ctx, limits| {
             check_deadline(limits.deadline).map_err(StreamError::Eval)?;
+            let key = &self.inner.source;
+            if let Some(memoized) = try_memoized(&self.inner.path, inputs, counters, limits, key) {
+                let forest = memoized.map_err(StreamError::Eval)?;
+                for (t, k) in forest.iter_document() {
+                    ResultSink::<S>::piece(&mut sink, t, k)?;
+                }
+                return Ok(Streamed::Set);
+            }
             match opts.route {
                 Route::Direct => {
                     let bound: Vec<(&str, Value<S>)> = inputs
@@ -712,8 +732,8 @@ fn eval_route<S: EvalKind>(
     check_deadline(limits.deadline)?;
     match route {
         Route::Direct | Route::ViaNrc => {
-            if let Some(out) = try_memoized(path, inputs, engine, limits, key) {
-                return out;
+            if let Some(out) = try_memoized(path, inputs, engine.incr_counters(), limits, key) {
+                return out.map(Value::Set);
             }
             if route == Route::Direct {
                 eval_direct(arts, inputs, ctx, limits)
@@ -824,8 +844,9 @@ fn eval_route<S: EvalKind>(
             // assert agreement with the compiled direct plan — the
             // incremental evaluator is differentially checked like
             // every other one.
-            if let Some(memoized) = try_memoized(path, inputs, engine, limits, key) {
-                let memoized = memoized?;
+            if let Some(memoized) = try_memoized(path, inputs, engine.incr_counters(), limits, key)
+            {
+                let memoized = Value::Set(memoized?);
                 if direct != memoized {
                     return Err(evaluator_disagreement(
                         kind,
@@ -874,13 +895,15 @@ fn evaluator_disagreement<K: Semiring>(
 /// only on §7-fragment queries over an **edited** document whose
 /// snapshot is current. `None` = not engaged; the caller runs its
 /// compiled plan (counted as a fallback when the document was edited).
+/// The one engagement decision of every entry point: `eval_with`, the
+/// differential route's memo leg and the push path all ask here.
 fn try_memoized<S: EvalKind>(
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
-    engine: &Engine,
+    counters: &Arc<IncrCounters>,
     limits: Limits<'_>,
     key: &str,
-) -> Option<Result<Value<S>, AxmlError>> {
+) -> Option<Result<Forest<S>, AxmlError>> {
     let Ok((var, p)) = path else { return None };
     let b = inputs.iter().find(|b| &b.name == var)?;
     if b.doc.version == 0 {
@@ -893,12 +916,12 @@ fn try_memoized<S: EvalKind>(
         p,
         limits.deadline,
         limits.budget,
-        engine.incr_counters(),
+        counters,
     );
     if out.is_none() {
-        engine.incr_counters().note_fallback();
+        counters.note_fallback();
     }
-    out.map(|r| r.map(Value::Set))
+    out
 }
 
 /// The direct route: the slot-resolved compiled plan.

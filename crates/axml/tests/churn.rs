@@ -17,12 +17,19 @@
 //! - **Replace invalidation**: replacing a document via
 //!   `load_document` must atomically drop all incremental and
 //!   specialization state; in-flight cursors keep their snapshot.
+//! - **Memo limits**: on edited documents `eval_with` and `eval_each`
+//!   take the same memoized path, so budgets and deadlines give the
+//!   same outcome on both, and they hold inside the memo evaluation.
+//! - **Memo bound**: a long splice/re-annotation soak keeps the
+//!   `memo_entries` gauge proportional to the live document.
 
-use axml::{EditScript, Engine, EvalMode, EvalOptions, Route, SemiringKind};
-use axml_semiring::NatPoly;
-use axml_uxml::{Forest, Tree};
+use axml::{AxmlError, BudgetKind, EditScript, Engine, EvalMode, EvalOptions, Route, SemiringKind};
+use axml_semiring::{NatPoly, Semiring};
+use axml_uxml::{Forest, Label, Tree};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 const ROUTES: [Route; 4] = [
     Route::Direct,
@@ -341,4 +348,240 @@ fn replace_drops_all_derived_state() {
     // Replace resets the edit lineage: the next edit starts at v1.
     let stats = engine.edit_document_text("S", "reannotate /0/0 5").unwrap();
     assert_eq!(stats.version, 1);
+}
+
+/// A balanced tree document: `depth` levels below the root, each
+/// inner node with `branching` children. Leaves are `c` in the first
+/// slot of every parent and `lN` elsewhere. With `unique`, every inner
+/// node gets its own label, so no two subtrees are equal; otherwise
+/// inner labels depend only on depth and slot, and equal subtrees
+/// repeat throughout.
+fn balanced_tree(depth: u32, branching: u32, unique: bool) -> Forest<NatPoly> {
+    fn build(depth: u32, branching: u32, idx: u32, unique: bool, next: &mut u64) -> Tree<NatPoly> {
+        if depth == 0 {
+            let label = if idx == 0 {
+                "c".into()
+            } else {
+                format!("l{idx}")
+            };
+            return Tree::leaf(Label::new(&label));
+        }
+        let label = if unique {
+            *next += 1;
+            format!("n{next}")
+        } else {
+            format!("n{depth}_{idx}")
+        };
+        let kids = Forest::from_pairs(
+            (0..branching).map(|i| (build(depth - 1, branching, i, unique, next), NatPoly::one())),
+        );
+        Tree::new(Label::new(&label), kids)
+    }
+    Forest::unit(build(depth, branching, 0, unique, &mut 0))
+}
+
+/// An evaluation outcome through `eval_with`, rendered piece by piece.
+fn with_outcome(engine: &Engine, q: &axml::PreparedQuery, opts: EvalOptions) -> String {
+    match q.eval_with(engine, opts, &[], None) {
+        Ok(out) => format!("ok: {:?}", out.pieces()),
+        Err(e) => format!("err: {e}"),
+    }
+}
+
+/// The same outcome through the push path, `eval_each`.
+fn each_outcome(engine: &Engine, q: &axml::PreparedQuery, opts: EvalOptions) -> String {
+    let mut pieces = Vec::new();
+    let out = q.eval_each(engine, opts, &[], None, |p| {
+        pieces.push(p.to_piece());
+        Ok(())
+    });
+    match out {
+        Ok(None) => format!(
+            "ok: {:?}",
+            Some(pieces.iter().map(|p| p.as_ref()).collect::<Vec<_>>())
+        ),
+        Ok(Some(scalar)) => format!("ok: {scalar}"),
+        Err(e) => format!("err: {e}"),
+    }
+}
+
+/// An engine holding `balanced_tree(6, 3)` (1093 nodes) as `S`, edited
+/// once so the incremental layer engages.
+fn edited_engine() -> Engine {
+    let engine = Engine::new();
+    engine.insert_forest("S", balanced_tree(6, 3, false));
+    engine
+        .edit_document_text("S", "reannotate /0/0/0 x")
+        .unwrap();
+    engine
+}
+
+/// `eval_with` and `eval_each` make one memo decision, so every route
+/// and budget gives both the same outcome on an edited document — over
+/// a cold memo and over a warm one.
+#[test]
+fn memo_budgets_agree_between_eval_with_and_eval_each() {
+    let warm = edited_engine();
+    let warm_q = warm.prepare("$S//c").unwrap();
+    warm_q.eval(&warm, EvalOptions::new()).unwrap();
+    for route in ROUTES {
+        for budget in [Some(2), Some(10), Some(100), Some(1000), None] {
+            let mut opts = EvalOptions::new().route(route);
+            if let Some(nodes) = budget {
+                opts = opts.memory_budget(nodes);
+            }
+            let cold = |outcome: fn(&Engine, &axml::PreparedQuery, EvalOptions) -> String| {
+                let engine = edited_engine();
+                let q = engine.prepare("$S//c").unwrap();
+                outcome(&engine, &q, opts)
+            };
+            assert_eq!(
+                cold(with_outcome),
+                cold(each_outcome),
+                "cold memo, {route} with budget {budget:?}"
+            );
+            assert_eq!(
+                with_outcome(&warm, &warm_q, opts),
+                each_outcome(&warm, &warm_q, opts),
+                "warm memo, {route} with budget {budget:?}"
+            );
+        }
+    }
+}
+
+/// A cold memo charges the forests it builds: a budget of 2 trips on
+/// both entry points.
+#[test]
+fn a_cold_memo_charges_what_it_builds() {
+    for route in [Route::Direct, Route::ViaNrc] {
+        let engine = edited_engine();
+        let q = engine.prepare("$S//c").unwrap();
+        let opts = EvalOptions::new().route(route).memory_budget(2);
+        match q.eval(&engine, opts) {
+            Err(AxmlError::Budget { resource, .. }) => assert_eq!(resource, BudgetKind::Memory),
+            other => panic!("{route}: expected a memory budget error, got {other:?}"),
+        }
+        assert!(
+            engine.storage_stats().incr.memo_misses > 0,
+            "{route}: memo never engaged"
+        );
+        let engine = edited_engine();
+        let out = q.eval_each(&engine, opts, &[], None, |_| Ok(()));
+        assert!(
+            matches!(
+                out,
+                Err(AxmlError::Budget {
+                    resource: BudgetKind::Memory,
+                    ..
+                })
+            ),
+            "{route}: eval_each gave {out:?}"
+        );
+    }
+}
+
+/// The deadline holds inside the memo evaluation: a cold memo over an
+/// edited document of ~88k distinct subtrees does not finish in 1 ms.
+#[test]
+fn a_deadline_stops_a_cold_memo() {
+    let engine = Engine::new();
+    engine.insert_forest("S", balanced_tree(10, 3, true));
+    engine
+        .edit_document_text("S", "reannotate /0/0/0 x")
+        .unwrap();
+    let q = engine.prepare("$S//c").unwrap();
+    let opts = EvalOptions::new().timeout(Duration::from_millis(1));
+    match q.eval(&engine, opts) {
+        Err(AxmlError::Budget { resource, .. }) => assert_eq!(resource, BudgetKind::WallClock),
+        other => panic!("expected a wall-clock budget error, got {other:?}"),
+    }
+    // The stop left the memo consistent: an unlimited read is exact.
+    let fresh = Engine::new();
+    fresh.insert_forest("S", (*engine.document("S").unwrap()).clone());
+    let fq = fresh.prepare("$S//c").unwrap();
+    assert_eq!(
+        outcome(&engine, &q, EvalOptions::new()),
+        outcome(&fresh, &fq, EvalOptions::new())
+    );
+}
+
+/// Distinct subtree values of a forest.
+fn distinct_subtrees(f: &Forest<NatPoly>) -> usize {
+    let mut seen: HashSet<&Tree<NatPoly>> = HashSet::new();
+    let mut stack: Vec<&Tree<NatPoly>> = f.iter().map(|(t, _)| t).collect();
+    while let Some(t) = stack.pop() {
+        if seen.insert(t) {
+            stack.extend(t.children().iter().map(|(c, _)| c));
+        }
+    }
+    seen.len()
+}
+
+/// A fresh 21-node subtree (`<pN> …` over four `<qN_i>` parents of four
+/// leaves), annotated with a fresh token so its value never repeats.
+fn fresh_payload(n: usize) -> String {
+    let parents: String = (0..4)
+        .map(|i| format!("<q{n}_{i}> c {{t{n}}} l1 l2 l3 </q{n}_{i}> "))
+        .collect();
+    format!("<p{n}> {parents}</p{n}>")
+}
+
+/// Soak: 1000 splices or re-annotations, each followed by direct
+/// (through the push path) and via-NRC reads. Every read is
+/// byte-identical to a fresh engine's, and the memo stays bounded by
+/// the live document instead of growing with the edit history.
+#[test]
+fn the_memo_stays_bounded_under_a_long_edit_soak() {
+    let mut rng = Rng(0x5eed_cafe);
+    let engine = Engine::new();
+    engine.insert_forest("S", balanced_tree(4, 4, true));
+    let q = engine.prepare("$S//c").unwrap();
+    let direct = EvalOptions::new().route(Route::Direct);
+    let nrc = EvalOptions::new().route(Route::ViaNrc);
+    let mut peak = 0;
+    for op in 0..1000 {
+        // Splices replace a depth-2 subtree (21 nodes) with a fresh one
+        // of the same size, so the document keeps its size while every
+        // edit retires a spine of values.
+        let line = if op % 2 == 0 {
+            let at = format!("/0/{}/{}", rng.pick(4), rng.pick(4));
+            format!("splice {at} {}", fresh_payload(op))
+        } else {
+            let doc = engine.document("S").unwrap();
+            let paths = all_paths(&doc);
+            let at = &paths[rng.pick(paths.len())];
+            format!("reannotate {} r{op}", fmt_path(at))
+        };
+        engine.edit_document_text("S", &line).unwrap();
+
+        let doc = engine.document("S").unwrap();
+        let fresh = Engine::new();
+        fresh.insert_forest("S", (*doc).clone());
+        let fq = fresh.prepare("$S//c").unwrap();
+        assert_eq!(
+            each_outcome(&engine, &q, direct),
+            each_outcome(&fresh, &fq, direct),
+            "op {op} ({line}): direct read diverged"
+        );
+        assert_eq!(
+            with_outcome(&engine, &q, nrc),
+            with_outcome(&fresh, &fq, nrc),
+            "op {op} ({line}): via-NRC read diverged"
+        );
+
+        let entries = engine.storage_stats().incr.memo_entries;
+        let bound = 2 * distinct_subtrees(&doc) as u64 + 64;
+        assert!(
+            entries <= bound,
+            "op {op}: {entries} memo entries over the bound {bound}"
+        );
+        peak = peak.max(entries);
+    }
+    let stats = engine.storage_stats().incr;
+    assert!(stats.memo_hits > 0, "{stats:?}");
+    assert!(peak > 0, "the memo never stored anything");
+
+    // Replacing the document frees its memos from the gauge.
+    engine.insert_forest("S", balanced_tree(1, 2, true));
+    assert_eq!(engine.storage_stats().incr.memo_entries, 0);
 }

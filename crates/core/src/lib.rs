@@ -85,7 +85,10 @@ pub use ast::{Axis, ElementName, NodeTest, QType, Query, QueryNode, Step, Surfac
 pub use compile::{compile, compile_step};
 pub use eval::{eval_core, eval_step, eval_step_ctx, EvalError, QueryEnv};
 pub use parse::{parse_query, ParseError};
-pub use path::{eval_path, eval_path_memo, extract_path, Ineligible, PathMemo, PathQuery};
+pub use path::{
+    eval_path, eval_path_memo, extract_path, Ineligible, MemoStop, PathMemo, PathQuery,
+    MEMO_MIN_NODES,
+};
 pub use plan::{CompiledQuery, PAR_FOR_MIN_BINDERS};
 pub use typecheck::{elaborate, elaborate_in, Context, TypeError};
 

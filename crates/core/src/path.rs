@@ -30,8 +30,10 @@
 use crate::ast::{Axis, NodeTest, Query, QueryNode, Step};
 use crate::eval::eval_step;
 use axml_semiring::Semiring;
-use axml_uxml::{Forest, Label, Tree};
+use axml_uxml::{Forest, Label, NodeBudget, Tree};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::time::Instant;
 
 /// A query in the §7 XPath fragment, relative to a context node. At
 /// the top level the context is the *virtual root* whose children are
@@ -299,7 +301,24 @@ fn eval_at<K: Semiring>(p: &PathQuery, ctx: &Tree<K>) -> Forest<K> {
     }
 }
 
-/// Fingerprint-memoized path evaluation (document churn, PR 9).
+/// Subtrees with fewer nodes than this are not stored in a
+/// [`PathMemo`] — recomputing their closure costs less than hashing,
+/// storing and later sweeping an entry for them — unless they are
+/// top-level trees of the evaluated forest.
+pub const MEMO_MIN_NODES: usize = 16;
+
+/// Slack in the sweep trigger: a memo sweeps once it holds more than
+/// `2 × kept + MEMO_SWEEP_SLACK` entries, where `kept` is what the
+/// previous sweep kept (so a fresh memo holds a handful of entries
+/// before its first sweep, and dead entries of a small document —
+/// which can carry large annotations — do not linger).
+const MEMO_SWEEP_SLACK: usize = 16;
+
+/// Evaluations between two deadline checks of a limited
+/// [`eval_path_memo`] (counted in computed closures, stored or not).
+const MEMO_DEADLINE_EVERY: u64 = 1024;
+
+/// Fingerprint-memoized path evaluation (document churn).
 ///
 /// [`eval_path_memo`] computes exactly [`eval_path`], but keys the two
 /// expensive sub-computations on subtree **value** — which, thanks to
@@ -318,12 +337,24 @@ fn eval_at<K: Semiring>(p: &PathQuery, ctx: &Tree<K>) -> Forest<K> {
 /// Equality with [`eval_path`] is by distributivity of `·` over the
 /// commutative sums [`Forest`] maintains: the closure recursion is the
 /// per-seed restriction of `eval_step`'s flat sweep, and a step's
-/// result is `Σ_k k·D(t)` over its input. Table size is
-/// O(nodes × depth) per step slot in the worst case (documents are
-/// depth-capped at parse).
+/// result is `Σ_k k·D(t)` over its input.
+///
+/// **Bounded by the live document.** Subtrees under
+/// [`MEMO_MIN_NODES`] nodes are not stored; the evaluated forest's
+/// top-level trees are, whatever their size, so re-reading an
+/// unchanged version is one lookup per root. After each evaluation,
+/// once the tables hold more than twice the entries the previous
+/// sweep kept (plus a small constant), a sweep walks the distinct
+/// stored-size subtrees of the forest just evaluated and drops every
+/// entry keyed on anything else — the values of edited-away spines.
+/// Between sweeps the tables therefore hold at most about twice the
+/// live document's stored subtrees per memo slot, however long the
+/// edit history.
 pub struct PathMemo<K: Semiring> {
-    desc: Vec<std::collections::HashMap<Tree<K>, Forest<K>>>,
-    qual: Vec<std::collections::HashMap<Tree<K>, K>>,
+    desc: Vec<HashMap<Tree<K>, Forest<K>>>,
+    qual: Vec<HashMap<Tree<K>, K>>,
+    /// Entries kept by the last sweep (0 before the first).
+    kept: usize,
     /// Memo-table hits since construction.
     pub hits: u64,
     /// Memo-table misses (entries computed) since construction.
@@ -342,12 +373,13 @@ impl<K: Semiring> PathMemo<K> {
         PathMemo {
             desc: Vec::new(),
             qual: Vec::new(),
+            kept: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// Total number of memoized entries (diagnostics).
+    /// Total number of memoized entries.
     pub fn entry_count(&self) -> usize {
         self.desc.iter().map(|m| m.len()).sum::<usize>()
             + self.qual.iter().map(|m| m.len()).sum::<usize>()
@@ -360,42 +392,192 @@ impl<K: Semiring> PathMemo<K> {
             // start over (defensive — callers key memos by query).
             self.desc = (0..n_desc).map(|_| Default::default()).collect();
             self.qual = (0..n_qual).map(|_| Default::default()).collect();
+            self.kept = 0;
         }
     }
 
-    fn desc_at(&mut self, slot: usize, t: &Tree<K>, test: NodeTest) -> Forest<K> {
-        let PathMemo {
-            desc, hits, misses, ..
-        } = self;
-        desc_closure(t, test, &mut desc[slot], hits, misses)
+    /// Sweep if the tables outgrew the last sweep's survivors: keep
+    /// only entries keyed on a top-level tree of `forest` or one of
+    /// its stored-size subtrees, in one walk of its distinct subtrees.
+    fn maybe_sweep(&mut self, forest: &Forest<K>) {
+        if self.entry_count() <= 2 * self.kept + MEMO_SWEEP_SLACK {
+            return;
+        }
+        let mut live: HashSet<&Tree<K>> = forest.iter().map(|(t, _)| t).collect();
+        let mut stack: Vec<&Tree<K>> = live.iter().copied().collect();
+        while let Some(t) = stack.pop() {
+            // A subtree under the floor has only smaller subtrees
+            // below it: none of them can be a key.
+            for (c, _) in t.children().iter() {
+                if c.size() >= MEMO_MIN_NODES && live.insert(c) {
+                    stack.push(c);
+                }
+            }
+        }
+        for table in &mut self.desc {
+            table.retain(|t, _| live.contains(t));
+        }
+        for table in &mut self.qual {
+            table.retain(|t, _| live.contains(t));
+        }
+        self.kept = self.entry_count();
     }
 }
 
-/// The memoized descendant-or-self closure from a single seed `{t:1}`,
-/// label-filtered by `test`.
-fn desc_closure<K: Semiring>(
-    t: &Tree<K>,
-    test: NodeTest,
-    table: &mut std::collections::HashMap<Tree<K>, Forest<K>>,
-    hits: &mut u64,
-    misses: &mut u64,
-) -> Forest<K> {
-    if let Some(f) = table.get(t) {
-        *hits += 1;
-        return f.clone();
+/// Why a limited [`eval_path_memo`] stopped before finishing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoStop {
+    /// The wall-clock deadline passed.
+    Deadline,
+    /// The memory budget tripped.
+    Budget,
+}
+
+/// One memoized evaluation: the memo, the evaluated forest and the
+/// call's limits.
+struct MemoRun<'a, K: Semiring> {
+    memo: &'a mut PathMemo<K>,
+    roots: &'a Forest<K>,
+    deadline: Option<Instant>,
+    budget: Option<&'a NodeBudget>,
+    /// Closures computed so far (stored or below the size floor).
+    computed: u64,
+}
+
+impl<K: Semiring> MemoRun<'_, K> {
+    /// Whether `t`'s entry is worth storing: it is above the size
+    /// floor, or it is a `seed` of the step (never a subtree reached
+    /// by recursion) that is one of the evaluated forest's roots.
+    fn stores(&self, t: &Tree<K>, seed: bool) -> bool {
+        t.size() >= MEMO_MIN_NODES || (seed && self.roots.contains(t))
     }
-    *misses += 1;
-    let mut out = if test.matches(t.label()) {
-        Forest::unit(t.clone())
-    } else {
-        Forest::new()
-    };
-    for (c, kc) in t.children().iter() {
-        let sub = desc_closure(c, test, table, hits, misses);
-        out.extend_scaled(sub, kc);
+
+    fn check_deadline(&self) -> Result<(), MemoStop> {
+        match self.deadline {
+            Some(d) if Instant::now() >= d => Err(MemoStop::Deadline),
+            _ => Ok(()),
+        }
     }
-    table.insert(t.clone(), out.clone());
-    out
+
+    /// Count one computed closure, checking the deadline every
+    /// [`MEMO_DEADLINE_EVERY`] of them.
+    fn tick(&mut self) -> Result<(), MemoStop> {
+        self.computed += 1;
+        if self.computed.is_multiple_of(MEMO_DEADLINE_EVERY) {
+            self.check_deadline()?;
+        }
+        Ok(())
+    }
+
+    /// Charge a forest this evaluation built or cloned.
+    fn charge(&self, f: &Forest<K>) -> Result<(), MemoStop> {
+        match self.budget {
+            Some(b) if b.charge(f.size()).is_err() => Err(MemoStop::Budget),
+            _ => Ok(()),
+        }
+    }
+
+    /// The memoized descendant-or-self closure from a single seed
+    /// `{t:1}`, label-filtered by `test`. `seed` is false on the
+    /// recursion into children.
+    fn desc(
+        &mut self,
+        slot: usize,
+        t: &Tree<K>,
+        test: NodeTest,
+        seed: bool,
+    ) -> Result<Forest<K>, MemoStop> {
+        let stored = self.stores(t, seed);
+        if stored {
+            if let Some(f) = self.memo.desc[slot].get(t) {
+                self.memo.hits += 1;
+                let f = f.clone();
+                self.charge(&f)?;
+                return Ok(f);
+            }
+            self.memo.misses += 1;
+        }
+        self.tick()?;
+        let mut out = if test.matches(t.label()) {
+            Forest::unit(t.clone())
+        } else {
+            Forest::new()
+        };
+        for (c, kc) in t.children().iter() {
+            let sub = self.desc(slot, c, test, false)?;
+            out.extend_scaled(sub, kc);
+        }
+        self.charge(&out)?;
+        if stored {
+            self.memo.desc[slot].insert(t.clone(), out.clone());
+        }
+        Ok(out)
+    }
+
+    /// The qualifier's total annotation from match `m`.
+    fn qual_total(&mut self, slot: usize, qual: &MemoPath, m: &Tree<K>) -> Result<K, MemoStop> {
+        let stored = self.stores(m, true);
+        if stored {
+            if let Some(v) = self.memo.qual[slot].get(m) {
+                self.memo.hits += 1;
+                return Ok(v.clone());
+            }
+            self.memo.misses += 1;
+        }
+        self.tick()?;
+        let v = self.eval_at(qual, m)?.as_kset().total();
+        if stored {
+            self.memo.qual[slot].insert(m.clone(), v.clone());
+        }
+        Ok(v)
+    }
+
+    fn eval_at(&mut self, p: &MemoPath, ctx: &Tree<K>) -> Result<Forest<K>, MemoStop> {
+        Ok(match p {
+            MemoPath::Root => Forest::unit(ctx.clone()),
+            MemoPath::Empty => Forest::new(),
+            MemoPath::Union(a, b) => {
+                let mut out = self.eval_at(a, ctx)?;
+                out.union_with(self.eval_at(b, ctx)?);
+                out
+            }
+            MemoPath::Step(inner, s, slot) => {
+                let f = self.eval_at(inner, ctx)?;
+                match (s.axis, slot) {
+                    (Axis::Descendant, Some(sl)) => {
+                        let mut out = Forest::new();
+                        for (t, k) in f.iter() {
+                            let d = self.desc(*sl, t, s.test, true)?;
+                            out.extend_scaled(d, k);
+                        }
+                        out
+                    }
+                    (Axis::StrictDescendant, Some(sl)) => {
+                        let mut out = Forest::new();
+                        for (t, k) in f.iter() {
+                            for (c, kc) in t.children().iter() {
+                                let d = self.desc(*sl, c, s.test, true)?;
+                                out.extend_scaled(d, &k.times(kc));
+                            }
+                        }
+                        out
+                    }
+                    _ => eval_step(&f, *s),
+                }
+            }
+            MemoPath::Filter(inner, qual, slot) => {
+                let f = self.eval_at(inner, ctx)?;
+                let mut out = Forest::new();
+                for (m, k) in f.iter() {
+                    let total = self.qual_total(*slot, qual, m)?;
+                    if !total.is_zero() {
+                        out.insert(m.clone(), k.times(&total));
+                    }
+                }
+                out
+            }
+        })
+    }
 }
 
 /// [`PathQuery`] with stable memo-slot indices assigned to every
@@ -439,74 +621,38 @@ fn build_memo_path(p: &PathQuery, n_desc: &mut usize, n_qual: &mut usize) -> Mem
 /// query over edited versions of a document reuses every
 /// unchanged-subtree result; the result is always identical to
 /// [`eval_path`].
+///
+/// The evaluation honours the caller's limits: the deadline is
+/// checked on entry and every 1024 computed closures, and `budget` is
+/// charged for every closure the evaluation builds or clones out of
+/// the memo, and for the result. A stop leaves the memo consistent —
+/// entries are only stored once complete — and the memo is swept
+/// either way.
 pub fn eval_path_memo<K: Semiring>(
     forest: &Forest<K>,
     p: &PathQuery,
     memo: &mut PathMemo<K>,
-) -> Forest<K> {
+    deadline: Option<Instant>,
+    budget: Option<&NodeBudget>,
+) -> Result<Forest<K>, MemoStop> {
     let (mut n_desc, mut n_qual) = (0usize, 0usize);
     let mp = build_memo_path(p, &mut n_desc, &mut n_qual);
     memo.ensure(n_desc, n_qual);
-    let vroot = Tree::new(Label::new("#vroot"), forest.clone());
-    eval_at_memo(&mp, &vroot, memo)
-}
-
-fn eval_at_memo<K: Semiring>(p: &MemoPath, ctx: &Tree<K>, memo: &mut PathMemo<K>) -> Forest<K> {
-    match p {
-        MemoPath::Root => Forest::unit(ctx.clone()),
-        MemoPath::Empty => Forest::new(),
-        MemoPath::Union(a, b) => {
-            let mut out = eval_at_memo(a, ctx, memo);
-            out.union_with(eval_at_memo(b, ctx, memo));
-            out
-        }
-        MemoPath::Step(inner, s, slot) => {
-            let f = eval_at_memo(inner, ctx, memo);
-            match (s.axis, slot) {
-                (Axis::Descendant, Some(sl)) => {
-                    let mut out = Forest::new();
-                    for (t, k) in f.iter() {
-                        let d = memo.desc_at(*sl, t, s.test);
-                        out.extend_scaled(d, k);
-                    }
-                    out
-                }
-                (Axis::StrictDescendant, Some(sl)) => {
-                    let mut out = Forest::new();
-                    for (t, k) in f.iter() {
-                        for (c, kc) in t.children().iter() {
-                            let d = memo.desc_at(*sl, c, s.test);
-                            out.extend_scaled(d, &k.times(kc));
-                        }
-                    }
-                    out
-                }
-                _ => eval_step(&f, *s),
-            }
-        }
-        MemoPath::Filter(inner, qual, slot) => {
-            let f = eval_at_memo(inner, ctx, memo);
-            let mut out = Forest::new();
-            for (m, k) in f.iter() {
-                let total = match memo.qual[*slot].get(m) {
-                    Some(v) => {
-                        memo.hits += 1;
-                        v.clone()
-                    }
-                    None => {
-                        memo.misses += 1;
-                        let v = eval_at_memo(qual, m, memo).as_kset().total();
-                        memo.qual[*slot].insert(m.clone(), v.clone());
-                        v
-                    }
-                };
-                if !total.is_zero() {
-                    out.insert(m.clone(), k.times(&total));
-                }
-            }
-            out
-        }
-    }
+    let mut run = MemoRun {
+        memo,
+        roots: forest,
+        deadline,
+        budget,
+        computed: 0,
+    };
+    let out = run.check_deadline().and_then(|()| {
+        let vroot = Tree::new(Label::new("#vroot"), forest.clone());
+        let out = run.eval_at(&mp, &vroot)?;
+        run.charge(&out)?;
+        Ok(out)
+    });
+    memo.maybe_sweep(forest);
+    out
 }
 
 #[cfg(test)]
@@ -667,6 +813,38 @@ mod tests {
         assert_eq!(p.to_string(), "./child::*/descendant::c");
     }
 
+    /// A balanced tree document of the given depth and branching
+    /// (leaves `c` under the first slot of every parent, `lN`
+    /// elsewhere), big enough for memo entries above the size floor.
+    fn balanced(depth: u32, branching: u32) -> String {
+        fn node(depth: u32, branching: u32, idx: u32, out: &mut String) {
+            if depth == 0 {
+                out.push_str(&if idx == 0 {
+                    "c ".into()
+                } else {
+                    format!("l{idx} ")
+                });
+                return;
+            }
+            out.push_str(&format!("<n{depth}_{idx}> "));
+            for i in 0..branching {
+                node(depth - 1, branching, i, out);
+            }
+            out.push_str(&format!("</n{depth}_{idx}> "));
+        }
+        let mut out = String::new();
+        node(depth, branching, 0, &mut out);
+        out
+    }
+
+    fn memo_eval(
+        f: &Forest<NatPoly>,
+        p: &PathQuery,
+        memo: &mut PathMemo<NatPoly>,
+    ) -> Forest<NatPoly> {
+        eval_path_memo(f, p, memo, None, None).expect("no limits, no stop")
+    }
+
     /// The memoized evaluator is value-identical to `eval_path` — on
     /// first use (cold tables), on re-evaluation (pure hits), and
     /// across document edits with the memo carried over.
@@ -681,26 +859,37 @@ mod tests {
         ];
         let doc_v1 = "<r> <a {p}> b {q} b2 {s} c </a> <a {w}> z <c/> </a> </r> <c {u}/>";
         let doc_v2 = "<r> <a {p}> b {q} b2 {s} c </a> <a {w}> z <c2/> </a> </r> <c {u}/>";
-        let f1 = parse_forest::<NatPoly>(doc_v1).unwrap();
-        let f2 = parse_forest::<NatPoly>(doc_v2).unwrap();
-        for q in queries {
-            let (_, path) = extract_src(q).unwrap();
-            let mut memo = PathMemo::new();
-            assert_eq!(
-                eval_path_memo(&f1, &path, &mut memo),
-                eval_path(&f1, &path),
-                "cold memo diverges on {q}"
-            );
-            assert_eq!(
-                eval_path_memo(&f1, &path, &mut memo),
-                eval_path(&f1, &path),
-                "warm memo diverges on {q}"
-            );
-            assert_eq!(
-                eval_path_memo(&f2, &path, &mut memo),
-                eval_path(&f2, &path),
-                "carried-over memo diverges on {q} after edit"
-            );
+        // The same shapes with subtrees above the memo's size floor, so
+        // entries are actually stored and reused.
+        let pad = "<k> c {x} d e f g h i j k l m n o </k>";
+        let big_v1 = format!(
+            "<r> <a {{p}}> b {{q}} b2 {{s}} c {pad} </a> <a {{w}}> z <c/> {pad} </a> </r> <c {{u}}/>"
+        );
+        let big_v2 = format!(
+            "<r> <a {{p}}> b {{q}} b2 {{s}} c {pad} </a> <a {{w}}> z <c2/> {pad} </a> </r> <c {{u}}/>"
+        );
+        for (v1, v2) in [(doc_v1, doc_v2), (big_v1.as_str(), big_v2.as_str())] {
+            let f1 = parse_forest::<NatPoly>(v1).unwrap();
+            let f2 = parse_forest::<NatPoly>(v2).unwrap();
+            for q in queries {
+                let (_, path) = extract_src(q).unwrap();
+                let mut memo = PathMemo::new();
+                assert_eq!(
+                    memo_eval(&f1, &path, &mut memo),
+                    eval_path(&f1, &path),
+                    "cold memo diverges on {q}"
+                );
+                assert_eq!(
+                    memo_eval(&f1, &path, &mut memo),
+                    eval_path(&f1, &path),
+                    "warm memo diverges on {q}"
+                );
+                assert_eq!(
+                    memo_eval(&f2, &path, &mut memo),
+                    eval_path(&f2, &path),
+                    "carried-over memo diverges on {q} after edit"
+                );
+            }
         }
     }
 
@@ -710,11 +899,88 @@ mod tests {
         let f = parse_forest::<NatPoly>("<r> <a> <b> <c/> </b> </a> <d> <c/> </d> </r>").unwrap();
         let (_, path) = extract_src("$S//c").unwrap();
         let mut memo = PathMemo::new();
-        eval_path_memo(&f, &path, &mut memo);
+        memo_eval(&f, &path, &mut memo);
         let misses_cold = memo.misses;
         assert!(misses_cold > 0);
-        eval_path_memo(&f, &path, &mut memo);
+        memo_eval(&f, &path, &mut memo);
         assert_eq!(memo.misses, misses_cold, "warm re-eval recomputed entries");
         assert!(memo.hits > 0);
+    }
+
+    /// Under the size floor only the forest's top-level trees are
+    /// stored; their small subtrees are recomputed.
+    #[test]
+    fn memo_stores_only_roots_under_the_size_floor() {
+        let f =
+            parse_forest::<NatPoly>("<r> <a> <b> <c/> </b> </a> <d> <c/> </d> </r> <c/>").unwrap();
+        let (_, path) = extract_src("$S//c").unwrap();
+        let mut memo = PathMemo::new();
+        assert_eq!(memo_eval(&f, &path, &mut memo), eval_path(&f, &path));
+        assert_eq!(memo.entry_count(), 2, "one entry per top-level tree");
+        assert_eq!((memo.hits, memo.misses), (0, 2));
+    }
+
+    /// Under a long edit history the sweep keeps the tables within
+    /// about twice the live document's stored subtrees, and every
+    /// result stays equal to `eval_path`.
+    #[test]
+    fn memo_stays_bounded_by_the_live_document() {
+        let base = balanced(4, 3);
+        let (_, path) = extract_src("$S//c").unwrap();
+        let mut memo = PathMemo::new();
+        for round in 0..200 {
+            // Re-annotate one leaf per round with a fresh token: every
+            // round retires the old spine's values.
+            let doc = base.replacen("l1 ", &format!("l1 {{t{round}}} "), 1);
+            let f = parse_forest::<NatPoly>(&doc).unwrap();
+            assert_eq!(memo_eval(&f, &path, &mut memo), eval_path(&f, &path));
+            let stored = stored_subtrees(&f);
+            assert!(
+                memo.entry_count() <= 2 * stored + MEMO_SWEEP_SLACK,
+                "round {round}: {} entries for {stored} stored-size subtrees",
+                memo.entry_count()
+            );
+        }
+        assert!(memo.hits > 0);
+    }
+
+    /// The forest's top-level trees plus its distinct subtrees above
+    /// the size floor: what a memo slot may keep.
+    fn stored_subtrees(f: &Forest<NatPoly>) -> usize {
+        let mut seen: HashSet<&Tree<NatPoly>> = f.iter().map(|(t, _)| t).collect();
+        let mut stack: Vec<&Tree<NatPoly>> = seen.iter().copied().collect();
+        while let Some(t) = stack.pop() {
+            for (c, _) in t.children().iter() {
+                if c.size() >= MEMO_MIN_NODES && seen.insert(c) {
+                    stack.push(c);
+                }
+            }
+        }
+        seen.len()
+    }
+
+    /// A cold memo charges what it builds, a passed deadline stops the
+    /// evaluation, and either stop leaves the memo consistent.
+    #[test]
+    fn memo_honours_budget_and_deadline() {
+        let f = parse_forest::<NatPoly>(&balanced(5, 3)).unwrap();
+        let (_, path) = extract_src("$S//c").unwrap();
+        let mut memo = PathMemo::new();
+        let tight = NodeBudget::new(2);
+        assert_eq!(
+            eval_path_memo(&f, &path, &mut memo, None, Some(&tight)),
+            Err(MemoStop::Budget)
+        );
+        let past = Instant::now();
+        assert_eq!(
+            eval_path_memo(&f, &path, &mut memo, Some(past), None),
+            Err(MemoStop::Deadline)
+        );
+        assert_eq!(memo_eval(&f, &path, &mut memo), eval_path(&f, &path));
+        let roomy = NodeBudget::new(1 << 20);
+        assert_eq!(
+            eval_path_memo(&f, &path, &mut memo, None, Some(&roomy)),
+            Ok(eval_path(&f, &path))
+        );
     }
 }

@@ -384,10 +384,14 @@ pub fn garbage_collect<K: Semiring>(rel: &KRelation<K>) -> KRelation<K> {
 /// siblings merge (their annotations add). A node id reachable through
 /// several parents is *duplicated* at each occurrence (the ψ output is
 /// a DAG: a matched node appears both as a result root and inside any
-/// enclosing match's copied subtree). Returns `None` on a cycle or a
-/// non-label in the label column. An empty relation decodes to the
-/// empty forest.
+/// enclosing match's copied subtree). Returns `None` unless the
+/// relation has arity 3 (parent, node, label), and on a cycle or a
+/// non-label in the label column. An empty edge relation decodes to
+/// the empty forest.
 pub fn decode<K: Semiring>(rel: &KRelation<K>) -> Option<Forest<K>> {
+    if rel.schema().arity() != 3 {
+        return None;
+    }
     let mut children: BTreeMap<RelValue, Vec<(RelValue, axml_uxml::Label, K)>> = BTreeMap::new();
     for (t, k) in rel.iter() {
         let (pid, nid, label) = (&t[0], &t[1], t[2].as_label()?);
@@ -711,6 +715,18 @@ mod tests {
             NatPoly::one(),
         );
         assert!(decode(&rel).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_relations_that_are_not_edge_shaped() {
+        for attrs in [vec!["P"], vec!["P", "N"], vec!["P", "N", "L", "X"]] {
+            let mut rel = KRelation::<NatPoly>::new(Schema::new(attrs.clone()));
+            let tuple: Vec<RelValue> = (0..attrs.len() as u64).map(RelValue::Node).collect();
+            rel.insert(tuple, NatPoly::one());
+            assert!(decode(&rel).is_none(), "arity {}", attrs.len());
+            let empty = KRelation::<NatPoly>::new(Schema::new(attrs.clone()));
+            assert!(decode(&empty).is_none(), "empty, arity {}", attrs.len());
+        }
     }
 
     #[test]

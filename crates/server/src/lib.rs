@@ -75,6 +75,10 @@
 //! content should expect arena growth proportional to the distinct
 //! subtrees ever loaded (arena compaction is an open ROADMAP item);
 //! churn over similar content re-shares and costs nothing new.
+//! The incremental state edits build is bounded by the live
+//! documents instead: each subtree-fingerprint memo sweeps the values
+//! of edited-away spines (the `memo_entries` gauge in `GET /stats`
+//! follows it), and replacing or deleting a document drops its memos.
 //! Prepared-query memory, by contrast, is bounded: the registry
 //! evicts least-recently-used texts past
 //! [`ServerConfig::max_prepared`].

@@ -377,24 +377,7 @@ fn respond<W: Write>(
             j.key("child_edges");
             j.int(stats.child_edges as u64);
             j.key("incremental");
-            j.begin_obj();
-            j.key("edits_applied");
-            j.int(stats.incr.edits_applied);
-            j.key("spine_nodes_interned");
-            j.int(stats.incr.spine_nodes_interned);
-            j.key("delta_facts_retired");
-            j.int(stats.incr.delta_facts_retired);
-            j.key("delta_facts_added");
-            j.int(stats.incr.delta_facts_added);
-            j.key("memo_hits");
-            j.int(stats.incr.memo_hits);
-            j.key("memo_misses");
-            j.int(stats.incr.memo_misses);
-            j.key("incremental_evals");
-            j.int(stats.incr.incremental_evals);
-            j.key("full_fallbacks");
-            j.int(stats.incr.full_fallbacks);
-            j.end_obj();
+            axml::json::incremental_json(&mut j, &stats.incr);
             // The scheduler counters of *this server's* pool (the one
             // running /eval fan-out), not the process-global pool.
             j.key("scheduler");

@@ -916,3 +916,63 @@ fn patch_edits_a_document_and_stats_report_incremental_counters() {
     assert_eq!(missing.status, 404, "{}", missing.body_str());
     server.shutdown();
 }
+
+/// The integer after `"key":` in a `/stats` body.
+fn stat(stats: &str, key: &str) -> u64 {
+    let pat = format!("\"{key}\":");
+    let at = stats
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {stats}"))
+        + pat.len();
+    let digits: String = stats[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().unwrap()
+}
+
+#[test]
+fn a_direct_eval_after_a_patch_is_served_from_the_subtree_memo() {
+    let mut server = server();
+    let engine = Arc::clone(server.engine());
+    // Four 21-node subtrees: each is above the memo's size floor, and
+    // an edit inside one leaves the other three unchanged.
+    let part = |p: usize| {
+        let kids: String = (0..4)
+            .map(|k| format!("<k{p}_{k}> c {{x{p}}} l1 l2 l3 </k{p}_{k}> "))
+            .collect();
+        format!("<p{p}> {kids}</p{p}> ")
+    };
+    let doc = format!("<r> {}</r>", (0..4).map(part).collect::<String>());
+    request(&server, "PUT", "/documents/S", doc.as_bytes());
+    let r = request(&server, "PATCH", "/documents/S", b"reannotate /0/0/0 y");
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    let first = request(&server, "POST", "/eval", b"$S//c");
+    assert_eq!(first.status, 200, "{}", first.body_str());
+
+    let r = request(&server, "PATCH", "/documents/S", b"reannotate /0/1/0 w");
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    let before = request(&server, "GET", "/stats", b"").body_str().to_owned();
+    let after_patch = request(&server, "POST", "/eval", b"$S//c");
+    let after = request(&server, "GET", "/stats", b"").body_str().to_owned();
+    assert!(
+        stat(&after, "memo_hits") > stat(&before, "memo_hits"),
+        "the read re-ran the whole plan:\n{before}\n{after}"
+    );
+    assert!(stat(&after, "memo_entries") > 0, "{after}");
+
+    // Served from the memo, and still exactly the library's answer.
+    let lib = engine
+        .prepare("$S//c")
+        .unwrap()
+        .eval(&engine, EvalOptions::new())
+        .unwrap();
+    assert_eq!(
+        after_patch.body_str(),
+        format!(
+            "{}\n",
+            axml::json::result_json("$S//c", &EvalOptions::new(), &lib)
+        )
+    );
+    server.shutdown();
+}

@@ -16,7 +16,7 @@
 use annotated_xml::prelude::*;
 use annotated_xml::uxml::print::pretty;
 use axml::json::{result_json, value_json, Json};
-use axml::{Engine, EvalOptions, Route, SemiringKind};
+use axml::{Engine, EvalOptions, IncrStats, Route, SemiringKind};
 use axml_uxml::{parse_forest, ParseAnnotation};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -41,7 +41,7 @@ usage:
               [--memory-budget NODES] (--doc FILE | --text DOC) QUERY
   axml edit   (--doc FILE | --text DOC) (--script FILE | --ops TEXT) \\
               [--semiring S] [--route R] [--provenance-first] \\
-              [--format text|json] [QUERY]
+              [--format text|json] [--stats] [QUERY]
   axml parse  [--semiring S] (--doc FILE | --text DOC)
   axml shred  (--doc FILE | --text DOC) PATH     # //c or /a/b style
   axml worlds (--doc FILE | --text DOC)          # possible worlds (ℕ[X] docs)
@@ -56,9 +56,11 @@ formats:         text (default) | json — machine-consumable query results
 streaming:       --stream prints result pieces as they are produced
                  (requires --format json; bytes identical to one-shot);
                  --memory-budget caps evaluation memory in nodes
-stats:           --stats appends one scheduler-counters line after the
-                 result (the global pool's lane queues and execution
-                 counters; a JSON object with --format json)
+stats:           --stats appends a stats line after the result (the global
+                 pool's lane queues and execution counters, and the
+                 engine's incremental counters: memo hits/misses and the
+                 memo_entries gauge; one JSON object with --format json);
+                 `edit` accepts it too
 edit:            applies a line-based edit script (splice | relabel |
                  insert | delete | reannotate, child-index paths, one op
                  per line) through the engine's incremental edit path,
@@ -306,50 +308,69 @@ trait SemiringDispatch {
 /// not ℕ\[X\]-representable (`bool`, `clearance`, and PosBool documents
 /// written in DNF syntax) keep the pre-facade static path.
 fn query_cmd(opts: &Opts, query: &str) -> Result<(), String> {
-    query_result(opts, query)?;
+    let incr = query_result(opts, query)?;
     if opts.stats {
-        print_scheduler_stats(opts.format);
+        print_stats(opts.format, &incr);
     }
     Ok(())
 }
 
-/// `query --stats`: one scheduler-counters line after the result — the
-/// global pool's lane queues and execution counters, all zero when the
-/// evaluation never touched the pool (sequential mode, tiny inputs).
-/// A separate line so the result bytes stay identical with and without
-/// the flag.
-fn print_scheduler_stats(format: OutputFormat) {
+/// `--stats`: the counters after the result — the global pool's lane
+/// queues and execution counters (all zero when the evaluation never
+/// touched the pool: sequential mode, tiny inputs) and the engine's
+/// incremental counters (all zero when nothing was edited). Separate
+/// from the result so its bytes stay identical with and without the
+/// flag: two text lines, or one JSON object.
+fn print_stats(format: OutputFormat, incr: &IncrStats) {
     let s = axml::scheduler_stats();
     match format {
-        OutputFormat::Text => println!(
-            "scheduler: workers={} lanes={} queued(cheap/normal/expensive)={}/{}/{} \
+        OutputFormat::Text => {
+            println!(
+                "scheduler: workers={} lanes={} queued(cheap/normal/expensive)={}/{}/{} \
              executed(owned/helped/stolen/injected)={}/{}/{}/{} max_queue_residency_ns={}",
-            s.workers,
-            s.lanes,
-            s.queued_cheap,
-            s.queued_normal,
-            s.queued_expensive,
-            s.owned,
-            s.helped,
-            s.stolen,
-            s.injected,
-            s.max_queue_residency_ns
-        ),
+                s.workers,
+                s.lanes,
+                s.queued_cheap,
+                s.queued_normal,
+                s.queued_expensive,
+                s.owned,
+                s.helped,
+                s.stolen,
+                s.injected,
+                s.max_queue_residency_ns
+            );
+            println!(
+                "incremental: edits={} incremental_evals={} fallbacks={} \
+                 memo_hits={} memo_misses={} memo_entries={}",
+                incr.edits_applied,
+                incr.incremental_evals,
+                incr.full_fallbacks,
+                incr.memo_hits,
+                incr.memo_misses,
+                incr.memo_entries
+            );
+        }
         OutputFormat::Json => {
             let mut j = Json::new();
             j.begin_obj();
             j.key("scheduler");
             axml::json::scheduler_json(&mut j, &s);
+            j.key("incremental");
+            axml::json::incremental_json(&mut j, incr);
             j.end_obj();
             println!("{}", j.finish());
         }
     }
 }
 
-fn query_result(opts: &Opts, query: &str) -> Result<(), String> {
+/// Run the query and print its result; returns the engine's
+/// incremental counters (all zero on the static paths, which have no
+/// engine).
+fn query_result(opts: &Opts, query: &str) -> Result<IncrStats, String> {
+    let no_engine = |()| IncrStats::default();
     match opts.semiring.as_str() {
-        "bool" => return static_query::<bool>(opts, query),
-        "clearance" => return static_query::<Clearance>(opts, query),
+        "bool" => return static_query::<bool>(opts, query).map(no_engine),
+        "clearance" => return static_query::<Clearance>(opts, query).map(no_engine),
         _ => {}
     }
     let semiring: SemiringKind = opts.semiring.parse()?;
@@ -358,7 +379,9 @@ fn query_result(opts: &Opts, query: &str) -> Result<(), String> {
         Ok(f) => f,
         // A PosBool document using `{x | y&z}` / `{true}` annotations
         // isn't an ℕ[X] document; query it in PosBool directly.
-        Err(_) if semiring == SemiringKind::PosBool => return static_query::<PosBool>(opts, query),
+        Err(_) if semiring == SemiringKind::PosBool => {
+            return static_query::<PosBool>(opts, query).map(no_engine)
+        }
         Err(e) => return Err(e.to_string()),
     };
     let engine = Engine::new();
@@ -374,14 +397,15 @@ fn query_result(opts: &Opts, query: &str) -> Result<(), String> {
         eval_opts = eval_opts.memory_budget(nodes);
     }
     if opts.stream {
-        return stream_query(&engine, query, eval_opts, opts.format);
+        stream_query(&engine, query, eval_opts, opts.format)?;
+    } else {
+        let out = engine.run(query, eval_opts).map_err(|e| e.to_string())?;
+        match opts.format {
+            OutputFormat::Text => println!("{out}"),
+            OutputFormat::Json => println!("{}", result_json(query, &eval_opts, &out)),
+        }
     }
-    let out = engine.run(query, eval_opts).map_err(|e| e.to_string())?;
-    match opts.format {
-        OutputFormat::Text => println!("{out}"),
-        OutputFormat::Json => println!("{}", result_json(query, &eval_opts, &out)),
-    }
-    Ok(())
+    Ok(engine.storage_stats().incr)
 }
 
 /// `axml edit`: load the document, apply the edit script through
@@ -441,10 +465,17 @@ fn edit_cmd(opts: &Opts) -> Result<(), String> {
             println!("{}", j.finish());
         }
     }
-    if query.is_empty() {
-        return Ok(());
+    if !query.is_empty() {
+        edit_query(opts, &engine, &query)?;
     }
+    if opts.stats {
+        print_stats(opts.format, &engine.storage_stats().incr);
+    }
+    Ok(())
+}
 
+/// The QUERY of `axml edit`, evaluated against the edited engine.
+fn edit_query(opts: &Opts, engine: &Engine, query: &str) -> Result<(), String> {
     let semiring: SemiringKind = opts.semiring.parse()?;
     let route: Route = opts.route.parse()?;
     let mut eval_opts = EvalOptions::new().semiring(semiring).route(route);
@@ -454,10 +485,10 @@ fn edit_cmd(opts: &Opts) -> Result<(), String> {
     if let Some(nodes) = opts.memory_budget {
         eval_opts = eval_opts.memory_budget(nodes);
     }
-    let out = engine.run(&query, eval_opts).map_err(|e| e.to_string())?;
+    let out = engine.run(query, eval_opts).map_err(|e| e.to_string())?;
     match opts.format {
         OutputFormat::Text => println!("{out}"),
-        OutputFormat::Json => println!("{}", result_json(&query, &eval_opts, &out)),
+        OutputFormat::Json => println!("{}", result_json(query, &eval_opts, &out)),
     }
     Ok(())
 }
