@@ -52,15 +52,11 @@ impl fmt::Display for SourceSpan {
 }
 
 /// Which caller-imposed resource limit an [`AxmlError::Budget`]
-/// reports. The server maps the two to different status codes (504
-/// for time, 507 for memory), so the distinction is part of the API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BudgetKind {
-    /// The wall-clock deadline ([`crate::EvalOptions::deadline`]).
-    WallClock,
-    /// The memory budget ([`crate::EvalOptions::memory_budget`]).
-    Memory,
-}
+/// reports: the wall-clock deadline ([`crate::EvalOptions::deadline`])
+/// or the memory budget ([`crate::EvalOptions::memory_budget`]). The
+/// server maps the two to different status codes (504 for time, 507
+/// for memory), so the distinction is part of the API.
+pub use axml_uxml::BudgetKind;
 
 /// Everything that can go wrong between `Engine::load_document` and a
 /// finished [`crate::AxmlResult`].
@@ -214,32 +210,24 @@ impl From<axml_core::TypeError> for AxmlError {
 
 impl From<axml_core::EvalError> for AxmlError {
     fn from(e: axml_core::EvalError) -> Self {
-        if e.budget {
-            AxmlError::Budget {
-                resource: BudgetKind::Memory,
-                at: e.at,
-            }
-        } else {
-            AxmlError::Eval {
+        match e.budget {
+            Some(resource) => AxmlError::Budget { resource, at: e.at },
+            None => AxmlError::Eval {
                 msg: e.msg,
                 at: e.at,
-            }
+            },
         }
     }
 }
 
 impl From<axml_nrc::EvalError> for AxmlError {
     fn from(e: axml_nrc::EvalError) -> Self {
-        if e.budget {
-            AxmlError::Budget {
-                resource: BudgetKind::Memory,
-                at: e.at,
-            }
-        } else {
-            AxmlError::Nrc {
+        match e.budget {
+            Some(resource) => AxmlError::Budget { resource, at: e.at },
+            None => AxmlError::Nrc {
                 msg: e.msg,
                 at: e.at,
-            }
+            },
         }
     }
 }

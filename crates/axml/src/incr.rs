@@ -82,22 +82,18 @@ use crate::options::SemiringKind;
 use crate::prepared::EvalKind;
 use axml_core::path::PathQuery;
 use axml_core::{eval_path_memo, MemoStop, PathMemo};
-use axml_pool::ExecCtx;
-use axml_relational::datalog::{
-    eval_datalog_idb_limits_ctx, eval_datalog_idb_resume, DEFAULT_MAX_ITERS,
-};
+use axml_relational::datalog::{eval_datalog_idb, eval_datalog_idb_resume, DEFAULT_MAX_ITERS};
 use axml_relational::shred::{decode, edge_schema, garbage_collect, path_to_datalog};
 use axml_relational::{
     added_facts_relation, tuple_mentions, AddedFact, Database, KRelation, OwnedDelta, ResultCache,
     ShadowDoc,
 };
 use axml_semiring::{FnHom, NatPoly, Semiring};
-use axml_uxml::{Forest, NodeBudget};
+use axml_uxml::{Exec, Forest};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Most recent deltas kept for catch-up; state lagging further behind
 /// rebuilds from the shadow instead.
@@ -353,15 +349,13 @@ fn kind_mut<S: EvalKind>(
 
 /// Incremental shredded evaluation. `None` = not engaged (never
 /// edited, or this snapshot is behind the incr state) — the caller
-/// runs the stateless route on its snapshot.
-#[allow(clippy::too_many_arguments)]
+/// runs the stateless route on its snapshot. The solve honours `x`
+/// like the stateless route's fixpoint.
 pub(crate) fn eval_shredded_incr<S: EvalKind>(
     doc: &Arc<StoredDoc>,
     p: &PathQuery,
     key: &str,
-    ctx: Option<&ExecCtx<'_>>,
-    deadline: Option<Instant>,
-    budget: Option<&NodeBudget>,
+    x: &Exec<'_>,
     counters: &IncrCounters,
 ) -> Option<Result<Forest<S>, AxmlError>> {
     if doc.version == 0 {
@@ -386,7 +380,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     if let Some(state) = kind.queries.get(key) {
         if state.version == *version {
             let out = state.cache.assemble();
-            if let Some(b) = budget {
+            if let Some(b) = x.budget {
                 if b.charge(out.size()).is_err() {
                     return Some(Err(AxmlError::Budget {
                         resource: BudgetKind::Memory,
@@ -424,9 +418,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     let db = &kind.db;
     let prog = path_to_datalog(p);
     if p.has_filter() {
-        let solved: Result<BTreeMap<String, KRelation<S>>, _> =
-            eval_datalog_idb_limits_ctx(&prog, db, DEFAULT_MAX_ITERS, ctx, deadline, budget);
-        let mut idb = match solved {
+        let mut idb = match eval_datalog_idb(&prog, db, DEFAULT_MAX_ITERS, x) {
             Ok(idb) => idb,
             Err(e) => return Some(Err(e.into())),
         };
@@ -459,9 +451,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
                 &added_facts_relation(&added),
                 pruned,
                 DEFAULT_MAX_ITERS,
-                ctx,
-                deadline,
-                budget,
+                x,
             ) {
                 Ok(idb) => {
                     state.idb = idb;
@@ -479,14 +469,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     let (mut state, delta) = match resumed {
         Some((state, retired, fresh, touched)) => (state, Some((retired, fresh, touched))),
         None => {
-            let idb = match eval_datalog_idb_limits_ctx(
-                &prog,
-                db,
-                DEFAULT_MAX_ITERS,
-                ctx,
-                deadline,
-                budget,
-            ) {
+            let idb = match eval_datalog_idb(&prog, db, DEFAULT_MAX_ITERS, x) {
                 Ok(idb) => idb,
                 Err(e) => return Some(Err(e.into())),
             };
@@ -537,15 +520,14 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
 
 /// Fingerprint-memoized path evaluation for the direct/NRC routes.
 /// `None` = not engaged; the caller runs its compiled plan. The memo
-/// evaluation honours `deadline` and `budget` itself (see
+/// evaluation honours the deadline and budget of `x` itself (see
 /// [`eval_path_memo`]) and keeps the engine's `memo_entries` gauge.
 pub(crate) fn eval_path_memoized<S: EvalKind>(
     doc: &Arc<StoredDoc>,
     forest: &Forest<S>,
     key: &str,
     p: &PathQuery,
-    deadline: Option<Instant>,
-    budget: Option<&NodeBudget>,
+    x: &Exec<'_>,
     counters: &Arc<IncrCounters>,
 ) -> Option<Result<Forest<S>, AxmlError>> {
     if doc.version == 0 {
@@ -563,7 +545,7 @@ pub(crate) fn eval_path_memoized<S: EvalKind>(
     } = &mut *incr;
     let (memo, freed) = kind_mut::<S>(kinds).memo_for(key);
     let (h0, m0, e0) = (memo.hits, memo.misses, memo.entry_count() as u64);
-    let out = eval_path_memo(forest, p, memo, deadline, budget);
+    let out = eval_path_memo(forest, p, memo, x);
     counters
         .memo_hits
         .fetch_add(memo.hits - h0, Ordering::Relaxed);

@@ -195,10 +195,13 @@
 //! the HTTP server calls it directly.
 //!
 //! Per-call limits live on [`EvalOptions`]: `deadline`/`timeout`
-//! (wall-clock, PR 7) and [`EvalOptions::memory_budget`] (a cap on
-//! evaluation-allocated tree nodes, charged at op and fixpoint-round
-//! boundaries on every route, one shared counter across parallel legs
-//! and streaming producers). Tripping either is a typed
+//! (wall-clock) and [`EvalOptions::memory_budget`] (a cap on
+//! evaluation-allocated tree nodes, one shared counter across parallel
+//! legs and streaming producers). Each call arms them once, with its
+//! pool context, into one [`axml_uxml::Exec`] that every layer takes
+//! by reference; both are checked at plan-op and streamed-piece
+//! boundaries, memo closures and fixpoint rounds, and the deadline
+//! also at every route start. Tripping either is a typed
 //! [`AxmlError::Budget`] whose [`BudgetKind`] distinguishes wall-clock
 //! from memory — never a panic and never a truncated-but-`Ok` result;
 //! on a live stream the trip arrives in-band as the cursor's final

@@ -231,12 +231,22 @@ pub struct EvalOptions {
     /// either way (differentially tested).
     pub parallelism: Parallelism,
     /// Wall-clock deadline for this evaluation (default: none). The
-    /// deadline is checked at coarse boundaries — once when each
-    /// evaluation route starts (every differential leg counts as a
-    /// route start) and once per semi-naive Datalog round on the
-    /// shredded route — and trips as [`crate::AxmlError::Budget`].
+    /// deadline is checked at coarse boundaries, and trips as
+    /// [`crate::AxmlError::Budget`] with
+    /// [`crate::BudgetKind::WallClock`] at the first one it finds
+    /// passed:
+    /// - when each evaluation route starts (every differential leg
+    ///   counts as a route start);
+    /// - in the direct and via-NRC plans, after every set-producing op
+    ///   and every streamed piece — the boundaries where the
+    ///   [`EvalOptions::memory_budget`] is charged;
+    /// - every 1024 closures the subtree memo computes on an edited
+    ///   document;
+    /// - once per semi-naive Datalog round on the shredded route.
+    ///
     /// It bounds scheduling unfairness, not individual instructions:
-    /// a single enormous join still runs to completion.
+    /// the op or fixpoint round running when the deadline passes
+    /// completes before the trip is observed.
     pub deadline: Option<Instant>,
     /// Memory budget for this evaluation, in logical tree nodes
     /// (default: none). One counter is shared across every leg and

@@ -28,13 +28,13 @@ use axml_core::{elaborate, parse_query};
 use axml_pool::ExecCtx;
 use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
 use axml_uxml::{
-    hom::map_value, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree, Value,
+    hom::map_value, Exec, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree,
+    Value,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
-use std::time::Instant;
 
 pub(crate) struct PreparedInner {
     source: String,
@@ -226,12 +226,6 @@ impl PreparedQuery {
         self.inner.path.is_ok()
     }
 
-    /// Former name of [`Self::is_shreddable`], kept because the route
-    /// originally covered only single-input step chains.
-    pub fn is_step_chain(&self) -> bool {
-        self.is_shreddable()
-    }
-
     /// Why `Route::Shredded` does not apply — the first construct
     /// outside the §7 fragment — or `None` when it does.
     pub fn shred_ineligibility(&self) -> Option<&str> {
@@ -256,43 +250,20 @@ impl PreparedQuery {
         self.eval_with(engine, opts, &[], None)
     }
 
-    /// Like [`eval`](Self::eval), with query-variable → document-name
-    /// aliases: `("S", "inventory_v2")` binds `$S` to the document
-    /// loaded as `"inventory_v2"`. Variables not aliased bind their
-    /// own name. Thin wrapper over [`eval_with`](Self::eval_with).
-    pub fn eval_bound(
-        &self,
-        engine: &Engine,
-        opts: EvalOptions,
-        aliases: &[(&str, &str)],
-    ) -> Result<AxmlResult, AxmlError> {
-        self.eval_with(engine, opts, aliases, None)
-    }
-
-    /// [`eval_bound`](Self::eval_bound) with an explicit pool — kept
-    /// as a named alias of [`eval_with`](Self::eval_with) for callers
-    /// reading "bound + on pool" at the call site.
-    pub fn eval_bound_on(
-        &self,
-        engine: &Engine,
-        opts: EvalOptions,
-        aliases: &[(&str, &str)],
-        pool: Option<&axml_pool::Pool>,
-    ) -> Result<AxmlResult, AxmlError> {
-        self.eval_with(engine, opts, aliases, pool)
-    }
-
     /// The one evaluation path everything else wraps: evaluate with
-    /// aliases applied and intra-query parallelism scheduled on
-    /// `pool` (`None` = the global pool).
+    /// query-variable → document-name `aliases` applied —
+    /// `("S", "inventory_v2")` binds `$S` to the document loaded as
+    /// `"inventory_v2"`; variables not aliased bind their own name —
+    /// and intra-query parallelism scheduled on `pool` (`None` = the
+    /// global pool).
     ///
-    /// Every limit in `opts` is armed here — the wall-clock deadline
-    /// and the [`EvalOptions::memory_budget`] (one fresh
-    /// [`NodeBudget`] counter per call, shared across every leg and
-    /// fixpoint round of the chosen route) — and every route reads its
-    /// documents through the same binding/projection step, so `eval`,
-    /// `eval_bound`, the batch APIs and the streaming API cannot
-    /// drift apart in behavior.
+    /// Every limit in `opts` is armed here into one [`Exec`] — the
+    /// wall-clock deadline and the [`EvalOptions::memory_budget`] (one
+    /// fresh [`NodeBudget`] counter per call, shared across every leg
+    /// and fixpoint round of the chosen route) — and every route reads
+    /// its documents through the same binding/projection step, so
+    /// `eval`, the batch APIs and the streaming API cannot drift apart
+    /// in behavior.
     ///
     /// The batch APIs pass their scheduling pool through here, so an
     /// entry's `EvalOptions::parallel(n)` fans out on the same pool
@@ -307,9 +278,9 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
         pool: Option<&axml_pool::Pool>,
     ) -> Result<AxmlResult, AxmlError> {
-        armed(&opts, pool, |ctx, limits| match opts.mode {
+        armed(&opts, pool, |x| match opts.mode {
             EvalMode::ProvenanceFirst => {
-                let sym = self.value_in::<NatPoly>(engine, aliases, opts.route, ctx, limits)?;
+                let sym = self.value_in::<NatPoly>(engine, aliases, opts.route, x)?;
                 if opts.semiring == SemiringKind::NatPoly {
                     return Ok(AxmlResult::NatPoly(sym));
                 }
@@ -318,7 +289,7 @@ impl PreparedQuery {
                 }))
             }
             EvalMode::InSemiring => with_kind!(opts.semiring, S => {
-                self.value_in::<S>(engine, aliases, opts.route, ctx, limits)
+                self.value_in::<S>(engine, aliases, opts.route, x)
                     .map(S::wrap_value)
             }),
         })
@@ -400,24 +371,12 @@ impl PreparedQuery {
     /// including tripped deadlines and memory budgets — arrive
     /// in-band as the cursor's final item.
     pub fn eval_stream(&self, engine: &Engine, opts: EvalOptions) -> Result<EvalCursor, AxmlError> {
-        self.eval_stream_bound(engine, opts, &[])
+        self.eval_stream_with(engine, opts, &[], None)
     }
 
     /// [`eval_stream`](Self::eval_stream) with query-variable →
-    /// document-name aliases (the streaming analogue of
-    /// [`eval_bound`](Self::eval_bound)).
-    pub fn eval_stream_bound(
-        &self,
-        engine: &Engine,
-        opts: EvalOptions,
-        aliases: &[(&str, &str)],
-    ) -> Result<EvalCursor, AxmlError> {
-        self.eval_stream_with(engine, opts, aliases, None)
-    }
-
-    /// [`eval_stream_bound`](Self::eval_stream_bound) with an explicit
-    /// scheduling pool (the streaming analogue of
-    /// [`eval_with`](Self::eval_with)).
+    /// document-name aliases and an explicit scheduling pool (the
+    /// streaming analogue of [`eval_with`](Self::eval_with)).
     ///
     /// **Pool note:** `pool` only schedules the *materializing*
     /// combinations (shredded, differential, `ProvenanceFirst`), which
@@ -506,10 +465,10 @@ impl PreparedQuery {
     ) -> Result<Option<AxmlResult>, AxmlError> {
         let arts = S::artifacts(&self.inner);
         let mut sink = EachSink(each);
-        let outcome = armed(&opts, pool, |ctx, limits| {
-            check_deadline(limits.deadline).map_err(StreamError::Eval)?;
+        let outcome = armed(&opts, pool, |x| {
+            check_deadline(x).map_err(StreamError::Eval)?;
             let key = &self.inner.source;
-            if let Some(memoized) = try_memoized(&self.inner.path, inputs, counters, limits, key) {
+            if let Some(memoized) = try_memoized(&self.inner.path, inputs, counters, x, key) {
                 let forest = memoized.map_err(StreamError::Eval)?;
                 for (t, k) in forest.iter_document() {
                     ResultSink::<S>::piece(&mut sink, t, k)?;
@@ -523,7 +482,7 @@ impl PreparedQuery {
                         .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
                         .collect();
                     arts.core_plan
-                        .eval_stream_ctx(&bound, ctx, limits.budget, &mut sink)
+                        .eval_stream(&bound, x, &mut sink)
                         .map_err(stream_err)
                 }
                 Route::ViaNrc => {
@@ -532,7 +491,7 @@ impl PreparedQuery {
                         .map(|b| (b.name.as_str(), &*b.forest))
                         .collect();
                     arts.nrc_plan
-                        .eval_stream_with_forests_ctx(&bound, ctx, limits.budget, &mut sink)
+                        .eval_stream_with_forests(&bound, x, &mut sink)
                         .map_err(stream_err)
                 }
                 Route::Shredded | Route::Differential => {
@@ -557,8 +516,7 @@ impl PreparedQuery {
         engine: &Engine,
         aliases: &[(&str, &str)],
         route: Route,
-        ctx: Option<&ExecCtx<'_>>,
-        limits: Limits<'_>,
+        x: &Exec<'_>,
     ) -> Result<Value<S>, AxmlError> {
         let arts = S::artifacts(&self.inner);
         let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
@@ -567,8 +525,7 @@ impl PreparedQuery {
             &self.inner.path,
             &inputs,
             route,
-            ctx,
-            limits,
+            x,
             engine,
             &self.inner.source,
         )
@@ -614,27 +571,17 @@ pub(crate) struct BoundInput<K: Semiring> {
 /// The bindings resolved for one evaluation.
 type BoundInputs<K> = Vec<BoundInput<K>>;
 
-/// The armed per-call resource limits, threaded together through the
-/// routes: the wall-clock deadline (checked at route starts and
-/// fixpoint rounds) and the memory budget (charged at set-producing
-/// op boundaries). One `NodeBudget` counter serves the whole call —
-/// all differential legs, all fixpoint rounds — so the budget bounds
-/// the *evaluation*, not any single leg.
-#[derive(Clone, Copy)]
-struct Limits<'a> {
-    deadline: Option<Instant>,
-    budget: Option<&'a NodeBudget>,
-}
-
 /// A deadline check, placed at route starts (each differential leg is
-/// a route start) — fixpoint rounds check inside `axml-relational`.
-fn check_deadline(deadline: Option<Instant>) -> Result<(), AxmlError> {
-    match deadline {
-        Some(d) if Instant::now() >= d => Err(AxmlError::Budget {
+/// a route start). Past the start, the layers check `x` themselves:
+/// plan ops, memo closures and fixpoint rounds.
+fn check_deadline(x: &Exec<'_>) -> Result<(), AxmlError> {
+    if x.past_deadline() {
+        Err(AxmlError::Budget {
             resource: BudgetKind::WallClock,
             at: "route start".into(),
-        }),
-        _ => Ok(()),
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -648,18 +595,20 @@ fn pushes_incrementally(opts: &EvalOptions) -> bool {
     opts.mode == EvalMode::InSemiring && matches!(opts.route, Route::Direct | Route::ViaNrc)
 }
 
-/// Arm one call's execution context once — the pool context for
-/// intra-query parallelism (`None` = global pool; sequential options
-/// get no context at all, keeping every layer on its exact sequential
-/// code path), one fresh [`NodeBudget`] for the whole call, the
-/// deadline, and the lane hint — and run `run` under it. The lane
-/// classifies every scope the evaluation opens on the pool (thread-
-/// inherited, so nested fan-out stays in the lane); it never changes
-/// what is computed.
+/// Arm one call's [`Exec`] once — the pool context for intra-query
+/// parallelism (`pool`, `None` = global pool; sequential options get
+/// no context at all, keeping every layer on its exact sequential
+/// code path), the deadline, and one fresh [`NodeBudget`] for the
+/// whole call, so the budget bounds the *evaluation* (all
+/// differential legs, all fixpoint rounds), not any single leg — and
+/// run `run` under it and the lane hint. The lane classifies every
+/// scope the evaluation opens on the pool (thread-inherited, so
+/// nested fan-out stays in the lane); it never changes what is
+/// computed.
 fn armed<R>(
     opts: &EvalOptions,
     pool: Option<&axml_pool::Pool>,
-    run: impl FnOnce(Option<&ExecCtx<'_>>, Limits<'_>) -> R,
+    run: impl FnOnce(&Exec<'_>) -> R,
 ) -> R {
     let ctx_slot;
     let ctx: Option<&ExecCtx<'_>> = if opts.parallelism.is_sequential() {
@@ -672,13 +621,14 @@ fn armed<R>(
         Some(&ctx_slot)
     };
     let budget = opts.memory_budget.map(NodeBudget::new);
-    let limits = Limits {
+    let x = Exec {
+        ctx,
         deadline: opts.deadline,
         budget: budget.as_ref(),
     };
     match opts.lane {
-        Some(lane) => axml_pool::with_lane(lane, || run(ctx, limits)),
-        None => run(ctx, limits),
+        Some(lane) => axml_pool::with_lane(lane, || run(&x)),
+        None => run(&x),
     }
 }
 
@@ -717,31 +667,29 @@ fn stream_err<E: Into<AxmlError>>(e: StreamError<E>) -> StreamError<AxmlError> {
 /// runs the memoized evaluator as a sixth leg and asserts it agrees
 /// with the compiled direct plan. Never-edited documents take exactly
 /// the pre-incrementality code paths.
-#[allow(clippy::too_many_arguments)]
 fn eval_route<S: EvalKind>(
     arts: &Artifacts<S>,
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
     route: Route,
-    ctx: Option<&ExecCtx<'_>>,
-    limits: Limits<'_>,
+    x: &Exec<'_>,
     engine: &Engine,
     key: &str,
 ) -> Result<Value<S>, AxmlError> {
     let kind = S::KIND;
-    check_deadline(limits.deadline)?;
+    check_deadline(x)?;
     match route {
         Route::Direct | Route::ViaNrc => {
-            if let Some(out) = try_memoized(path, inputs, engine.incr_counters(), limits, key) {
+            if let Some(out) = try_memoized(path, inputs, engine.incr_counters(), x, key) {
                 return out.map(Value::Set);
             }
             if route == Route::Direct {
-                eval_direct(arts, inputs, ctx, limits)
+                eval_direct(arts, inputs, x)
             } else {
-                eval_nrc(arts, inputs, ctx, limits)
+                eval_nrc(arts, inputs, x)
             }
         }
-        Route::Shredded => eval_shredded(path, inputs, route, ctx, limits, engine, key),
+        Route::Shredded => eval_shredded(path, inputs, route, x, engine, key),
         Route::Differential => {
             // Up to five independent evaluation legs. With a
             // non-sequential context they run concurrently on the
@@ -751,29 +699,23 @@ fn eval_route<S: EvalKind>(
             // is reported first — are identical.
             type Leg<S> = Option<Result<Value<S>, AxmlError>>;
             type Legs<S> = (Leg<S>, Leg<S>, Leg<S>, Leg<S>, Leg<S>);
-            let (direct, direct_interp, nrc, nrc_interp, shredded) = match ctx {
+            let (direct, direct_interp, nrc, nrc_interp, shredded) = match x.ctx {
                 Some(c) => {
                     let (mut l1, mut l2, mut l3, mut l4, mut l5): Legs<S> =
                         (None, None, None, None, None);
-                    let gate = || check_deadline(limits.deadline);
+                    let gate = || check_deadline(x);
                     c.pool.scope(|s| {
-                        s.spawn(|| {
-                            l1 = Some(gate().and_then(|()| eval_direct(arts, inputs, ctx, limits)))
-                        });
+                        s.spawn(|| l1 = Some(gate().and_then(|()| eval_direct(arts, inputs, x))));
                         s.spawn(|| {
                             l2 = Some(gate().and_then(|()| eval_direct_interpreted(arts, inputs)))
                         });
-                        s.spawn(|| {
-                            l3 = Some(gate().and_then(|()| eval_nrc(arts, inputs, ctx, limits)))
-                        });
+                        s.spawn(|| l3 = Some(gate().and_then(|()| eval_nrc(arts, inputs, x))));
                         s.spawn(|| {
                             l4 = Some(gate().and_then(|()| eval_nrc_interpreted(arts, inputs)))
                         });
                         if path.is_ok() {
                             s.spawn(|| {
-                                l5 = Some(eval_shredded(
-                                    path, inputs, route, ctx, limits, engine, key,
-                                ))
+                                l5 = Some(eval_shredded(path, inputs, route, x, engine, key))
                             });
                         }
                     });
@@ -786,17 +728,15 @@ fn eval_route<S: EvalKind>(
                     )
                 }
                 None => {
-                    let direct = eval_direct(arts, inputs, ctx, limits)?;
-                    check_deadline(limits.deadline)?;
+                    let direct = eval_direct(arts, inputs, x)?;
+                    check_deadline(x)?;
                     let direct_interp = eval_direct_interpreted(arts, inputs)?;
-                    check_deadline(limits.deadline)?;
-                    let nrc = eval_nrc(arts, inputs, ctx, limits)?;
-                    check_deadline(limits.deadline)?;
+                    check_deadline(x)?;
+                    let nrc = eval_nrc(arts, inputs, x)?;
+                    check_deadline(x)?;
                     let nrc_interp = eval_nrc_interpreted(arts, inputs)?;
                     let shredded = if path.is_ok() {
-                        Some(eval_shredded(
-                            path, inputs, route, ctx, limits, engine, key,
-                        )?)
+                        Some(eval_shredded(path, inputs, route, x, engine, key)?)
                     } else {
                         None
                     };
@@ -844,8 +784,7 @@ fn eval_route<S: EvalKind>(
             // assert agreement with the compiled direct plan — the
             // incremental evaluator is differentially checked like
             // every other one.
-            if let Some(memoized) = try_memoized(path, inputs, engine.incr_counters(), limits, key)
-            {
+            if let Some(memoized) = try_memoized(path, inputs, engine.incr_counters(), x, key) {
                 let memoized = Value::Set(memoized?);
                 if direct != memoized {
                     return Err(evaluator_disagreement(
@@ -901,7 +840,7 @@ fn try_memoized<S: EvalKind>(
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
     counters: &Arc<IncrCounters>,
-    limits: Limits<'_>,
+    x: &Exec<'_>,
     key: &str,
 ) -> Option<Result<Forest<S>, AxmlError>> {
     let Ok((var, p)) = path else { return None };
@@ -909,15 +848,7 @@ fn try_memoized<S: EvalKind>(
     if b.doc.version == 0 {
         return None;
     }
-    let out = crate::incr::eval_path_memoized::<S>(
-        &b.doc,
-        &b.forest,
-        key,
-        p,
-        limits.deadline,
-        limits.budget,
-        counters,
-    );
+    let out = crate::incr::eval_path_memoized::<S>(&b.doc, &b.forest, key, p, x, counters);
     if out.is_none() {
         counters.note_fallback();
     }
@@ -928,8 +859,7 @@ fn try_memoized<S: EvalKind>(
 fn eval_direct<K: Semiring>(
     arts: &Artifacts<K>,
     inputs: &BoundInputs<K>,
-    ctx: Option<&ExecCtx<'_>>,
-    limits: Limits<'_>,
+    x: &Exec<'_>,
 ) -> Result<Value<K>, AxmlError> {
     // The plan needs owned Values; this clone is shallow — a Forest is
     // a map over Arc'd trees, so only the top-level roots (usually
@@ -938,7 +868,7 @@ fn eval_direct<K: Semiring>(
         .iter()
         .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
         .collect();
-    Ok(arts.core_plan.eval_ctx_limits(&bound, ctx, limits.budget)?)
+    Ok(arts.core_plan.eval(&bound, x)?)
 }
 
 /// The direct route's tree-walking interpreter — the differential
@@ -960,16 +890,13 @@ fn eval_direct_interpreted<K: Semiring>(
 fn eval_nrc<K: Semiring>(
     arts: &Artifacts<K>,
     inputs: &BoundInputs<K>,
-    ctx: Option<&ExecCtx<'_>>,
-    limits: Limits<'_>,
+    x: &Exec<'_>,
 ) -> Result<Value<K>, AxmlError> {
     let bound: Vec<(&str, &Forest<K>)> = inputs
         .iter()
         .map(|b| (b.name.as_str(), &*b.forest))
         .collect();
-    let out = arts
-        .nrc_plan
-        .eval_with_forests_limits_ctx(&bound, ctx, limits.budget)?;
+    let out = arts.nrc_plan.eval_with_forests(&bound, x)?;
     out.to_uxml().ok_or_else(|| AxmlError::Nrc {
         msg: "query produced a non-UXML complex value".into(),
         at: arts.nrc.to_string(),
@@ -994,17 +921,15 @@ fn eval_nrc_interpreted<K: Semiring>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn eval_shredded<S: EvalKind>(
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
     route: Route,
-    ctx: Option<&ExecCtx<'_>>,
-    limits: Limits<'_>,
+    x: &Exec<'_>,
     engine: &Engine,
     key: &str,
 ) -> Result<Value<S>, AxmlError> {
-    check_deadline(limits.deadline)?;
+    check_deadline(x)?;
     let (var, p) = match path {
         Ok(x) => x,
         Err(why) => {
@@ -1023,26 +948,12 @@ fn eval_shredded<S: EvalKind>(
     // Delta propagation: on an edited, current snapshot, solve from
     // the retained fixpoint instead of re-shredding the document.
     if b.doc.version > 0 {
-        match crate::incr::eval_shredded_incr::<S>(
-            &b.doc,
-            p,
-            key,
-            ctx,
-            limits.deadline,
-            limits.budget,
-            engine.incr_counters(),
-        ) {
+        match crate::incr::eval_shredded_incr::<S>(&b.doc, p, key, x, engine.incr_counters()) {
             Some(out) => return out.map(Value::Set),
             None => engine.incr_counters().note_fallback(),
         }
     }
-    let out = axml_relational::eval_path_via_shredding_limits_ctx(
-        &b.forest,
-        p,
-        ctx,
-        limits.deadline,
-        limits.budget,
-    )?;
+    let out = axml_relational::eval_path_via_shredding(&b.forest, p, x)?;
     Ok(Value::Set(out))
 }
 

@@ -2,9 +2,11 @@
 //!
 //! The contract under test: an already-expired deadline surfaces as
 //! `AxmlError::Budget` on **every** route (checked at route starts —
-//! each differential leg counts — and at semi-naive fixpoint round
-//! boundaries), and a generous deadline changes nothing at all —
-//! byte-identical results to an undeadlined evaluation.
+//! each differential leg counts — at the plans' op boundaries and at
+//! semi-naive fixpoint round boundaries), a deadline passing while a
+//! plan runs stops it at its next op, and a generous deadline changes
+//! nothing at all — byte-identical results to an undeadlined
+//! evaluation.
 
 use axml::{AxmlError, Engine, EvalOptions, Parallelism, Route, SemiringKind};
 use std::time::{Duration, Instant};
@@ -102,4 +104,46 @@ fn an_unrepresentable_timeout_means_no_deadline() {
     let engine = engine();
     let q = engine.prepare(QUERY).unwrap();
     assert!(q.eval(&engine, opts).is_ok());
+}
+
+/// A deadline that passes while a direct or via-NRC plan runs stops
+/// the plan at its next op boundary. The quadratic `for` below runs
+/// its body over a million times on a 1001-node document — seconds in
+/// a debug build, well over 20× the 25 ms deadline — so the route
+/// start passes and the plan itself must observe the trip, both
+/// materialized and pushed piece by piece.
+#[test]
+fn a_deadline_stops_a_running_plan() {
+    let engine = Engine::new();
+    let names: String = (0..1000).map(|i| format!("c{i} ")).collect();
+    engine
+        .load_document("W", &format!("<r> {names} </r>"))
+        .unwrap();
+    engine.load_document("w", "<r> c </r>").unwrap();
+    let q = engine
+        .prepare("for $x in $W//* return for $y in $W//* return element p { () }")
+        .unwrap();
+    let expect_trip = |route: Route, out: Result<_, AxmlError>| match out {
+        Err(AxmlError::Budget { resource, at }) => {
+            assert_eq!(resource, axml::BudgetKind::WallClock);
+            assert_ne!(
+                at, "route start",
+                "{route:?}: the plan must see the deadline"
+            );
+        }
+        other => panic!("{route:?}: expected a wall-clock trip, got {other:?}"),
+    };
+    for route in [Route::Direct, Route::ViaNrc] {
+        // Warm the artifacts on a small document first.
+        let warm = EvalOptions::new().route(route);
+        q.eval_with(&engine, warm, &[("W", "w")], None).unwrap();
+        let opts = || {
+            EvalOptions::new()
+                .route(route)
+                .timeout(Duration::from_millis(25))
+        };
+        expect_trip(route, q.eval(&engine, opts()).map(|_| ()));
+        let pushed = q.eval_each(&engine, opts(), &[], None, |_| Ok(()));
+        expect_trip(route, pushed.map(|_| ()));
+    }
 }

@@ -56,7 +56,7 @@ fn differential_includes_shredding_on_step_chains() {
         )
         .unwrap();
     let q = engine.prepare("$T//c").unwrap();
-    assert!(q.is_step_chain());
+    assert!(q.is_shreddable());
     for kind in SemiringKind::ALL {
         q.eval(
             &engine,
@@ -132,7 +132,7 @@ fn aliases_bind_other_documents() {
     assert_eq!(available, &["inventory_v2".to_string()]);
 
     let out = q
-        .eval_bound(&engine, EvalOptions::new(), &[("S", "inventory_v2")])
+        .eval_with(&engine, EvalOptions::new(), &[("S", "inventory_v2")], None)
         .unwrap();
     assert_eq!(out.to_string(), "(a {2})");
 }
@@ -141,7 +141,7 @@ fn aliases_bind_other_documents() {
 fn shredded_route_rejects_non_chains() {
     let engine = fig1_engine();
     let q = engine.prepare(FIG1_QUERY).unwrap();
-    assert!(!q.is_step_chain());
+    assert!(!q.is_shreddable());
     let err = q
         .eval(&engine, EvalOptions::new().route(Route::Shredded))
         .unwrap_err();

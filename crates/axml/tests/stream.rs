@@ -2,7 +2,7 @@
 //!
 //! 1. **Parity** (property): for every query × semiring × route ×
 //!    mode × parallelism combination, collecting
-//!    `PreparedQuery::eval_stream_bound` must equal `eval_bound` —
+//!    `PreparedQuery::eval_stream` must equal `eval` —
 //!    same values (structural and rendered), same errors — so
 //!    streaming is purely a latency choice.
 //! 2. **Byte identity**: the streamed pieces, rendered one at a time

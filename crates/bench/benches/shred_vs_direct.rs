@@ -11,9 +11,9 @@ use axml_bench::balanced_tree;
 use axml_core::ast::{Axis, NodeTest, Step};
 use axml_core::path::PathQuery;
 use axml_core::{eval_path, eval_step};
-use axml_relational::{eval_path_via_shredding, eval_steps_via_shredding};
+use axml_relational::eval_path_via_shredding;
 use axml_semiring::Nat;
-use axml_uxml::{Forest, Label};
+use axml_uxml::{Exec, Forest, Label};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn steps_child_child() -> Vec<Step> {
@@ -54,7 +54,14 @@ fn shred_vs_direct(c: &mut Criterion) {
                 })
             });
             g.bench_function(BenchmarkId::new("shredded_datalog", depth), |b| {
-                b.iter(|| eval_steps_via_shredding(&forest, &steps).expect("converges"))
+                b.iter(|| {
+                    eval_path_via_shredding(
+                        &forest,
+                        &PathQuery::from_steps(&steps),
+                        &Exec::default(),
+                    )
+                    .expect("converges")
+                })
             });
             g.finish();
         }
@@ -96,7 +103,9 @@ fn shred_vs_direct_fragment(c: &mut Criterion) {
                 b.iter(|| eval_path(&forest, query))
             });
             g.bench_function(BenchmarkId::new("shredded_datalog", depth), |b| {
-                b.iter(|| eval_path_via_shredding(&forest, query).expect("converges"))
+                b.iter(|| {
+                    eval_path_via_shredding(&forest, query, &Exec::default()).expect("converges")
+                })
             });
             g.finish();
         }

@@ -106,7 +106,7 @@ fn throughput(c: &mut Criterion) {
                 .map(|d| {
                     let aliases: Vec<(&str, &str)> =
                         q.free_vars().iter().map(|v| (v.as_str(), *d)).collect();
-                    q.eval_bound(&w.engine, EvalOptions::new(), &aliases)
+                    q.eval_with(&w.engine, EvalOptions::new(), &aliases, None)
                 })
                 .collect::<Vec<_>>()
         })

@@ -7,13 +7,14 @@
 
 use axml_bench::*;
 use axml_core::ast::{Axis, NodeTest, Step};
+use axml_core::path::PathQuery;
 use axml_core::run_query;
 use axml_relational::encode::{decode_relation, encode_database};
 use axml_relational::ra::{eval_ra, fig5_query, Database};
-use axml_relational::{shredded_eval, KRelation, RelValue, Schema};
+use axml_relational::{shredded_eval_path, KRelation, RelValue, Schema};
 use axml_semiring::{Clearance, NatPoly, Semiring, Valuation, Var};
 use axml_uxml::hom::{specialize_forest, substitute_forest};
-use axml_uxml::{leaf, parse_forest, Label, Value};
+use axml_uxml::{leaf, parse_forest, Exec, Label, Value};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -301,7 +302,8 @@ fn shred_table() {
         axis: Axis::Descendant,
         test: NodeTest::Label(Label::new("c")),
     }];
-    let e2 = shredded_eval(&f, &steps).expect("datalog converges");
+    let e2 = shredded_eval_path(&f, &PathQuery::from_steps(&steps), &Exec::default())
+        .expect("datalog converges");
 
     // the two root tuples with their annotations, as in the paper
     let mut roots: Vec<String> = e2

@@ -149,7 +149,7 @@ pub fn eval_query_nrc<K: Semiring>(
         QueryError::Nrc(axml_nrc::EvalError {
             msg: "query produced a non-UXML complex value".into(),
             at: expr.to_string(),
-            budget: false,
+            budget: None,
         })
     })
 }

@@ -30,10 +30,9 @@
 use crate::ast::{Axis, NodeTest, Query, QueryNode, Step};
 use crate::eval::eval_step;
 use axml_semiring::Semiring;
-use axml_uxml::{Forest, Label, NodeBudget, Tree};
+use axml_uxml::{Exec, Forest, Label, Tree};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::time::Instant;
 
 /// A query in the §7 XPath fragment, relative to a context node. At
 /// the top level the context is the *virtual root* whose children are
@@ -438,8 +437,7 @@ pub enum MemoStop {
 struct MemoRun<'a, K: Semiring> {
     memo: &'a mut PathMemo<K>,
     roots: &'a Forest<K>,
-    deadline: Option<Instant>,
-    budget: Option<&'a NodeBudget>,
+    x: &'a Exec<'a>,
     /// Closures computed so far (stored or below the size floor).
     computed: u64,
 }
@@ -453,9 +451,10 @@ impl<K: Semiring> MemoRun<'_, K> {
     }
 
     fn check_deadline(&self) -> Result<(), MemoStop> {
-        match self.deadline {
-            Some(d) if Instant::now() >= d => Err(MemoStop::Deadline),
-            _ => Ok(()),
+        if self.x.past_deadline() {
+            Err(MemoStop::Deadline)
+        } else {
+            Ok(())
         }
     }
 
@@ -471,7 +470,7 @@ impl<K: Semiring> MemoRun<'_, K> {
 
     /// Charge a forest this evaluation built or cloned.
     fn charge(&self, f: &Forest<K>) -> Result<(), MemoStop> {
-        match self.budget {
+        match self.x.budget {
             Some(b) if b.charge(f.size()).is_err() => Err(MemoStop::Budget),
             _ => Ok(()),
         }
@@ -622,18 +621,17 @@ fn build_memo_path(p: &PathQuery, n_desc: &mut usize, n_qual: &mut usize) -> Mem
 /// unchanged-subtree result; the result is always identical to
 /// [`eval_path`].
 ///
-/// The evaluation honours the caller's limits: the deadline is
-/// checked on entry and every 1024 computed closures, and `budget` is
-/// charged for every closure the evaluation builds or clones out of
-/// the memo, and for the result. A stop leaves the memo consistent —
-/// entries are only stored once complete — and the memo is swept
-/// either way.
+/// The evaluation honours the limits in `x` (its pool context is not
+/// used): the deadline is checked on entry and every 1024 computed
+/// closures, and the budget is charged for every closure the
+/// evaluation builds or clones out of the memo, and for the result. A
+/// stop leaves the memo consistent — entries are only stored once
+/// complete — and the memo is swept either way.
 pub fn eval_path_memo<K: Semiring>(
     forest: &Forest<K>,
     p: &PathQuery,
     memo: &mut PathMemo<K>,
-    deadline: Option<Instant>,
-    budget: Option<&NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<Forest<K>, MemoStop> {
     let (mut n_desc, mut n_qual) = (0usize, 0usize);
     let mp = build_memo_path(p, &mut n_desc, &mut n_qual);
@@ -641,8 +639,7 @@ pub fn eval_path_memo<K: Semiring>(
     let mut run = MemoRun {
         memo,
         roots: forest,
-        deadline,
-        budget,
+        x,
         computed: 0,
     };
     let out = run.check_deadline().and_then(|()| {
@@ -662,7 +659,8 @@ mod tests {
     use crate::parse::parse_query;
     use crate::typecheck::elaborate;
     use axml_semiring::NatPoly;
-    use axml_uxml::{parse_forest, Value};
+    use axml_uxml::{parse_forest, NodeBudget, Value};
+    use std::time::Instant;
 
     fn np(s: &str) -> NatPoly {
         s.parse().unwrap()
@@ -842,7 +840,7 @@ mod tests {
         p: &PathQuery,
         memo: &mut PathMemo<NatPoly>,
     ) -> Forest<NatPoly> {
-        eval_path_memo(f, p, memo, None, None).expect("no limits, no stop")
+        eval_path_memo(f, p, memo, &Exec::default()).expect("no limits, no stop")
     }
 
     /// The memoized evaluator is value-identical to `eval_path` — on
@@ -967,19 +965,30 @@ mod tests {
         let (_, path) = extract_src("$S//c").unwrap();
         let mut memo = PathMemo::new();
         let tight = NodeBudget::new(2);
+        let tight = Exec {
+            budget: Some(&tight),
+            ..Exec::default()
+        };
         assert_eq!(
-            eval_path_memo(&f, &path, &mut memo, None, Some(&tight)),
+            eval_path_memo(&f, &path, &mut memo, &tight),
             Err(MemoStop::Budget)
         );
-        let past = Instant::now();
+        let past = Exec {
+            deadline: Some(Instant::now()),
+            ..Exec::default()
+        };
         assert_eq!(
-            eval_path_memo(&f, &path, &mut memo, Some(past), None),
+            eval_path_memo(&f, &path, &mut memo, &past),
             Err(MemoStop::Deadline)
         );
         assert_eq!(memo_eval(&f, &path, &mut memo), eval_path(&f, &path));
         let roomy = NodeBudget::new(1 << 20);
+        let roomy = Exec {
+            budget: Some(&roomy),
+            ..Exec::default()
+        };
         assert_eq!(
-            eval_path_memo(&f, &path, &mut memo, None, Some(&roomy)),
+            eval_path_memo(&f, &path, &mut memo, &roomy),
             Ok(eval_path(&f, &path))
         );
     }

@@ -21,7 +21,7 @@ use crate::ast::{Axis, NodeTest, Query, QueryNode, Step};
 use crate::eval::{eval_step_ctx, EvalError};
 use axml_nrc::compile::SlotScope;
 use axml_semiring::Semiring;
-use axml_uxml::{Forest, Label, NodeBudget, ResultSink, StreamError, Streamed, Tree, Value};
+use axml_uxml::{Exec, Forest, Label, ResultSink, StreamError, Streamed, Tree, Value};
 use std::fmt;
 
 /// A reusable execution plan for one elaborated core query. Build
@@ -93,37 +93,19 @@ impl<K: Semiring> CompiledQuery<K> {
     /// inputs are ignored; a missing input errors — lazily, only if
     /// the variable is actually read — like the interpreter's
     /// unbound-variable case (dead branches stay dead).
-    pub fn eval(&self, inputs: &[(&str, Value<K>)]) -> Result<Value<K>, EvalError> {
-        self.eval_ctx(inputs, None)
-    }
-
-    /// [`CompiledQuery::eval`] with an optional execution context:
-    /// with a non-sequential context, descendant sweeps over large
+    ///
+    /// `x` carries the call's execution state. With a non-sequential
+    /// context, big `for` loops and descendant sweeps over large
     /// documents are chunked onto the context's pool (see
-    /// [`crate::eval::eval_step_ctx`]). `None` is exactly [`Self::eval`].
-    pub fn eval_ctx(
-        &self,
-        inputs: &[(&str, Value<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-    ) -> Result<Value<K>, EvalError> {
-        self.eval_ctx_limits(inputs, ctx, None)
-    }
-
-    /// [`CompiledQuery::eval_ctx`] with an optional memory budget:
-    /// every set-producing plan op (`for` iterations, unions, path
-    /// steps, element contents) charges its output's logical node
-    /// count, and exceeding the budget errors with
-    /// [`EvalError::budget`] at the next op boundary. `None` charges
-    /// nothing.
-    pub fn eval_ctx_limits(
-        &self,
-        inputs: &[(&str, Value<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-        budget: Option<&NodeBudget>,
-    ) -> Result<Value<K>, EvalError> {
-        let x = Exec { ctx, budget };
+    /// [`crate::eval::eval_step_ctx`]). Every set-producing plan op
+    /// (`for` iterations, unions, path steps, element contents)
+    /// charges its output's logical node count against the budget and
+    /// then checks the deadline; a trip errors with
+    /// [`EvalError::budget`] naming that op. `Exec::default()` is the
+    /// sequential, unlimited path.
+    pub fn eval(&self, inputs: &[(&str, Value<K>)], x: &Exec<'_>) -> Result<Value<K>, EvalError> {
         let mut env = self.seed_env(inputs);
-        eval_qop(&self.op, &mut env, &x)
+        eval_qop(&self.op, &mut env, x)
     }
 
     /// Evaluate with pieces of a set-shaped top-level result pushed
@@ -139,15 +121,14 @@ impl<K: Semiring> CompiledQuery<K> {
     /// identical pieces in identical order either way (differentially
     /// tested), only the latency differs. Scalar results (a bare
     /// label, a top-level element constructor) bypass the sink and
-    /// come back whole as [`Streamed::Scalar`].
-    pub fn eval_stream_ctx(
+    /// come back whole as [`Streamed::Scalar`]. Each emitted piece is
+    /// charged and checked against `x` like a plan op's output.
+    pub fn eval_stream(
         &self,
         inputs: &[(&str, Value<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-        budget: Option<&NodeBudget>,
+        x: &Exec<'_>,
         sink: &mut dyn ResultSink<K>,
     ) -> Result<Streamed<K>, StreamError<EvalError>> {
-        let x = Exec { ctx, budget };
         let mut env = self.seed_env(inputs);
         let eval = StreamError::Eval;
         match &self.op {
@@ -156,16 +137,16 @@ impl<K: Semiring> CompiledQuery<K> {
                 // annotations untouched: scanning the input in
                 // document order emits exactly the materialized
                 // result's `iter_document` sequence.
-                let f = eval_qset(inner, &mut env, &x).map_err(eval)?;
+                let f = eval_qset(inner, &mut env, x).map_err(eval)?;
                 for (t, k) in f.iter_document() {
                     if test_matches(step.test, t.label()) {
-                        emit(&x, &self.op, sink, t, k)?;
+                        emit(x, &self.op, sink, t, k)?;
                     }
                 }
                 Ok(Streamed::Set)
             }
             QOp::Path(inner, step) if step.axis == Axis::Child => {
-                let f = eval_qset(inner, &mut env, &x).map_err(eval)?;
+                let f = eval_qset(inner, &mut env, x).map_err(eval)?;
                 if f.len() == 1 {
                     // One root tree: its children are a K-set (so
                     // distinct) and `children_document` is sorted by
@@ -184,20 +165,20 @@ impl<K: Semiring> CompiledQuery<K> {
                         if ann.is_zero() {
                             continue;
                         }
-                        emit(&x, &self.op, sink, c, &ann)?;
+                        emit(x, &self.op, sink, c, &ann)?;
                     }
                     Ok(Streamed::Set)
                 } else {
                     // Children of different roots can interleave and
                     // merge; materialize, then emit.
                     let out = eval_step_ctx(&f, *step, x.ctx);
-                    emit_forest(&x, &self.op, sink, &out)
+                    emit_forest(x, &self.op, sink, &out)
                 }
             }
             op => {
-                let v = eval_qop(op, &mut env, &x).map_err(eval)?;
+                let v = eval_qop(op, &mut env, x).map_err(eval)?;
                 match v {
-                    Value::Set(f) => emit_forest(&x, op, sink, &f),
+                    Value::Set(f) => emit_forest(x, op, sink, &f),
                     scalar => Ok(Streamed::Scalar(scalar)),
                 }
             }
@@ -224,8 +205,9 @@ fn test_matches(test: NodeTest, l: Label) -> bool {
     }
 }
 
-/// Push one piece, charging its node count against the budget first
-/// (a streamed piece is "produced" the moment it is emitted).
+/// Push one piece, charging its node count against the budget (and
+/// checking the deadline) first: a streamed piece is "produced" the
+/// moment it is emitted.
 fn emit<K: Semiring>(
     x: &Exec<'_>,
     op: &QOp<K>,
@@ -365,25 +347,16 @@ fn err<T, K: Semiring>(op: &QOp<K>, msg: impl Into<String>) -> Result<T, EvalErr
     Err(EvalError {
         msg: msg.into(),
         at: op.to_string(),
-        budget: false,
+        budget: None,
     })
 }
 
-/// Per-call execution state threaded through every plan op: the
-/// optional pool context and the optional memory budget.
-#[derive(Clone, Copy)]
-struct Exec<'a> {
-    ctx: Option<&'a axml_pool::ExecCtx<'a>>,
-    budget: Option<&'a NodeBudget>,
-}
-
-/// Charge `nodes` against the budget (no-op without one); a trip
-/// becomes [`EvalError::budget`] naming the op that observed it.
+/// Charge `nodes` against the budget, then check the deadline (see
+/// [`Exec::charge`]); a trip becomes [`EvalError::budget`] naming the
+/// op that observed it.
 fn charge<K: Semiring>(x: &Exec<'_>, nodes: usize, op: &QOp<K>) -> Result<(), EvalError> {
-    match x.budget {
-        Some(b) if b.charge(nodes).is_err() => Err(EvalError::budget(op.to_string())),
-        _ => Ok(()),
-    }
+    x.charge(nodes)
+        .map_err(|kind| EvalError::budget(kind, op.to_string()))
 }
 
 fn eval_qop<K: Semiring>(
@@ -415,9 +388,9 @@ fn eval_qop<K: Semiring>(
         }
         QOp::For { source, body } => {
             let src = eval_qset(source, env, x)?;
-            if let Some(c) = x.ctx.filter(|c| !c.is_sequential()) {
+            if let Some(c) = x.parallel() {
                 if src.len() >= PAR_FOR_MIN_BINDERS {
-                    return par_for(&src, body, env, c, x.budget);
+                    return par_for(&src, body, env, c, x);
                 }
             }
             let mut out = Forest::new();
@@ -505,7 +478,7 @@ fn par_for<K: Semiring>(
     body: &QOp<K>,
     env: &mut [SlotVal<K>],
     c: &axml_pool::ExecCtx<'_>,
-    budget: Option<&NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<Value<K>, EvalError> {
     let items: Vec<(Tree<K>, K)> = src.iter().map(|(t, k)| (t.clone(), k.clone())).collect();
     let target = 2 * c.degree();
@@ -515,7 +488,7 @@ fn par_for<K: Semiring>(
             // `NodeBudget` is shared atomics, so parallel chunks all
             // charge the caller's counter; ties in who observes the
             // trip are fine (any chunk's trip fails the whole loop).
-            let x = Exec { ctx: None, budget };
+            let x = Exec { ctx: None, ..*x };
             let mut local_env = frame.to_vec();
             let mut out = Forest::new();
             for (t, k) in chunk {
@@ -604,7 +577,7 @@ mod tests {
             let q = elaborate(&s).unwrap();
             let interpreted = eval_with(&q, &[("S", Value::Set(src.clone()))]).unwrap();
             let compiled = CompiledQuery::compile(&q)
-                .eval(&[("S", Value::Set(src.clone()))])
+                .eval(&[("S", Value::Set(src.clone()))], &Exec::default())
                 .unwrap();
             assert_eq!(interpreted, compiled, "disagree on {qsrc}");
         }
@@ -619,7 +592,7 @@ mod tests {
     #[test]
     fn missing_input_errors_like_interpreter() {
         let p = plan("$missing_binding");
-        let ce = p.eval(&[]).unwrap_err();
+        let ce = p.eval(&[], &Exec::default()).unwrap_err();
         let s = parse_query::<NatPoly>("$missing_binding").unwrap();
         let q = elaborate(&s).unwrap();
         let ie = {
@@ -639,7 +612,9 @@ mod tests {
         let q = elaborate(&parse_query::<Nat>("for $x in $S return ($x)/b").unwrap()).unwrap();
         let bad = Value::Label(Label::new("oops"));
         let interpreted = eval_with(&q, &[("S", bad.clone())]).unwrap_err();
-        let compiled = CompiledQuery::compile(&q).eval(&[("S", bad)]).unwrap_err();
+        let compiled = CompiledQuery::compile(&q)
+            .eval(&[("S", bad)], &Exec::default())
+            .unwrap_err();
         assert_eq!(interpreted.msg, compiled.msg);
     }
 }

@@ -36,7 +36,7 @@ use crate::expr::{Expr, Name};
 use crate::value::CValue;
 use axml_semiring::{KSet, Semiring};
 use axml_uxml::{
-    weighted_descendant_closure, Forest, Label, NodeBudget, ResultSink, StreamError, Streamed, Tree,
+    weighted_descendant_closure, Exec, Forest, Label, ResultSink, StreamError, Streamed, Tree,
 };
 use std::fmt;
 
@@ -144,55 +144,33 @@ impl<K: Semiring> CompiledExpr<K> {
     /// Unused inputs are ignored; a missing input errors like the
     /// interpreter's unbound-variable case.
     pub fn eval(&self, inputs: &[(&str, CValue<K>)]) -> Result<CValue<K>, EvalError> {
-        self.eval_seeded(
-            |name| {
-                inputs
-                    .iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, v)| v.clone())
-            },
-            None,
-        )
-    }
-
-    /// Evaluate with each free variable bound to a `{tree}` value —
-    /// the common entry point for compiled UXQuery programs.
-    pub fn eval_with_forests(&self, inputs: &[(&str, &Forest<K>)]) -> Result<CValue<K>, EvalError> {
-        self.eval_with_forests_ctx(inputs, None)
-    }
-
-    /// [`CompiledExpr::eval_with_forests`] with an optional execution
-    /// context: with a non-sequential context the fused descendant
-    /// sweep over a large document is split into top-level subtree
-    /// chunks, swept on the context's pool, and merged in place —
-    /// identical results, and `None` is exactly the sequential path.
-    pub fn eval_with_forests_ctx(
-        &self,
-        inputs: &[(&str, &Forest<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-    ) -> Result<CValue<K>, EvalError> {
-        self.eval_with_forests_limits_ctx(inputs, ctx, None)
-    }
-
-    /// [`CompiledExpr::eval_with_forests_ctx`] with an optional memory
-    /// budget: every set-producing op charges its output's logical
-    /// node count, and exceeding the budget errors with
-    /// [`EvalError::budget`] at the next op boundary. `None` charges
-    /// nothing.
-    pub fn eval_with_forests_limits_ctx(
-        &self,
-        inputs: &[(&str, &Forest<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-        budget: Option<&axml_uxml::NodeBudget>,
-    ) -> Result<CValue<K>, EvalError> {
-        let x = Exec { ctx, budget };
         let mut env = self.seed_env(|name| {
             inputs
                 .iter()
                 .find(|(n, _)| *n == name)
-                .map(|(_, f)| CValue::from_forest(f))
+                .map(|(_, v)| v.clone())
         });
-        eval_op(&self.op, &mut env, &x)
+        eval_op(&self.op, &mut env, &Exec::default())
+    }
+
+    /// Evaluate with each free variable bound to a `{tree}` value —
+    /// the common entry point for compiled UXQuery programs.
+    ///
+    /// `x` carries the call's execution state. With a non-sequential
+    /// context the fused descendant sweep over a large document is
+    /// split into top-level subtree chunks, swept on the context's
+    /// pool, and merged in place — identical results. Every
+    /// set-producing op charges its output's logical node count
+    /// against the budget and then checks the deadline; a trip errors
+    /// with [`EvalError::budget`] naming that op. `Exec::default()` is
+    /// the sequential, unlimited path.
+    pub fn eval_with_forests(
+        &self,
+        inputs: &[(&str, &Forest<K>)],
+        x: &Exec<'_>,
+    ) -> Result<CValue<K>, EvalError> {
+        let mut env = self.forest_env(inputs);
+        eval_op(&self.op, &mut env, x)
     }
 
     /// Evaluate with pieces of a set-shaped top-level result pushed
@@ -206,25 +184,19 @@ impl<K: Semiring> CompiledExpr<K> {
     /// it is scanned). Every other root shape materializes and then
     /// emits — the sink sees identical pieces in identical order
     /// either way. Non-set results come back whole as
-    /// [`Streamed::Scalar`].
-    pub fn eval_stream_with_forests_ctx(
+    /// [`Streamed::Scalar`]. Each emitted piece is charged and checked
+    /// against `x` like an op's output.
+    pub fn eval_stream_with_forests(
         &self,
         inputs: &[(&str, &Forest<K>)],
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-        budget: Option<&axml_uxml::NodeBudget>,
+        x: &Exec<'_>,
         sink: &mut dyn ResultSink<K>,
     ) -> Result<Streamed<K>, StreamError<EvalError>> {
-        let x = Exec { ctx, budget };
-        let mut env = self.seed_env(|name| {
-            inputs
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, f)| CValue::from_forest(f))
-        });
+        let mut env = self.forest_env(inputs);
         let eval = StreamError::Eval;
         match &self.op {
             Op::Slot(i) => match &env[*i as usize] {
-                SlotVal::Bound(CValue::Set(s)) => emit_cset(&x, &self.op, sink, s),
+                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s),
                 SlotVal::Bound(v) => match v.to_uxml() {
                     Some(scalar) => Ok(Streamed::Scalar(scalar)),
                     None => err(&self.op, "top-level result is not a K-UXML value").map_err(eval),
@@ -234,7 +206,7 @@ impl<K: Semiring> CompiledExpr<K> {
                 }
             },
             Op::FilterLabel { source, label } => {
-                let vs = eval_op(source, &mut env, &x).map_err(eval)?;
+                let vs = eval_op(source, &mut env, x).map_err(eval)?;
                 let CValue::Set(s) = vs else {
                     return err(&self.op, format!("big-union source is not a set: {vs:?}"))
                         .map_err(eval);
@@ -256,13 +228,13 @@ impl<K: Semiring> CompiledExpr<K> {
                 pairs.sort_by(|(a, _), (b, _)| a.cmp_document(b));
                 for (t, k) in pairs {
                     if t.label() == *label {
-                        emit(&x, &self.op, sink, t, k)?;
+                        emit(x, &self.op, sink, t, k)?;
                     }
                 }
                 Ok(Streamed::Set)
             }
             Op::KidsFlat(source) => {
-                let vs = eval_op(source, &mut env, &x).map_err(eval)?;
+                let vs = eval_op(source, &mut env, x).map_err(eval)?;
                 let CValue::Set(s) = vs else {
                     return err(&self.op, format!("big-union source is not a set: {vs:?}"))
                         .map_err(eval);
@@ -283,7 +255,7 @@ impl<K: Semiring> CompiledExpr<K> {
                         if ann.is_zero() {
                             continue;
                         }
-                        emit(&x, &self.op, sink, c, &ann)?;
+                        emit(x, &self.op, sink, c, &ann)?;
                     }
                     Ok(Streamed::Set)
                 } else {
@@ -303,13 +275,13 @@ impl<K: Semiring> CompiledExpr<K> {
                             }
                         }
                     }
-                    emit_cset(&x, &self.op, sink, &out)
+                    emit_cset(x, &self.op, sink, &out)
                 }
             }
             op => {
-                let v = eval_op(op, &mut env, &x).map_err(eval)?;
+                let v = eval_op(op, &mut env, x).map_err(eval)?;
                 match v {
-                    CValue::Set(s) => emit_cset(&x, op, sink, &s),
+                    CValue::Set(s) => emit_cset(x, op, sink, &s),
                     scalar => match scalar.to_uxml() {
                         Some(scalar) => Ok(Streamed::Scalar(scalar)),
                         None => err(op, "top-level result is not a K-UXML value").map_err(eval),
@@ -319,14 +291,15 @@ impl<K: Semiring> CompiledExpr<K> {
         }
     }
 
-    fn eval_seeded(
-        &self,
-        get: impl FnMut(&str) -> Option<CValue<K>>,
-        ctx: Option<&axml_pool::ExecCtx<'_>>,
-    ) -> Result<CValue<K>, EvalError> {
-        let x = Exec { ctx, budget: None };
-        let mut env = self.seed_env(get);
-        eval_op(&self.op, &mut env, &x)
+    /// The frame for the forest-bound entry points: each input forest
+    /// bound as a `{tree}` value.
+    fn forest_env(&self, inputs: &[(&str, &Forest<K>)]) -> Vec<SlotVal<K>> {
+        self.seed_env(|name| {
+            inputs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, f)| CValue::from_forest(f))
+        })
     }
 
     fn seed_env(&self, mut get: impl FnMut(&str) -> Option<CValue<K>>) -> Vec<SlotVal<K>> {
@@ -626,25 +599,16 @@ fn err<T, K: Semiring>(op: &Op<K>, msg: impl Into<String>) -> Result<T, EvalErro
     Err(EvalError {
         msg: msg.into(),
         at: op.to_string(),
-        budget: false,
+        budget: None,
     })
 }
 
-/// Per-call execution state threaded through every plan op: the
-/// optional pool context and the optional memory budget.
-#[derive(Clone, Copy)]
-struct Exec<'a> {
-    ctx: Option<&'a axml_pool::ExecCtx<'a>>,
-    budget: Option<&'a NodeBudget>,
-}
-
-/// Charge `nodes` against the budget (no-op without one); a trip
-/// becomes [`EvalError::budget`] naming the op that observed it.
+/// Charge `nodes` against the budget, then check the deadline (see
+/// [`Exec::charge`]); a trip becomes [`EvalError::budget`] naming the
+/// op that observed it.
 fn charge<K: Semiring>(x: &Exec<'_>, nodes: usize, op: &Op<K>) -> Result<(), EvalError> {
-    match x.budget {
-        Some(b) if b.charge(nodes).is_err() => Err(EvalError::budget(op.to_string())),
-        _ => Ok(()),
-    }
+    x.charge(nodes)
+        .map_err(|kind| EvalError::budget(kind, op.to_string()))
 }
 
 /// The logical node count of a complex value — trees by `Tree::size`
@@ -664,8 +628,9 @@ fn set_nodes<K: Semiring>(s: &KSet<CValue<K>, K>) -> usize {
         .fold(0usize, |n, (v, _)| n.saturating_add(cvalue_nodes(v)))
 }
 
-/// Push one piece, charging its node count against the budget first
-/// (a streamed piece is "produced" the moment it is emitted).
+/// Push one piece, charging its node count against the budget (and
+/// checking the deadline) first: a streamed piece is "produced" the
+/// moment it is emitted.
 fn emit<K: Semiring>(
     x: &Exec<'_>,
     op: &Op<K>,
@@ -884,7 +849,7 @@ fn eval_op<K: Semiring>(
             // enough document the sweep is chunked over top-level
             // subtrees and merged in place — same multiset, same
             // result.
-            if let Some(c) = x.ctx.filter(|c| !c.is_sequential()) {
+            if let Some(c) = x.parallel() {
                 if t.size() >= PAR_SWEEP_MIN_NODES {
                     let target_chunks = 2 * c.degree();
                     let (emitted, seeds) = t.descendant_split(K::one(), target_chunks);
@@ -1044,7 +1009,9 @@ mod tests {
         let plan = CompiledExpr::compile(&e);
         assert_eq!(plan.free_vars(), ["R"]);
         let f = parse_forest::<Nat>("<a> b {2} </a>").unwrap();
-        let compiled = plan.eval_with_forests(&[("R", &f)]).unwrap();
+        let compiled = plan
+            .eval_with_forests(&[("R", &f)], &Exec::default())
+            .unwrap();
         let mut env = Env::from_bindings([("R".into(), CValue::from_forest(&f))]);
         assert_eq!(compiled, eval(&e, &mut env).unwrap());
     }
@@ -1104,7 +1071,9 @@ mod tests {
             plan.plan_display()
         );
         let f = parse_forest::<NatPoly>("<a> <b {x1}> c {y1} </b> c {x2} </a>").unwrap();
-        let compiled = plan.eval_with_forests(&[("S", &f)]).unwrap();
+        let compiled = plan
+            .eval_with_forests(&[("S", &f)], &Exec::default())
+            .unwrap();
         let mut env = Env::from_bindings([("S".into(), CValue::from_forest(&f))]);
         let interpreted = eval(&e, &mut env).unwrap();
         assert_eq!(compiled, interpreted);
@@ -1171,7 +1140,9 @@ mod tests {
         let e: Expr<Nat> = nx::bigunion("x", nx::var("S"), descendant_term(nx::var("x")));
         let plan = CompiledExpr::compile(&e);
         let f = Forest::unit(t);
-        let out = plan.eval_with_forests(&[("S", &f)]).unwrap();
+        let out = plan
+            .eval_with_forests(&[("S", &f)], &Exec::default())
+            .unwrap();
         assert_eq!(out.as_set().unwrap().support_len(), 40_001);
         std::mem::forget(out);
 

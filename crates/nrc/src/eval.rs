@@ -107,21 +107,24 @@ pub struct EvalError {
     pub msg: String,
     /// Rendering of the subexpression where it occurred.
     pub at: String,
-    /// `true` when the error is the caller's resource budget tripping
-    /// (a [`axml_uxml::NodeBudget`] passed to the compiled plan), not
-    /// an evaluation failure — the facade maps it to its typed budget
-    /// error.
-    pub budget: bool,
+    /// `Some` when the error is a caller-imposed limit tripping (the
+    /// deadline or the [`axml_uxml::NodeBudget`] of the plan's
+    /// [`axml_uxml::Exec`]), not an evaluation failure — the facade
+    /// maps it to its typed budget error.
+    pub budget: Option<axml_uxml::BudgetKind>,
 }
 
 impl EvalError {
-    /// A memory-budget trip observed at the op boundary rendered by
-    /// `at`.
-    pub fn budget(at: impl Into<String>) -> Self {
+    /// A limit trip observed at the op boundary rendered by `at`.
+    pub fn budget(kind: axml_uxml::BudgetKind, at: impl Into<String>) -> Self {
+        let msg = match kind {
+            axml_uxml::BudgetKind::Memory => "memory budget exceeded",
+            axml_uxml::BudgetKind::WallClock => "wall-clock deadline exceeded",
+        };
         EvalError {
-            msg: "memory budget exceeded".into(),
+            msg: msg.into(),
             at: at.into(),
-            budget: true,
+            budget: Some(kind),
         }
     }
 }
@@ -138,7 +141,7 @@ fn err<T, K: Semiring>(e: &Expr<K>, msg: impl Into<String>) -> Result<T, EvalErr
     Err(EvalError {
         msg: msg.into(),
         at: e.to_string(),
-        budget: false,
+        budget: None,
     })
 }
 

@@ -1073,7 +1073,9 @@ impl Parallelism {
 
 /// A pool plus a fan-out bound: the execution context parallel
 /// evaluation entry points thread through their recursion. Evaluators
-/// take `Option<&ExecCtx>` — `None` is the untouched sequential path.
+/// take it inside the per-call `axml_uxml::Exec` (beside the deadline
+/// and the memory budget) by reference; a `None` context is the
+/// untouched sequential path.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecCtx<'p> {
     /// Where fanned-out work is scheduled.

@@ -33,7 +33,7 @@
 use crate::krel::{KRelation, RelIndex, RelValue, Schema, Tuple};
 use crate::ra::Database;
 use axml_semiring::Semiring;
-use axml_uxml::Label;
+use axml_uxml::{Exec, Label};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -180,7 +180,7 @@ pub struct DatalogError {
     pub msg: String,
     /// `true` when the error is a caller-imposed resource limit
     /// tripping at a fixpoint round boundary (see
-    /// [`eval_datalog_idb_limits_ctx`]), not a Datalog-level
+    /// [`eval_datalog_idb`]), not a Datalog-level
     /// failure — the facade maps it to its typed budget error.
     pub budget: bool,
     /// For budget errors, `true` when the limit was the memory budget
@@ -672,72 +672,18 @@ fn anon_schema(arity: usize) -> Schema {
     Schema::new((0..arity).map(|i| format!("c{i}")))
 }
 
-/// Evaluate `prog` over the EDB `db` (semi-naive), returning EDB ∪ IDB.
+/// Evaluate `prog` over the EDB `db` (semi-naive, sequential, no
+/// limits), returning EDB ∪ IDB.
 pub fn eval_datalog<K: Semiring>(
     prog: &Program,
     db: &Database<K>,
 ) -> Result<Database<K>, DatalogError> {
-    eval_datalog_capped(prog, db, DEFAULT_MAX_ITERS)
-}
-
-/// Like [`eval_datalog`], but return only the derived IDB relations
-/// (callers that own the EDB skip a database copy).
-pub fn eval_datalog_idb<K: Semiring>(
-    prog: &Program,
-    db: &Database<K>,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    eval_datalog_idb_capped(prog, db, DEFAULT_MAX_ITERS)
-}
-
-/// [`eval_datalog_idb`] with an execution context: with a
-/// non-sequential context every semi-naive round fans its rule
-/// variants — and, for variants whose first body atom is a full scan,
-/// chunks of that scan — out over the context's pool, merging the
-/// per-task deltas with [`KRelation::union_with`]. Identical iterates
-/// and fixpoint (the absorption check reads the immutable previous
-/// iterate, and delta merging is the same commutative `+`); `None` is
-/// exactly the sequential evaluator.
-pub fn eval_datalog_idb_ctx<K: Semiring>(
-    prog: &Program,
-    db: &Database<K>,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    eval_datalog_idb_capped_ctx(prog, db, DEFAULT_MAX_ITERS, ctx)
-}
-
-/// Semi-naive evaluation with an explicit iteration cap.
-///
-/// Round n derives exactly the annotations of depth-n derivation
-/// trees: every rule with m IDB body atoms is evaluated in m variants,
-/// the j-th reading `Iₙ₋₂` before position j, `Δₙ₋₁` at j, and `Iₙ₋₁`
-/// after it — a partition of the depth-n trees by their first
-/// maximal-depth subderivation, so annotations are counted exactly
-/// once. A delta entry whose addition would not change the iterate
-/// (`I\[t\] + δ = I\[t\]`) is pruned; the fixpoint is reached when a
-/// round's whole delta is pruned. In every semiring of this workspace
-/// (all are zero-sum-free, and absorption distributes over `+`/`·`)
-/// this computes the same iterate sequence and the same fixpoint as
-/// [`eval_datalog_naive`].
-pub fn eval_datalog_capped<K: Semiring>(
-    prog: &Program,
-    edb: &Database<K>,
-    max_iters: usize,
-) -> Result<Database<K>, DatalogError> {
-    let idb = eval_datalog_idb_capped(prog, edb, max_iters)?;
-    let mut out = edb.clone();
+    let idb = eval_datalog_idb(prog, db, DEFAULT_MAX_ITERS, &Exec::default())?;
+    let mut out = db.clone();
     for (p, r) in idb {
         out.insert(&p, r);
     }
     Ok(out)
-}
-
-/// [`eval_datalog_idb`] with an explicit iteration cap.
-pub fn eval_datalog_idb_capped<K: Semiring>(
-    prog: &Program,
-    edb: &Database<K>,
-    max_iters: usize,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    eval_datalog_idb_capped_ctx(prog, edb, max_iters, None)
 }
 
 /// A join variant's full scan is only worth chunking across workers
@@ -753,44 +699,40 @@ const PAR_JOIN_MIN_TUPLES: usize = 64;
 /// O(n) allocations per round when the edit delta is tiny.
 const SCAN_PROBE_MAX: usize = 16;
 
-/// [`eval_datalog_idb_ctx`] with an explicit iteration cap.
-pub fn eval_datalog_idb_capped_ctx<K: Semiring>(
+/// Semi-naive evaluation returning only the derived IDB relations
+/// (callers that own the EDB skip a database copy), with an explicit
+/// iteration cap.
+///
+/// Round n derives exactly the annotations of depth-n derivation
+/// trees: every rule with m IDB body atoms is evaluated in m variants,
+/// the j-th reading `Iₙ₋₂` before position j, `Δₙ₋₁` at j, and `Iₙ₋₁`
+/// after it — a partition of the depth-n trees by their first
+/// maximal-depth subderivation, so annotations are counted exactly
+/// once. A delta entry whose addition would not change the iterate
+/// (`I\[t\] + δ = I\[t\]`) is pruned; the fixpoint is reached when a
+/// round's whole delta is pruned. In every semiring of this workspace
+/// (all are zero-sum-free, and absorption distributes over `+`/`·`)
+/// this computes the same iterate sequence and the same fixpoint as
+/// [`eval_datalog_naive`].
+///
+/// `x` carries the call's execution state:
+/// - with a non-sequential context every round fans its rule
+///   variants — and, for variants whose first body atom is a full
+///   scan, chunks of that scan — out over the context's pool, merging
+///   the per-task deltas with [`KRelation::union_with`]. Identical
+///   iterates and fixpoint (the absorption check reads the immutable
+///   previous iterate, and delta merging is the same commutative `+`);
+/// - the deadline is checked at the top of every round: a round that
+///   starts after it has passed aborts with [`DatalogError::deadline`]
+///   (rounds already running complete, so abandonment is per round);
+/// - the budget is charged at the end of every round with the round's
+///   delta (one unit per derived tuple — the relational analog of a
+///   logical tree node); a trip aborts with [`DatalogError::memory`].
+pub fn eval_datalog_idb<K: Semiring>(
     prog: &Program,
     edb: &Database<K>,
     max_iters: usize,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    eval_datalog_idb_deadline_ctx(prog, edb, max_iters, ctx, None)
-}
-
-/// [`eval_datalog_idb_capped_ctx`] with a wall-clock deadline checked
-/// at the top of every semi-naive round: a round that starts after
-/// `deadline` has passed aborts the fixpoint with
-/// [`DatalogError::deadline`] (rounds already running complete — the
-/// check bounds the granularity of abandonment to one round).
-pub fn eval_datalog_idb_deadline_ctx<K: Semiring>(
-    prog: &Program,
-    edb: &Database<K>,
-    max_iters: usize,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    eval_datalog_idb_limits_ctx(prog, edb, max_iters, ctx, deadline, None)
-}
-
-/// [`eval_datalog_idb_deadline_ctx`] with an optional memory budget
-/// charged at the end of every semi-naive round with the round's
-/// delta (one unit per derived tuple — the relational analog of a
-/// logical tree node). A trip aborts the fixpoint with
-/// [`DatalogError::memory`]; like the deadline, the granularity of
-/// abandonment is one round.
-pub fn eval_datalog_idb_limits_ctx<K: Semiring>(
-    prog: &Program,
-    edb: &Database<K>,
-    max_iters: usize,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-    budget: Option<&axml_uxml::NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
     let compiled = compile(prog, edb)?;
     let n_idb = compiled.idb_names.len();
@@ -813,10 +755,8 @@ pub fn eval_datalog_idb_limits_ctx<K: Semiring>(
     if max_iters == 0 {
         return no_fixpoint(0);
     }
-    if let Some(d) = deadline {
-        if std::time::Instant::now() >= d {
-            return Err(DatalogError::deadline());
-        }
+    if x.past_deadline() {
+        return Err(DatalogError::deadline());
     }
     // Round 0: depth-1 derivations — all-EDB bodies only.
     let zero = empty_rels::<K>(&schemas);
@@ -837,9 +777,9 @@ pub fn eval_datalog_idb_limits_ctx<K: Semiring>(
             .filter(|(_, rule)| rule.idb_positions.is_empty())
             .map(|(ri, rule)| (ri, vec![Src::Edb; rule.atoms.len()]))
             .collect();
-        next_delta = execute_round(&compiled.rules, &schemas, &mut round, &items, ctx);
+        next_delta = execute_round(&compiled.rules, &schemas, &mut round, &items, x);
     }
-    charge_round(budget, &next_delta)?;
+    charge_round(x, &next_delta)?;
     let mut full = full;
     let mut prev = prev;
     let mut prev_fresh = prev_fresh;
@@ -864,9 +804,7 @@ pub fn eval_datalog_idb_limits_ctx<K: Semiring>(
         next_delta,
         max_iters - 1,
         max_iters,
-        ctx,
-        deadline,
-        budget,
+        x,
     )
 }
 
@@ -896,7 +834,8 @@ pub fn eval_datalog_idb_limits_ctx<K: Semiring>(
 /// guarantee this); two occurrences would need the pre-delta relation
 /// for exact seeding, which semirings without subtraction cannot
 /// recover, so that case is rejected.
-#[allow(clippy::too_many_arguments)]
+///
+/// `x` is honoured exactly as by [`eval_datalog_idb`].
 pub fn eval_datalog_idb_resume<K: Semiring>(
     prog: &Program,
     edb: &Database<K>,
@@ -904,9 +843,7 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
     added: &KRelation<K>,
     retained: BTreeMap<String, KRelation<K>>,
     max_iters: usize,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-    budget: Option<&axml_uxml::NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
     let compiled = compile(prog, edb)?;
     let Some(changed_idx) = edb.iter().position(|(n, _)| n == changed) else {
@@ -980,10 +917,8 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
     if max_iters == 0 {
         return no_fixpoint(0);
     }
-    if let Some(d) = deadline {
-        if std::time::Instant::now() >= d {
-            return Err(DatalogError::deadline());
-        }
+    if x.past_deadline() {
+        return Err(DatalogError::deadline());
     }
     // Seed round: the changed atom scans only the added facts.
     let mut seed_rels: Vec<&KRelation<K>> = edb.iter().map(|(_, r)| r).collect();
@@ -1017,9 +952,9 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
                 (ri, srcs)
             })
             .collect();
-        next_delta = execute_round(&resumed.rules, &schemas, &mut round, &items, ctx);
+        next_delta = execute_round(&resumed.rules, &schemas, &mut round, &items, x);
     }
-    charge_round(budget, &next_delta)?;
+    charge_round(x, &next_delta)?;
     let mut full = full;
     let mut prev = prev;
     let mut prev_fresh = prev_fresh;
@@ -1055,9 +990,7 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
         next_delta,
         max_iters - 1,
         max_iters,
-        ctx,
-        deadline,
-        budget,
+        x,
     )
 }
 
@@ -1108,7 +1041,7 @@ fn execute_round<'a, K: Semiring>(
     schemas: &[Schema],
     round: &mut Round<'a, K>,
     items: &[(usize, Vec<Src>)],
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
+    x: &Exec<'_>,
 ) -> Vec<KRelation<K>> {
     // Build every index the work list needs up front, so the round is
     // immutable during the (possibly parallel) joins.
@@ -1117,7 +1050,7 @@ fn execute_round<'a, K: Semiring>(
     }
     let mut next_delta = empty_rels::<K>(schemas);
     let round = &*round;
-    match ctx.filter(|c| !c.is_sequential()) {
+    match x.parallel() {
         None => {
             for (ri, srcs) in items {
                 let rule = &rules[*ri];
@@ -1167,10 +1100,10 @@ fn execute_round<'a, K: Semiring>(
 
 /// Charge one round's derived tuples against the memory budget.
 fn charge_round<K: Semiring>(
-    budget: Option<&axml_uxml::NodeBudget>,
+    x: &Exec<'_>,
     next_delta: &[KRelation<K>],
 ) -> Result<(), DatalogError> {
-    if let Some(b) = budget {
+    if let Some(b) = x.budget {
         let derived: usize = next_delta.iter().map(|d| d.len()).sum();
         if b.charge(derived).is_err() {
             return Err(DatalogError::memory());
@@ -1239,15 +1172,11 @@ fn drive_rounds<K: Semiring>(
     mut delta: Vec<KRelation<K>>,
     rounds_left: usize,
     max_iters: usize,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-    budget: Option<&axml_uxml::NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
     for _ in 0..rounds_left {
-        if let Some(d) = deadline {
-            if std::time::Instant::now() >= d {
-                return Err(DatalogError::deadline());
-            }
+        if x.past_deadline() {
+            return Err(DatalogError::deadline());
         }
         // Derivations of the new depth, absorbed ones pruned at the
         // join (see [`Round::join`]): the next delta.
@@ -1284,9 +1213,9 @@ fn drive_rounds<K: Semiring>(
                     items.push((ri, srcs));
                 }
             }
-            next_delta = execute_round(&compiled.rules, schemas, &mut round, &items, ctx);
+            next_delta = execute_round(&compiled.rules, schemas, &mut round, &items, x);
         }
-        charge_round(budget, &next_delta)?;
+        charge_round(x, &next_delta)?;
         if !merge_round(
             compiled,
             schemas,
@@ -1498,31 +1427,26 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_trips_at_the_first_round_boundary() {
-        let past = std::time::Instant::now();
-        let err = eval_datalog_idb_deadline_ctx::<NatPoly>(
-            &tc_prog(),
-            &edge_db(),
-            DEFAULT_MAX_ITERS,
-            None,
-            Some(past),
-        )
-        .unwrap_err();
+        let past = Exec {
+            deadline: Some(std::time::Instant::now()),
+            ..Exec::default()
+        };
+        let err = eval_datalog_idb::<NatPoly>(&tc_prog(), &edge_db(), DEFAULT_MAX_ITERS, &past)
+            .unwrap_err();
         assert!(err.budget, "{err:?}");
         assert!(err.msg.contains("deadline"), "{}", err.msg);
     }
 
     #[test]
     fn a_generous_deadline_changes_nothing() {
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let with = eval_datalog_idb_deadline_ctx::<NatPoly>(
-            &tc_prog(),
-            &edge_db(),
-            DEFAULT_MAX_ITERS,
-            None,
-            Some(far),
-        )
-        .unwrap();
-        let without = eval_datalog_idb(&tc_prog(), &edge_db()).unwrap();
+        let far = Exec {
+            deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
+            ..Exec::default()
+        };
+        let with =
+            eval_datalog_idb::<NatPoly>(&tc_prog(), &edge_db(), DEFAULT_MAX_ITERS, &far).unwrap();
+        let without =
+            eval_datalog_idb(&tc_prog(), &edge_db(), DEFAULT_MAX_ITERS, &Exec::default()).unwrap();
         assert_eq!(with.get("T"), without.get("T"));
     }
 
@@ -1636,7 +1560,7 @@ mod tests {
         let mut e = KRelation::new(Schema::new(["src", "dst"]));
         e.insert(vec![RelValue::Node(1), RelValue::Node(1)], Nat(2));
         let db = Database::new().with("E", e);
-        let err = eval_datalog_capped(&tc_prog(), &db, 50).unwrap_err();
+        let err = eval_datalog_idb(&tc_prog(), &db, 50, &Exec::default()).unwrap_err();
         assert!(err.msg.contains("fixpoint"), "{err}");
         let err2 = eval_datalog_naive_capped(&tc_prog(), &db, 50).unwrap_err();
         assert!(err2.msg.contains("fixpoint"), "{err2}");

@@ -80,8 +80,7 @@ pub mod ra;
 pub mod shred;
 
 pub use datalog::{
-    eval_datalog, eval_datalog_idb, eval_datalog_idb_ctx, eval_datalog_idb_resume,
-    eval_datalog_naive, Program, Rule,
+    eval_datalog, eval_datalog_idb, eval_datalog_idb_resume, eval_datalog_naive, Program, Rule,
 };
 pub use datalog_parse::parse_program;
 pub use encode::{encode_database, encode_relation, ra_to_uxquery};
@@ -92,9 +91,6 @@ pub use ivm::{
 pub use krel::{KRelation, RelIndex, RelValue, Schema, Tuple};
 pub use ra::{eval_ra, Database, RaExpr};
 pub use shred::{
-    decode, eval_path_via_shredding, eval_path_via_shredding_ctx,
-    eval_path_via_shredding_deadline_ctx, eval_path_via_shredding_limits_ctx,
-    eval_steps_via_shredding, garbage_collect, path_to_datalog, shred, shredded_eval,
-    shredded_eval_path, shredded_eval_path_ctx, shredded_eval_path_deadline_ctx,
-    shredded_eval_path_limits_ctx, xpath_to_datalog,
+    decode, eval_path_via_shredding, garbage_collect, path_to_datalog, shred, shredded_eval_path,
+    xpath_to_datalog,
 };

@@ -41,7 +41,7 @@ use crate::ra::Database;
 use axml_core::ast::{Axis, NodeTest, Step};
 use axml_core::path::PathQuery;
 use axml_semiring::Semiring;
-use axml_uxml::{Forest, Tree};
+use axml_uxml::{Exec, Forest, Tree};
 use std::collections::BTreeMap;
 
 /// The schema of the edge relation `E(pid, nid, label)`.
@@ -283,69 +283,22 @@ impl PsiGen {
     }
 }
 
-/// Run ψ(φ(v)) for a step chain: shred, evaluate the program, return
-/// the raw `E'` relation (including garbage, as in the paper's table).
-pub fn shredded_eval<K: Semiring>(
-    forest: &Forest<K>,
-    steps: &[Step],
-) -> Result<KRelation<K>, DatalogError> {
-    shredded_eval_path(forest, &PathQuery::from_steps(steps))
-}
-
 /// Run ψ(φ(v)) for any fragment query: shred, evaluate the program,
-/// return the raw `E'` relation (garbage included).
+/// return the raw `E'` relation (garbage included, as in the paper's
+/// table). A step chain is `PathQuery::from_steps(&steps)`. The
+/// semi-naive rounds honour `x` (see [`crate::datalog::eval_datalog_idb`]):
+/// they fan out over its pool context, check its deadline and charge
+/// its budget; `Exec::default()` is the sequential pipeline.
 pub fn shredded_eval_path<K: Semiring>(
     forest: &Forest<K>,
     p: &PathQuery,
-) -> Result<KRelation<K>, DatalogError> {
-    shredded_eval_path_ctx(forest, p, None)
-}
-
-/// [`shredded_eval_path`] with an execution context: the semi-naive
-/// Datalog rounds fan out over the context's pool (see
-/// [`crate::datalog::eval_datalog_idb_ctx`]); `None` is the sequential
-/// pipeline unchanged.
-pub fn shredded_eval_path_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-) -> Result<KRelation<K>, DatalogError> {
-    shredded_eval_path_deadline_ctx(forest, p, ctx, None)
-}
-
-/// [`shredded_eval_path_ctx`] with a wall-clock deadline checked at
-/// every semi-naive round boundary (see
-/// [`crate::datalog::eval_datalog_idb_deadline_ctx`]).
-pub fn shredded_eval_path_deadline_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-) -> Result<KRelation<K>, DatalogError> {
-    shredded_eval_path_limits_ctx(forest, p, ctx, deadline, None)
-}
-
-/// [`shredded_eval_path_deadline_ctx`] with an optional memory budget
-/// charged per semi-naive round with the round's derived tuples (see
-/// [`crate::datalog::eval_datalog_idb_limits_ctx`]).
-pub fn shredded_eval_path_limits_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-    budget: Option<&axml_uxml::NodeBudget>,
+    x: &Exec<'_>,
 ) -> Result<KRelation<K>, DatalogError> {
     let e = shred(forest);
     let db = Database::new().with("E", e);
     let prog = path_to_datalog(p);
-    let mut idb = crate::datalog::eval_datalog_idb_limits_ctx(
-        &prog,
-        &db,
-        crate::datalog::DEFAULT_MAX_ITERS,
-        ctx,
-        deadline,
-        budget,
-    )?;
+    let mut idb =
+        crate::datalog::eval_datalog_idb(&prog, &db, crate::datalog::DEFAULT_MAX_ITERS, x)?;
     Ok(idb
         .remove("E2")
         .unwrap_or_else(|| KRelation::new(edge_schema())))
@@ -432,55 +385,16 @@ fn decode_tree<K: Semiring>(
     Some(Tree::new(label, forest))
 }
 
-/// End-to-end shredded evaluation of a step chain, GC'd and decoded to
-/// a forest — the object Theorem 2 equates with direct evaluation.
-pub fn eval_steps_via_shredding<K: Semiring>(
-    forest: &Forest<K>,
-    steps: &[Step],
-) -> Result<Forest<K>, DatalogError> {
-    eval_path_via_shredding(forest, &PathQuery::from_steps(steps))
-}
-
 /// End-to-end shredded evaluation of any §7-fragment query: shred,
-/// run ψ, garbage-collect, decode back to a forest.
+/// run ψ, garbage-collect, decode back to a forest — for a step chain
+/// (`PathQuery::from_steps`), the object Theorem 2 equates with direct
+/// evaluation. `x` is honoured as by [`shredded_eval_path`].
 pub fn eval_path_via_shredding<K: Semiring>(
     forest: &Forest<K>,
     p: &PathQuery,
+    x: &Exec<'_>,
 ) -> Result<Forest<K>, DatalogError> {
-    eval_path_via_shredding_ctx(forest, p, None)
-}
-
-/// [`eval_path_via_shredding`] with an execution context (parallel
-/// semi-naive rounds); `None` is the sequential pipeline unchanged.
-pub fn eval_path_via_shredding_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-) -> Result<Forest<K>, DatalogError> {
-    eval_path_via_shredding_deadline_ctx(forest, p, ctx, None)
-}
-
-/// [`eval_path_via_shredding_ctx`] with a wall-clock deadline checked
-/// at every semi-naive round boundary.
-pub fn eval_path_via_shredding_deadline_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-) -> Result<Forest<K>, DatalogError> {
-    eval_path_via_shredding_limits_ctx(forest, p, ctx, deadline, None)
-}
-
-/// [`eval_path_via_shredding_deadline_ctx`] with an optional memory
-/// budget charged per fixpoint round (one unit per derived tuple).
-pub fn eval_path_via_shredding_limits_ctx<K: Semiring>(
-    forest: &Forest<K>,
-    p: &PathQuery,
-    ctx: Option<&axml_pool::ExecCtx<'_>>,
-    deadline: Option<std::time::Instant>,
-    budget: Option<&axml_uxml::NodeBudget>,
-) -> Result<Forest<K>, DatalogError> {
-    let raw = shredded_eval_path_limits_ctx(forest, p, ctx, deadline, budget)?;
+    let raw = shredded_eval_path(forest, p, x)?;
     let clean = garbage_collect(&raw);
     decode(&clean).ok_or_else(|| DatalogError::new("shredded result is not forest-shaped"))
 }
@@ -550,7 +464,8 @@ mod tests {
         // tuples and the overall counts.
         let subst = std::collections::BTreeMap::from([(Var::new("x1"), NatPoly::zero())]);
         let f = axml_uxml::hom::substitute_forest(&fig4_source(), &subst);
-        let e2 = shredded_eval(&f, &[dsc("c")]).unwrap();
+        let e2 =
+            shredded_eval_path(&f, &PathQuery::from_steps(&[dsc("c")]), &Exec::default()).unwrap();
 
         // Root tuples: (0, f(nc), c)^{y1} and (0, f(nc2), c)^{y1·y2}.
         let roots: Vec<(&Vec<RelValue>, &NatPoly)> = e2
@@ -573,7 +488,9 @@ mod tests {
     fn theorem2_on_fig4() {
         // decode(ψ(φ(v))) equals direct evaluation of //c (Fig 4).
         let f = fig4_source();
-        let shredded = eval_steps_via_shredding(&f, &[dsc("c")]).unwrap();
+        let shredded =
+            eval_path_via_shredding(&f, &PathQuery::from_steps(&[dsc("c")]), &Exec::default())
+                .unwrap();
         let direct = axml_core::eval_step(&f, dsc("c"));
         assert_eq!(shredded, direct);
         // and the Fig 4 annotation q1 = x1·y3 + y1·y2 on the leaf c
@@ -616,7 +533,9 @@ mod tests {
             vec![dsc("c"), dsc("b")],
         ];
         for steps in chains {
-            let shredded = eval_steps_via_shredding(&f, &steps).unwrap();
+            let shredded =
+                eval_path_via_shredding(&f, &PathQuery::from_steps(&steps), &Exec::default())
+                    .unwrap();
             let mut direct = f.clone();
             for s in &steps {
                 direct = axml_core::eval_step(&direct, *s);
@@ -739,7 +658,7 @@ mod tests {
     /// Theorem-2-style check on the *full* fragment: ψ followed by
     /// GC + decode equals the direct path-algebra evaluation.
     fn check_path(p: &PathQuery, f: &Forest<NatPoly>) {
-        let shredded = eval_path_via_shredding(f, p).unwrap();
+        let shredded = eval_path_via_shredding(f, p, &Exec::default()).unwrap();
         let direct = axml_core::eval_path(f, p);
         assert_eq!(shredded, direct, "ψ disagrees with direct eval on {p}");
     }
@@ -834,14 +753,14 @@ mod tests {
     #[test]
     fn empty_path_yields_empty_forest() {
         let f = fig4_source();
-        let out = eval_path_via_shredding(&f, &PathQuery::Empty).unwrap();
+        let out = eval_path_via_shredding(&f, &PathQuery::Empty, &Exec::default()).unwrap();
         assert!(out.is_empty());
         // an empty qualifier annihilates its input
         let p = PathQuery::Filter(
             Box::new(PathQuery::from_steps(&[dsc("c")])),
             Box::new(PathQuery::Empty),
         );
-        let out2 = eval_path_via_shredding(&f, &p).unwrap();
+        let out2 = eval_path_via_shredding(&f, &p, &Exec::default()).unwrap();
         assert!(out2.is_empty());
     }
 
@@ -857,7 +776,7 @@ mod tests {
                 step(Axis::Child, NodeTest::Label(Label::new("b"))),
             )),
         );
-        let out = eval_path_via_shredding(&f, &p).unwrap();
+        let out = eval_path_via_shredding(&f, &p, &Exec::default()).unwrap();
         assert_eq!(out.len(), 1);
         let (_, k) = out.iter().next().unwrap();
         assert_eq!(k, &np("w1*u1"));

@@ -11,10 +11,11 @@
 //! idempotent `PosBool`, where the fixpoint still exists).
 
 use axml_relational::datalog::{
-    atom, eval_datalog_capped, eval_datalog_naive_capped, sk, v, Program, Rule,
+    atom, eval_datalog_idb, eval_datalog_naive_capped, sk, v, Program, Rule,
 };
 use axml_relational::{Database, KRelation, RelValue, Schema};
 use axml_semiring::{Nat, NatPoly, PosBool, Semiring};
+use axml_uxml::Exec;
 use proptest::prelude::*;
 
 const MAX_ITERS: usize = 48;
@@ -121,7 +122,7 @@ fn build_db<K: Semiring>(
 /// The **parallel** semi-naive evaluator (fanned-out join rounds) must
 /// match the sequential one outcome-for-outcome too.
 fn check_agreement<K: Semiring>(prog: &Program, db: &Database<K>) {
-    let semi = eval_datalog_capped(prog, db, MAX_ITERS);
+    let semi = eval_datalog_idb(prog, db, MAX_ITERS, &Exec::default());
     let naive = eval_datalog_naive_capped(prog, db, MAX_ITERS);
     match (&semi, &naive) {
         (Ok(a), Ok(b)) => {
@@ -138,8 +139,15 @@ fn check_agreement<K: Semiring>(prog: &Program, db: &Database<K>) {
     }
     let pool = par_pool();
     let ctx = axml_pool::ExecCtx::new(pool, axml_pool::Parallelism::threads(4));
-    let par =
-        axml_relational::datalog::eval_datalog_idb_capped_ctx(prog, db, MAX_ITERS, Some(&ctx));
+    let par = eval_datalog_idb(
+        prog,
+        db,
+        MAX_ITERS,
+        &Exec {
+            ctx: Some(&ctx),
+            ..Exec::default()
+        },
+    );
     match (&semi, &par) {
         (Ok(a), Ok(p)) => {
             for pred in prog.idb_preds().keys() {

@@ -35,7 +35,6 @@ pub trait TotalOrderBounds:
 /// and Prop 3 applies: UXML-equivalent queries compute equal
 /// annotations.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MinMax<T>(pub T);
 
 impl<T: TotalOrderBounds> Semiring for MinMax<T> {
@@ -77,7 +76,6 @@ impl<T: fmt::Display> fmt::Display for MinMax<T> {
 /// is why the paper adds it rather than reusing `TopSecret` (data
 /// tagged `T` must not be lost entirely).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ClearanceLevel {
     /// `P` — public (the semiring `1`).
     #[default]

@@ -15,7 +15,6 @@ use std::fmt;
 /// instead; at 128 bits this is unreachable for every workload in this
 /// repository.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Nat(pub u128);
 
 impl Nat {

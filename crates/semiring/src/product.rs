@@ -13,7 +13,6 @@ use std::fmt;
 /// jointly and projecting agrees with evaluating each component
 /// separately.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Product<K1, K2>(pub K1, pub K2);
 
 impl<K1: Semiring, K2: Semiring> Product<K1, K2> {

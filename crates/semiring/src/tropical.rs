@@ -12,7 +12,6 @@ use std::fmt;
 /// the cost of its *cheapest derivation*: `+` picks the cheaper
 /// alternative, `·` sums the costs of jointly used inputs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Tropical {
     /// A finite cost.
     Cost(u64),
@@ -160,7 +159,6 @@ impl fmt::Display for Prob {
 /// *most expensive* derivation (critical paths, worst-case resource
 /// accounting) — the order-dual of [`Tropical`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Arctic {
     /// Unreachable / absent (the semiring `0`).
     NegInfinity,

@@ -51,7 +51,8 @@
 //! into [`http::CHUNK_BYTES`] chunks. Errors are structured JSON
 //! (`{"error":{"kind":…,"message":…}}`) with parse errors carrying
 //! `line`/`column`/`line_text`; a tripped wall-clock deadline is a
-//! `504`, a tripped memory budget a `507`.
+//! `504` before output and, like the memory budget, a truncated
+//! chunked body after; a tripped memory budget is a `507`.
 //!
 //! `PATCH /documents/{name}` applies a line-based edit script (see
 //! [`axml::EditScript::parse`]: `splice`, `relabel`, `insert`,

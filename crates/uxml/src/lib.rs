@@ -84,8 +84,6 @@ pub mod hom;
 pub mod label;
 pub mod parse;
 pub mod print;
-#[cfg(feature = "serde")]
-mod serde_impl;
 pub mod stream;
 pub mod tree;
 
@@ -93,7 +91,8 @@ pub use arena::{NodeId, TreeArena};
 pub use label::Label;
 pub use parse::{parse_forest, parse_tree, parse_value, ParseAnnotation};
 pub use stream::{
-    BudgetExceeded, CollectSink, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed,
+    BudgetExceeded, BudgetKind, CollectSink, Exec, NodeBudget, ResultSink, SinkClosed, StreamError,
+    Streamed,
 };
 pub use tree::{
     expand_sweep_seeds, leaf, tree, weighted_descendant_closure, Forest, SweepSeeds, Tree, Value,

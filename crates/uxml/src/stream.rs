@@ -8,7 +8,7 @@
 //! document order — hands it to the sink immediately instead of
 //! accumulating the whole K-set. The compiled plans in `axml-core`
 //! and `axml-nrc` stream the root shapes where finality is provable
-//! (see their `eval_stream_*` entry points) and fall back to
+//! (see their `eval_stream*` entry points) and fall back to
 //! materialize-then-emit everywhere else, so a sink always observes
 //! the same pieces in the same (document) order as the materialized
 //! K-set — only the latency differs.
@@ -20,10 +20,17 @@
 //! and per streamed piece. Like a wall-clock deadline it bounds
 //! scheduling unfairness, not individual instructions: one enormous op
 //! still completes before the trip is observed at the next boundary.
+//!
+//! [`Exec`] bundles one call's execution state — the pool context, the
+//! deadline and the budget — so every evaluation layer has a single
+//! entry point taking `&Exec`; `Exec::default()` is the sequential,
+//! unlimited path.
 
 use crate::tree::{Tree, Value};
+use axml_pool::ExecCtx;
 use axml_semiring::Semiring;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// The consumer of a streaming evaluation vanished (e.g. the cursor
 /// was dropped after a `limit`). Not an error: the producer should
@@ -136,6 +143,57 @@ impl NodeBudget {
     /// The cap this budget was created with.
     pub fn limit(&self) -> usize {
         self.limit
+    }
+}
+
+/// Which caller-imposed limit an evaluation ran past.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BudgetKind {
+    /// The wall-clock deadline ([`Exec::deadline`]).
+    WallClock,
+    /// The memory budget ([`Exec::budget`]).
+    Memory,
+}
+
+/// One call's execution state, built once per call and passed by
+/// reference through every layer: the plans, the path memo, the
+/// Datalog fixpoint and the shredding pipeline.
+/// `Exec::default()` is the sequential path with no limits.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Exec<'a> {
+    /// Where intra-query parallelism fans out. `None`, or a sequential
+    /// context, is the exact sequential code path.
+    pub ctx: Option<&'a ExecCtx<'a>>,
+    /// The wall-clock deadline. Each layer checks it at its own
+    /// boundaries: plan ops, fixpoint rounds, memo closures.
+    pub deadline: Option<Instant>,
+    /// The memory budget, shared by every leg and round of the call.
+    pub budget: Option<&'a NodeBudget>,
+}
+
+impl<'a> Exec<'a> {
+    /// The pool context, when it asks for fan-out.
+    pub fn parallel(&self) -> Option<&'a ExecCtx<'a>> {
+        self.ctx.filter(|c| !c.is_sequential())
+    }
+
+    /// Whether the deadline has passed (never, without one).
+    pub fn past_deadline(&self) -> bool {
+        matches!(self.deadline, Some(d) if Instant::now() >= d)
+    }
+
+    /// The op-boundary check: charge `nodes` against the budget, then
+    /// look at the clock. Both are no-ops when unset.
+    pub fn charge(&self, nodes: usize) -> Result<(), BudgetKind> {
+        if let Some(b) = self.budget {
+            if b.charge(nodes).is_err() {
+                return Err(BudgetKind::Memory);
+            }
+        }
+        if self.past_deadline() {
+            return Err(BudgetKind::WallClock);
+        }
+        Ok(())
     }
 }
 

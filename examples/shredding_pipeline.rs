@@ -7,11 +7,12 @@
 //!
 //! Run with: `cargo run --example shredding_pipeline`
 
-use annotated_xml::relational::{garbage_collect, shred, shredded_eval, xpath_to_datalog};
+use annotated_xml::relational::{garbage_collect, shred, shredded_eval_path, xpath_to_datalog};
 use annotated_xml::uxml::leaf;
 use axml::{Engine, EvalOptions, Route};
 use axml_core::ast::{Axis, NodeTest, Step};
-use axml_uxml::Label;
+use axml_core::path::PathQuery;
+use axml_uxml::{Exec, Label};
 
 fn main() {
     // The Fig 4 source tree.
@@ -38,7 +39,8 @@ fn main() {
 
     // Evaluate: E′ contains the result roots plus copied structure —
     // including the "garbage" tuples the paper points out.
-    let raw = shredded_eval(&source, &steps).expect("fixpoint converges on trees");
+    let raw = shredded_eval_path(&source, &PathQuery::from_steps(&steps), &Exec::default())
+        .expect("fixpoint converges on trees");
     println!("raw E′ ({} tuples, garbage included):\n{raw}", raw.len());
 
     let clean = garbage_collect(&raw);
@@ -51,7 +53,7 @@ fn main() {
     // The engine runs the same pipeline as a route. `$T//c` is a
     // navigation chain, so the relational translation applies.
     let q = engine.prepare("$T//c").unwrap();
-    assert!(q.is_step_chain());
+    assert!(q.is_shreddable());
     let via_relations = q
         .eval(&engine, EvalOptions::new().route(Route::Shredded))
         .unwrap();

@@ -630,8 +630,12 @@ impl SemiringDispatch for ParseCmd {
 fn shred_cmd(doc: &str, path: &str) -> Result<(), String> {
     let forest = parse_forest::<NatPoly>(doc).map_err(|e| e.to_string())?;
     let steps = parse_path_steps(path)?;
-    let raw =
-        annotated_xml::relational::shredded_eval(&forest, &steps).map_err(|e| e.to_string())?;
+    let raw = annotated_xml::relational::shredded_eval_path(
+        &forest,
+        &annotated_xml::uxquery::path::PathQuery::from_steps(&steps),
+        &annotated_xml::uxml::Exec::default(),
+    )
+    .map_err(|e| e.to_string())?;
     println!("E' (raw, with garbage):\n{raw}");
     let clean = annotated_xml::relational::garbage_collect(&raw);
     let decoded = annotated_xml::relational::decode(&clean).ok_or("result is not forest-shaped")?;

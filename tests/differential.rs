@@ -166,7 +166,12 @@ fn deep_chain_tree() {
         axis: axml_core::ast::Axis::Descendant,
         test: axml_core::ast::NodeTest::Label(axml_uxml::Label::new("end")),
     }];
-    let shredded = axml_relational::eval_steps_via_shredding(&f2, &steps).unwrap();
+    let shredded = axml_relational::eval_path_via_shredding(
+        &f2,
+        &axml_core::path::PathQuery::from_steps(&steps),
+        &axml_uxml::Exec::default(),
+    )
+    .unwrap();
     assert_eq!(shredded.len(), 1);
 }
 

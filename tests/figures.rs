@@ -345,7 +345,12 @@ fn section7_shredding_agrees_with_fig4() {
         axis: Axis::Descendant,
         test: NodeTest::Label(axml_uxml::Label::new("c")),
     }];
-    let via_shred = axml_relational::eval_steps_via_shredding(&fig4_source(), &steps).unwrap();
+    let via_shred = axml_relational::eval_path_via_shredding(
+        &fig4_source(),
+        &axml_core::path::PathQuery::from_steps(&steps),
+        &axml_uxml::Exec::default(),
+    )
+    .unwrap();
     let direct = axml_core::eval_step(&fig4_source(), steps[0]);
     assert_eq!(via_shred, direct);
     assert_eq!(via_shred.get(&leaf("c")), np("x1*y3 + y1*y2"));

@@ -220,8 +220,12 @@ proptest! {
     #[test]
     fn thm2_shredding_agrees(v in arb_forest(),
                              steps in proptest::collection::vec(arb_step(), 1..4)) {
-        let shredded = axml_relational::eval_steps_via_shredding(&v, &steps)
-            .expect("datalog converges on trees");
+        let shredded = axml_relational::eval_path_via_shredding(
+            &v,
+            &axml_core::path::PathQuery::from_steps(&steps),
+            &axml_uxml::Exec::default(),
+        )
+        .expect("datalog converges on trees");
         let mut direct = v.clone();
         for s in &steps {
             direct = axml_core::eval_step(&direct, *s);
