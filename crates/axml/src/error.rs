@@ -234,17 +234,12 @@ impl From<axml_nrc::EvalError> for AxmlError {
 
 impl From<axml_relational::datalog::DatalogError> for AxmlError {
     fn from(e: axml_relational::datalog::DatalogError) -> Self {
-        if e.budget {
-            AxmlError::Budget {
-                resource: if e.memory {
-                    BudgetKind::Memory
-                } else {
-                    BudgetKind::WallClock
-                },
+        match e.budget {
+            Some(resource) => AxmlError::Budget {
+                resource,
                 at: "datalog round".into(),
-            }
-        } else {
-            AxmlError::Shredding { msg: e.msg }
+            },
+            None => AxmlError::Shredding { msg: e.msg },
         }
     }
 }

@@ -16,9 +16,11 @@
 //! - a bounded **delta log** (`(version, Δ)` pairs) so per-kind and
 //!   per-query state lagging several versions behind can catch up by
 //!   folding the net delta instead of rebuilding;
-//! - per-[`SemiringKind`] state ([`KindIncr`]): the maintained edge
-//!   K-relation, retained Datalog IDB fixpoints per query, and the
-//!   fingerprint memo tables ([`PathMemo`]) of the direct/NRC routes.
+//! - per-[`SemiringKind`] state ([`KindIncr`]): one [`ShreddedView`]
+//!   per shredded query — its interned edge relation, retained
+//!   Datalog fixpoint and decoded result, all over the view's own term
+//!   table — and the fingerprint memo tables ([`PathMemo`]) of the
+//!   direct/NRC routes.
 //!
 //! # Soundness
 //!
@@ -31,11 +33,31 @@
 //! has all its derivations inside the retained EDB. Pruning the
 //! retained IDB by the net retired-id set therefore yields *exactly*
 //! the fixpoint over the retained edges — annotations included — and
-//! [`eval_datalog_idb_resume`] restarts semi-naive iteration from the
-//! added facts alone. Queries **with** filters drop the qualifier's
-//! node variables at projection, so pruning is not exact for them:
-//! they re-solve from scratch over the incrementally-maintained edge
-//! relation (tier B — still skipping the re-shred).
+//! the semi-naive engine restarts from the added facts alone (the
+//! interned core of `eval_datalog_idb_resume`). Queries **with**
+//! filters drop the qualifier's node variables at projection, so
+//! pruning is not exact for them: they re-solve from scratch over the
+//! incrementally-maintained edge relation (tier B — still skipping the
+//! re-shred). Both tiers keep the decoded result per version, so a
+//! repeat read at an unchanged version is a clone of the kept forest.
+//!
+//! *Cost of a resume.* The retained state never leaves its interned
+//! form, so a tier-A resume builds and compares no boxed relational
+//! value. Its phases:
+//! - **edge delta and prune** — one pass over the view's term table
+//!   marks the terms mentioning a retired node, and one `u32` scan
+//!   drops the rows holding them (from `E` and every IDB relation);
+//! - **seed and delta rounds** — Δ-sized: the added facts drive every
+//!   join and the rest is probed, by scanning `u32` columns while the
+//!   drivers stay tiny;
+//! - **result** — a bitmap test per `E2` parent finds the delta
+//!   region, and only the roots the delta made live are decoded;
+//!   clean roots keep their decoded trees.
+//!
+//! What stays proportional to the document is flat work: two passes
+//! over the term table, one scan of the rows, and one ordered lookup
+//! per live result root. No row is rebuilt, rehashed or decoded unless
+//! the delta touched it.
 //!
 //! *Direct/NRC routes.* [`PathMemo`] keys every cache entry on the
 //! subtree **value** (whose hash is the precomputed `(size, hash)`
@@ -61,7 +83,9 @@
 //!   the version just evaluated;
 //! - each `(document, kind)` keeps at most [`MAX_MEMOS`] memos,
 //!   evicting the least recently used, and at most
-//!   [`MAX_QUERY_STATES`] retained fixpoints, evicting the stalest;
+//!   [`MAX_QUERY_STATES`] shredded views, evicting the stalest; a
+//!   view's term table is compacted once its dead terms outnumber its
+//!   live ones;
 //! - the delta log keeps the last [`MAX_LOG`] deltas.
 //!
 //! The memos' size is reported as the `memo_entries` gauge of
@@ -82,16 +106,11 @@ use crate::options::SemiringKind;
 use crate::prepared::EvalKind;
 use axml_core::path::PathQuery;
 use axml_core::{eval_path_memo, MemoStop, PathMemo};
-use axml_relational::datalog::{eval_datalog_idb, eval_datalog_idb_resume, DEFAULT_MAX_ITERS};
-use axml_relational::shred::{decode, edge_schema, garbage_collect, path_to_datalog};
-use axml_relational::{
-    added_facts_relation, tuple_mentions, AddedFact, Database, KRelation, OwnedDelta, ResultCache,
-    ShadowDoc,
-};
+use axml_relational::{AddedFact, OwnedDelta, ShadowDoc, ShreddedView};
 use axml_semiring::{FnHom, NatPoly, Semiring};
 use axml_uxml::{Exec, Forest};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -215,13 +234,6 @@ impl Drop for DocIncr {
 
 /// The per-semiring slice of a document's incremental state.
 struct KindIncr<S: Semiring> {
-    /// `Some(v)` when the maintained `E` relation is φ(doc at version
-    /// v); `None` before first use.
-    e_version: Option<u64>,
-    /// The database the shredded solves run over; its `E` relation is
-    /// maintained in place across edits (holding it here means
-    /// evaluation never clones the edge relation).
-    db: Database<S>,
     queries: HashMap<String, QueryState<S>>,
     memos: HashMap<String, MemoSlot<S>>,
     /// Bumped on every memo use; orders `memos` for LRU eviction.
@@ -264,15 +276,14 @@ impl<S: Semiring> KindIncr<S> {
     }
 }
 
-/// A retained Datalog fixpoint for one query over one document, plus
-/// the decoded result forest maintained alongside it — re-evaluating
-/// the same query at the same version is a cache assemble, and a
-/// resume patches the forest in O(Δ) instead of re-running
-/// `garbage_collect` + `decode` over the whole `E2` fixpoint.
+/// One shredded query over one document at one version: the interned
+/// edge relation, the retained fixpoint (filter-free queries) and the
+/// decoded result forest — re-evaluating the same query at the same
+/// version clones the forest, and a later version patches all three
+/// from the edit delta (see [`ShreddedView`]).
 struct QueryState<S: Semiring> {
     version: u64,
-    idb: BTreeMap<String, KRelation<S>>,
-    cache: ResultCache<S>,
+    view: ShreddedView<S>,
 }
 
 impl DocIncr {
@@ -336,8 +347,6 @@ fn kind_mut<S: EvalKind>(
         .entry(S::KIND)
         .or_insert_with(|| {
             Box::new(KindIncr::<S> {
-                e_version: None,
-                db: Database::new().with("E", KRelation::new(edge_schema())),
                 queries: HashMap::new(),
                 memos: HashMap::new(),
                 memo_clock: 0,
@@ -379,7 +388,10 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     //    version — the cached result forest is the answer.
     if let Some(state) = kind.queries.get(key) {
         if state.version == *version {
-            let out = state.cache.assemble();
+            let out = match state.view.forest() {
+                Some(forest) => forest.clone(),
+                None => return Some(Err(not_forest_shaped())),
+            };
             if let Some(b) = x.budget {
                 if b.charge(out.size()).is_err() {
                     return Some(Err(AxmlError::Budget {
@@ -393,115 +405,27 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
         }
     }
 
-    // 1. Bring the maintained edge relation up to this version, in
-    //    place inside the solve database.
-    let edges = kind.db.get_mut("E").expect("E relation present");
-    match kind.e_version {
-        Some(v) if v == *version => {}
-        Some(v) if covered(log, v, *version) => {
-            let hom = FnHom::new(S::from_poly_val);
-            for (dv, delta) in log.iter() {
-                if *dv > v {
-                    delta.map_annotations(&hom).apply_to_edges_in_place(edges);
-                }
-            }
-            kind.e_version = Some(*version);
-        }
-        _ => {
-            *edges = shadow.edges_mapped(&FnHom::new(S::from_poly_val));
-            kind.e_version = Some(*version);
-        }
-    }
-
-    // 2. Solve. Tier B (filters): full solve over the maintained
-    //    edges, then gc + decode as the stateless pipeline does.
-    let db = &kind.db;
-    let prog = path_to_datalog(p);
-    if p.has_filter() {
-        let mut idb = match eval_datalog_idb(&prog, db, DEFAULT_MAX_ITERS, x) {
-            Ok(idb) => idb,
-            Err(e) => return Some(Err(e.into())),
-        };
-        let raw = idb
-            .remove("E2")
-            .unwrap_or_else(|| KRelation::new(edge_schema()));
-        let clean = garbage_collect(&raw);
-        counters.incremental_evals.fetch_add(1, Ordering::Relaxed);
-        return Some(decode(&clean).ok_or_else(|| AxmlError::Shredding {
-            msg: "shredded result is not forest-shaped".into(),
-        }));
-    }
-
-    // Tier A (filter-free). Resume from the retained IDB when the log
-    // covers the gap: prune retired tuples *in place*, hand the pruned
-    // fixpoint to the solver by move, and patch the cached result
-    // forest with the edit's id delta. Everything here is O(Δ) except
-    // one filtered scan of `E2` inside `apply_delta`.
-    let resumed = match kind.queries.remove(key) {
-        Some(mut state) if covered(log, state.version, *version) => {
+    // 1. Bring the query's state up to this version: apply the net
+    //    delta when the log covers the gap (a filter-free query resumes
+    //    its fixpoint, one with filters re-solves over its maintained
+    //    edges), otherwise shred the mirror and solve from scratch. A
+    //    stale state the log no longer covers is dropped here.
+    let hom = FnHom::new(S::from_poly_val);
+    let view = match kind.queries.remove(key) {
+        Some(state) if covered(log, state.version, *version) => {
             let (retired, added) = net_delta::<S>(log, state.version);
-            for r in state.idb.values_mut() {
-                r.retain(|t, _| !tuple_mentions(t, &retired));
-            }
-            let pruned = std::mem::take(&mut state.idb);
-            match eval_datalog_idb_resume(
-                &prog,
-                db,
-                "E",
-                &added_facts_relation(&added),
-                pruned,
-                DEFAULT_MAX_ITERS,
-                x,
-            ) {
-                Ok(idb) => {
-                    state.idb = idb;
-                    let fresh: HashSet<u64> = added.iter().map(|(f, _)| f.nid).collect();
-                    let touched: HashSet<u64> = added.iter().map(|(f, _)| f.pid).collect();
-                    Some((state, retired, fresh, touched))
-                }
-                Err(e) => return Some(Err(e.into())),
-            }
+            state.view.update(&retired, &added, x)
         }
-        // Never solved here, or the log no longer covers the gap (the
-        // stale state was just dropped): full solve below.
-        _ => None,
+        _ => ShreddedView::new(p, shadow, &hom, x),
     };
-    let (mut state, delta) = match resumed {
-        Some((state, retired, fresh, touched)) => (state, Some((retired, fresh, touched))),
-        None => {
-            let idb = match eval_datalog_idb(&prog, db, DEFAULT_MAX_ITERS, x) {
-                Ok(idb) => idb,
-                Err(e) => return Some(Err(e.into())),
-            };
-            (
-                QueryState {
-                    version: 0,
-                    idb,
-                    cache: ResultCache::new(),
-                },
-                None,
-            )
-        }
+    let view = match view {
+        Ok(view) => view,
+        Err(e) => return Some(Err(e.into())),
     };
-    state.version = *version;
+    let forest = view.forest().cloned();
 
-    // 3. Produce the result from the maintained cache — patch on
-    //    resume, rebuild (fused gc + decode) otherwise or whenever the
-    //    delta steps outside the tier-A id model.
-    let empty = KRelation::new(edge_schema());
-    let forest = {
-        let raw = state.idb.get("E2").unwrap_or(&empty);
-        match &delta {
-            Some((retired, fresh, touched)) => state
-                .cache
-                .apply_delta(raw, retired, fresh, touched)
-                .or_else(|| state.cache.rebuild(raw)),
-            None => state.cache.rebuild(raw),
-        }
-    };
-
-    if !kind.queries.contains_key(key) && kind.queries.len() >= MAX_QUERY_STATES {
-        // Evict the most-stale retained fixpoint.
+    if kind.queries.len() >= MAX_QUERY_STATES {
+        // Evict the most-stale retained state.
         if let Some(oldest) = kind
             .queries
             .iter()
@@ -511,11 +435,21 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
             kind.queries.remove(&oldest);
         }
     }
-    kind.queries.insert(key.to_owned(), state);
+    kind.queries.insert(
+        key.to_owned(),
+        QueryState {
+            version: *version,
+            view,
+        },
+    );
     counters.incremental_evals.fetch_add(1, Ordering::Relaxed);
-    Some(forest.ok_or_else(|| AxmlError::Shredding {
+    Some(forest.ok_or_else(not_forest_shaped))
+}
+
+fn not_forest_shaped() -> AxmlError {
+    AxmlError::Shredding {
         msg: "shredded result is not forest-shaped".into(),
-    }))
+    }
 }
 
 /// Fingerprint-memoized path evaluation for the direct/NRC routes.

@@ -585,3 +585,42 @@ fn the_memo_stays_bounded_under_a_long_edit_soak() {
     engine.insert_forest("S", balanced_tree(1, 2, true));
     assert_eq!(engine.storage_stats().incr.memo_entries, 0);
 }
+
+/// A filtered query's shredded read at an unchanged version is served
+/// from the decoded result kept for that version: a repeat read under a
+/// memory budget just above the result's size succeeds (a re-solve
+/// would charge every derived tuple and trip it), and the bytes match
+/// a fresh engine's before and after one more edit.
+#[test]
+fn a_repeat_filtered_shredded_read_is_served_at_its_version() {
+    const FILTERED: &str = "for $x in $S//n1_0 return for $y in ($x)/c return ($x)";
+    let engine = edited_engine();
+    let q = engine.prepare(FILTERED).unwrap();
+    let opts = EvalOptions::new()
+        .semiring(SemiringKind::Nat)
+        .route(Route::Shredded);
+    let first = q.eval(&engine, opts).unwrap();
+    let size = first
+        .as_nat()
+        .and_then(|v| v.as_set())
+        .expect("a forest result")
+        .size();
+    assert!(size > 0, "the query matches");
+    let repeat = q.eval(&engine, opts.memory_budget(size + 4));
+    assert_eq!(
+        repeat.as_ref().map(|r| r.to_string()),
+        Ok(first.to_string()),
+        "the repeat read re-solved"
+    );
+    let fresh_outcome = |engine: &Engine| {
+        let fresh = Engine::new();
+        fresh.insert_forest("S", (*engine.document("S").unwrap()).clone());
+        outcome(&fresh, &fresh.prepare(FILTERED).unwrap(), opts)
+    };
+    assert_eq!(outcome(&engine, &q, opts), fresh_outcome(&engine));
+    engine
+        .edit_document_text("S", "splice /0/0/0/0/0 <n1_0> c {q} <l1/> </n1_0>")
+        .unwrap();
+    assert_eq!(outcome(&engine, &q, opts), fresh_outcome(&engine));
+    assert_eq!(outcome(&engine, &q, opts), fresh_outcome(&engine));
+}

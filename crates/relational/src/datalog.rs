@@ -30,12 +30,14 @@
 //! arity mismatches, unknown predicates) fail identically on either
 //! path.
 
-use crate::krel::{KRelation, RelIndex, RelValue, Schema, Tuple};
+use crate::krel::{KRelation, RelValue, Schema, Tuple};
 use crate::ra::Database;
+use crate::term::{final_id, pack_key, Fresh, Interner, RowIndex, Rows, TermId, TermTable};
 use axml_semiring::Semiring;
-use axml_uxml::{Exec, Label};
+use axml_uxml::{BudgetKind, Exec, Label};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::ops::Range;
 
 /// A term in a rule: variable, constant, or Skolem application.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -172,21 +174,17 @@ impl fmt::Display for Program {
     }
 }
 
-/// Evaluation error (non-convergence, malformed rules, or an exceeded
-/// wall-clock deadline).
+/// Evaluation error (non-convergence, malformed rules, or a tripped
+/// resource limit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatalogError {
     /// Description.
     pub msg: String,
-    /// `true` when the error is a caller-imposed resource limit
+    /// `Some` when the error is a caller-imposed resource limit
     /// tripping at a fixpoint round boundary (see
-    /// [`eval_datalog_idb`]), not a Datalog-level
-    /// failure — the facade maps it to its typed budget error.
-    pub budget: bool,
-    /// For budget errors, `true` when the limit was the memory budget
-    /// rather than the wall-clock deadline (the facade maps the two
-    /// to different resource kinds).
-    pub memory: bool,
+    /// [`eval_datalog_idb`]), not a Datalog-level failure — the facade
+    /// maps it to its typed budget error.
+    pub budget: Option<BudgetKind>,
 }
 
 impl DatalogError {
@@ -194,8 +192,7 @@ impl DatalogError {
     pub fn new(msg: impl Into<String>) -> Self {
         DatalogError {
             msg: msg.into(),
-            budget: false,
-            memory: false,
+            budget: None,
         }
     }
 
@@ -203,8 +200,7 @@ impl DatalogError {
     pub fn deadline() -> Self {
         DatalogError {
             msg: "wall-clock deadline exceeded during the fixpoint".into(),
-            budget: true,
-            memory: false,
+            budget: Some(BudgetKind::WallClock),
         }
     }
 
@@ -212,8 +208,7 @@ impl DatalogError {
     pub fn memory() -> Self {
         DatalogError {
             msg: "memory budget exceeded during the fixpoint".into(),
-            budget: true,
-            memory: true,
+            budget: Some(BudgetKind::Memory),
         }
     }
 }
@@ -250,7 +245,7 @@ enum Pred {
 /// before the atom is joined).
 #[derive(Clone, Debug)]
 enum KeyPart {
-    Const(RelValue),
+    Const(TermId),
     Slot(usize),
 }
 
@@ -267,7 +262,7 @@ struct SlotCheck {
 struct CAtom {
     pred: Pred,
     /// Columns with values known before this atom is reached, and how
-    /// to produce them. Probed through a [`RelIndex`] on `key_cols`;
+    /// to produce them. Probed through a [`RowIndex`] on `key_cols`;
     /// empty = full scan.
     key_cols: Vec<usize>,
     key_parts: Vec<KeyPart>,
@@ -277,10 +272,10 @@ struct CAtom {
     checks: Vec<SlotCheck>,
 }
 
-/// A head position: how to build the output value from the slots.
+/// A head position: how to build the output term from the slots.
 #[derive(Clone, Debug)]
 enum HeadInstr {
-    Const(RelValue),
+    Const(TermId),
     Slot(usize),
     Skolem(Label, Vec<HeadInstr>),
 }
@@ -295,8 +290,9 @@ struct CRule {
     n_slots: usize,
 }
 
-/// A validated, join-ready program.
-struct Compiled {
+/// A validated, join-ready program. Its constants are term ids of the
+/// [`TermTable`] it was compiled against.
+pub(crate) struct Compiled {
     idb_names: Vec<String>,
     idb_arities: Vec<usize>,
     rules: Vec<CRule>,
@@ -312,16 +308,37 @@ struct Compiled {
     idb_in_body: Vec<bool>,
 }
 
-/// Validate and compile `prog` against the EDB's schemas. All rule
-/// malformations are reported here, before any iteration runs, so the
-/// semi-naive and naive evaluators fail identically.
-fn compile<K: Semiring>(prog: &Program, edb: &Database<K>) -> Result<Compiled, DatalogError> {
-    let edb_names: Vec<&String> = edb.iter().map(|(n, _)| n).collect();
-    let edb_index: HashMap<&str, usize> = edb_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
+impl Compiled {
+    /// The IDB position of a predicate.
+    pub(crate) fn idb_index(&self, pred: &str) -> Option<usize> {
+        self.idb_names.iter().position(|n| n == pred)
+    }
+
+    /// Empty IDB relations, one per predicate.
+    pub(crate) fn empty_idb<K: Semiring>(&self) -> Vec<Rows<K>> {
+        self.idb_arities.iter().map(|&a| Rows::new(a)).collect()
+    }
+}
+
+/// The EDB as [`compile`] sees it: relation names with arities, in the
+/// order the evaluator receives the relations.
+fn signature<K: Semiring>(edb: &Database<K>) -> Vec<(&str, usize)> {
+    edb.iter()
+        .map(|(n, r)| (n.as_str(), r.schema().arity()))
+        .collect()
+}
+
+/// Validate and compile `prog` against an EDB signature, interning its
+/// constants into `terms`. All rule malformations are reported here,
+/// before any iteration runs, so the semi-naive and naive evaluators
+/// fail identically.
+pub(crate) fn compile(
+    prog: &Program,
+    edb: &[(&str, usize)],
+    terms: &mut TermTable,
+) -> Result<Compiled, DatalogError> {
+    let edb_index: HashMap<&str, usize> =
+        edb.iter().enumerate().map(|(i, (n, _))| (*n, i)).collect();
 
     // IDB predicates, with arity consistency across heads.
     let mut idb_names: Vec<String> = Vec::new();
@@ -356,10 +373,7 @@ fn compile<K: Semiring>(prog: &Program, edb: &Database<K>) -> Result<Compiled, D
             let (pred, arity) = match idb_index.get(batom.pred.as_str()) {
                 Some(&i) => (Pred::Idb(i), idb_arities[i]),
                 None => match edb_index.get(batom.pred.as_str()) {
-                    Some(&i) => (
-                        Pred::Edb(i),
-                        edb.get(edb_names[i]).expect("edb name").schema().arity(),
-                    ),
+                    Some(&i) => (Pred::Edb(i), edb[i].1),
                     None => return err(format!("unknown predicate {:?}", batom.pred)),
                 },
             };
@@ -381,7 +395,7 @@ fn compile<K: Semiring>(prog: &Program, edb: &Database<K>) -> Result<Compiled, D
                 match term {
                     Term::Const(c) => {
                         ca.key_cols.push(col);
-                        ca.key_parts.push(KeyPart::Const(c.clone()));
+                        ca.key_parts.push(KeyPart::Const(terms.intern(c)));
                     }
                     Term::Var(x) => match slots.get(x.as_str()) {
                         Some(&s) if !bound_here.contains(&x.as_str()) => {
@@ -407,7 +421,7 @@ fn compile<K: Semiring>(prog: &Program, edb: &Database<K>) -> Result<Compiled, D
             .head
             .args
             .iter()
-            .map(|t| compile_head_term(t, &slots))
+            .map(|t| compile_head_term(t, &slots, terms))
             .collect::<Result<Vec<_>, _>>()?;
         rules.push(CRule {
             head_pred: idb_index[rule.head.pred.as_str()],
@@ -442,9 +456,13 @@ fn compile<K: Semiring>(prog: &Program, edb: &Database<K>) -> Result<Compiled, D
     })
 }
 
-fn compile_head_term(t: &Term, slots: &HashMap<&str, usize>) -> Result<HeadInstr, DatalogError> {
+fn compile_head_term(
+    t: &Term,
+    slots: &HashMap<&str, usize>,
+    terms: &mut TermTable,
+) -> Result<HeadInstr, DatalogError> {
     match t {
-        Term::Const(c) => Ok(HeadInstr::Const(c.clone())),
+        Term::Const(c) => Ok(HeadInstr::Const(terms.intern(c))),
         Term::Var(x) => match slots.get(x.as_str()) {
             Some(&s) => Ok(HeadInstr::Slot(s)),
             None => err(format!(
@@ -454,15 +472,78 @@ fn compile_head_term(t: &Term, slots: &HashMap<&str, usize>) -> Result<HeadInstr
         Term::Skolem(f, args) => {
             let inner = args
                 .iter()
-                .map(|a| compile_head_term(a, slots))
+                .map(|a| compile_head_term(a, slots, terms))
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(HeadInstr::Skolem(Label::new(f), inner))
         }
     }
 }
 
+/// A program compiled both for fresh solves and for resuming a
+/// retained fixpoint after a delta to one EDB relation (see
+/// [`eval_datalog_idb_resume`]).
+pub(crate) struct ResumePlan {
+    pub(crate) compiled: Compiled,
+    /// `compiled` with every body rotated so its `changed` atom joins
+    /// first (the delta drives the join; everything else is probed).
+    /// Rules without the changed atom are kept verbatim — and never
+    /// fired in the seed round — purely so head order (and therefore
+    /// predicate numbering) matches `compiled` exactly.
+    resumed: Compiled,
+    /// Per rule: does its body mention the changed relation?
+    seeded: Vec<bool>,
+    /// The changed relation's EDB position.
+    changed: usize,
+}
+
+impl ResumePlan {
+    pub(crate) fn new(
+        prog: &Program,
+        edb: &[(&str, usize)],
+        changed: &str,
+        terms: &mut TermTable,
+    ) -> Result<Self, DatalogError> {
+        let compiled = compile(prog, edb, terms)?;
+        let Some(changed_idx) = edb.iter().position(|(n, _)| *n == changed) else {
+            return err(format!("resume: unknown EDB relation {changed:?}"));
+        };
+        for rule in &prog.rules {
+            if rule.body.iter().filter(|a| a.pred == changed).count() > 1 {
+                return err(format!(
+                    "resume: rule {rule} mentions {changed:?} more than once \
+                     (exact delta seeding needs the pre-delta relation)"
+                ));
+            }
+        }
+        let mut seeded: Vec<bool> = Vec::with_capacity(prog.rules.len());
+        let resume_prog = Program::new(prog.rules.iter().map(|r| {
+            match r.body.iter().position(|a| a.pred == changed) {
+                Some(pos) => {
+                    seeded.push(true);
+                    let mut body = r.body.clone();
+                    let a = body.remove(pos);
+                    body.insert(0, a);
+                    Rule::new(r.head.clone(), body)
+                }
+                None => {
+                    seeded.push(false);
+                    r.clone()
+                }
+            }
+        }));
+        let resumed = compile(&resume_prog, edb, terms)?;
+        debug_assert_eq!(resumed.idb_names, compiled.idb_names);
+        Ok(ResumePlan {
+            compiled,
+            resumed,
+            seeded,
+            changed: changed_idx,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------
-// Semi-naive evaluation.
+// Semi-naive evaluation over interned rows.
 // ---------------------------------------------------------------------
 
 /// Which iterate a body atom reads during one join variant.
@@ -478,23 +559,21 @@ enum Src {
     Delta,
 }
 
-/// The relations visible during one round, plus probe indexes. EDB
-/// indexes are built once per evaluation (the EDB never changes) and
-/// borrowed here; IDB indexes are built lazily per round. All
-/// relations are immutable for the lifetime of the round.
-struct Round<'a, K: Semiring> {
-    edb_rels: &'a [&'a KRelation<K>],
-    edb_indexes: &'a HashMap<(usize, Vec<usize>), RelIndex<'a, K>>,
-    full: &'a [KRelation<K>],
-    prev: &'a [KRelation<K>],
-    delta: &'a [KRelation<K>],
-    idb_indexes: HashMap<(Src, usize, Vec<usize>), RelIndex<'a, K>>,
+/// Probe indexes by (source, predicate position, key columns).
+type Indexes = HashMap<(Src, usize, Vec<usize>), RowIndex>;
+
+/// The relations visible during one round; immutable while it runs.
+struct Rels<'a, K: Semiring> {
+    edb: &'a [&'a Rows<K>],
+    full: &'a [Rows<K>],
+    prev: &'a [Rows<K>],
+    delta: &'a [Rows<K>],
 }
 
-impl<'a, K: Semiring> Round<'a, K> {
-    fn rel(&self, src: Src, pred: Pred) -> &'a KRelation<K> {
+impl<'a, K: Semiring> Rels<'a, K> {
+    fn rel(&self, src: Src, pred: Pred) -> &'a Rows<K> {
         match (src, pred) {
-            (Src::Edb, Pred::Edb(i)) => self.edb_rels[i],
+            (Src::Edb, Pred::Edb(i)) => self.edb[i],
             (Src::Full, Pred::Idb(i)) => &self.full[i],
             (Src::Prev, Pred::Idb(i)) => &self.prev[i],
             (Src::Delta, Pred::Idb(i)) => &self.delta[i],
@@ -502,12 +581,12 @@ impl<'a, K: Semiring> Round<'a, K> {
         }
     }
 
-    /// Make sure every keyed IDB atom of the variant has its index
-    /// built (indexes are shared across variants and rules within a
-    /// round; EDB indexes are prebuilt). Variants driven by a tiny
-    /// relation skip the builds — [`Round::join`] scan-probes keyed
-    /// atoms whose index is absent (see [`SCAN_PROBE_MAX`]).
-    fn prepare(&mut self, rule: &CRule, srcs: &[Src]) {
+    /// Build every index one variant probes, unless the variant is
+    /// driven by a tiny relation — then [`Join::run`] scan-probes its
+    /// keyed atoms instead (see [`SCAN_PROBE_MAX`]). EDB indexes live
+    /// for the whole evaluation (the EDB never changes), IDB indexes
+    /// for one round; both are shared across variants and rules.
+    fn prepare(&self, rule: &CRule, srcs: &[Src], edb_ix: &mut Indexes, idb_ix: &mut Indexes) {
         let tiny_driver = rule
             .atoms
             .first()
@@ -517,42 +596,51 @@ impl<'a, K: Semiring> Round<'a, K> {
             return;
         }
         for (atom, &src) in rule.atoms.iter().zip(srcs) {
-            let Pred::Idb(p) = atom.pred else { continue };
             if atom.key_cols.is_empty() {
                 continue;
             }
-            let key = (src, p, atom.key_cols.clone());
-            if !self.idb_indexes.contains_key(&key) {
-                let idx = self.rel(src, atom.pred).index_on(&atom.key_cols);
-                self.idb_indexes.insert(key, idx);
-            }
+            let (map, p) = match atom.pred {
+                Pred::Edb(p) => (&mut *edb_ix, p),
+                Pred::Idb(p) => (&mut *idb_ix, p),
+            };
+            map.entry((src, p, atom.key_cols.clone()))
+                .or_insert_with(|| RowIndex::build(self.rel(src, atom.pred), &atom.key_cols));
         }
     }
+}
 
-    /// Depth-first indexed join over the rule body, one source per
-    /// atom, accumulating derived tuples (with annotation products)
-    /// into `out` — the head predicate's *delta*. Contributions
-    /// already absorbed by the accumulated iterate
-    /// (`I[t] + k = I[t]`) are pruned here, per derivation: sound
-    /// because in every semiring of this workspace absorption of a
-    /// sum and absorption of its parts coincide (zero-sum-free, and
-    /// `+` restricted to absorbed elements is a join).
-    /// [`Round::prepare`] must have run for this variant.
-    /// `seed0`, when given, restricts the first atom's scan to the
-    /// listed tuples — the probe-chunk hook the parallel round uses to
-    /// split one variant's outer loop across workers (only full-scan
-    /// first atoms are chunked; an indexed first atom probes as usual).
-    fn join(
+/// A round's relations plus the probe indexes [`Rels::prepare`] built.
+struct Round<'a, K: Semiring> {
+    rels: Rels<'a, K>,
+    edb_ix: &'a Indexes,
+    idb_ix: &'a Indexes,
+}
+
+impl<'a, K: Semiring> Round<'a, K> {
+    /// Depth-first indexed join over one rule variant (one source per
+    /// atom), accumulating derived rows (with annotation products) into
+    /// `out` — the head predicate's *delta*. Contributions already
+    /// absorbed by the accumulated iterate (`I[t] + k = I[t]`) are
+    /// pruned here, per derivation: sound because in every semiring of
+    /// this workspace absorption of a sum and absorption of its parts
+    /// coincide (zero-sum-free, and `+` restricted to absorbed elements
+    /// is a join). `range0`, when given, restricts the first atom's
+    /// scan to those row positions — the probe-chunk hook the parallel
+    /// round uses to split one variant's outer loop across workers
+    /// (only full-scan first atoms are chunked). Head Skolem terms are
+    /// grounded through `terms`.
+    fn join<I: Interner>(
         &self,
         rule: &CRule,
         srcs: &[Src],
-        seed0: Option<&[(&'a Tuple, &'a K)]>,
-        out: &mut KRelation<K>,
+        range0: Option<Range<usize>>,
+        out: &mut Rows<K>,
+        terms: &mut I,
     ) {
         // Resolve each atom's index once, not per probe. A keyed atom
-        // may have no index (tiny-driver variant, see `prepare`) — the
-        // recursion scan-probes it instead.
-        let indexes: Vec<Option<&RelIndex<'a, K>>> = rule
+        // may have no index (tiny-driver variant) — the join
+        // scan-probes it instead.
+        let indexes: Vec<Option<&RowIndex>> = rule
             .atoms
             .iter()
             .zip(srcs)
@@ -561,108 +649,155 @@ impl<'a, K: Semiring> Round<'a, K> {
                     return None;
                 }
                 match atom.pred {
-                    Pred::Edb(i) => self.edb_indexes.get(&(i, atom.key_cols.clone())),
-                    Pred::Idb(i) => self.idb_indexes.get(&(src, i, atom.key_cols.clone())),
+                    Pred::Edb(i) => self.edb_ix.get(&(src, i, atom.key_cols.clone())),
+                    Pred::Idb(i) => self.idb_ix.get(&(src, i, atom.key_cols.clone())),
                 }
             })
             .collect();
-        let mut slots: Vec<Option<RelValue>> = vec![None; rule.n_slots];
-        self.join_from(rule, srcs, &indexes, seed0, 0, &mut slots, K::one(), out);
+        let mut join = Join {
+            rels: &self.rels,
+            rule,
+            srcs,
+            indexes,
+            range0,
+            slots: vec![0; rule.n_slots],
+            keys: vec![Vec::new(); rule.atoms.len()],
+            head: Vec::with_capacity(rule.head.len()),
+            out,
+            terms,
+        };
+        join.run(0, K::one());
     }
+}
 
-    #[allow(clippy::too_many_arguments)] // internal recursion, all state is positional
-    fn join_from(
-        &self,
-        rule: &CRule,
-        srcs: &[Src],
-        indexes: &[Option<&RelIndex<'a, K>>],
-        seed0: Option<&[(&'a Tuple, &'a K)]>,
-        i: usize,
-        slots: &mut Vec<Option<RelValue>>,
-        ann: K,
-        out: &mut KRelation<K>,
-    ) {
+/// The state of one variant's depth-first join.
+struct Join<'j, 'a, K: Semiring, I> {
+    rels: &'j Rels<'a, K>,
+    rule: &'j CRule,
+    srcs: &'j [Src],
+    indexes: Vec<Option<&'j RowIndex>>,
+    range0: Option<Range<usize>>,
+    /// Variable bindings, by slot.
+    slots: Vec<TermId>,
+    /// Per atom, the reused probe-key buffer.
+    keys: Vec<Vec<TermId>>,
+    /// The reused head-row buffer.
+    head: Vec<TermId>,
+    out: &'j mut Rows<K>,
+    terms: &'j mut I,
+}
+
+impl<K: Semiring, I: Interner> Join<'_, '_, K, I> {
+    fn run(&mut self, i: usize, ann: K) {
+        let rule = self.rule;
         if i == rule.atoms.len() {
-            let tuple: Tuple = rule.head.iter().map(|h| ground(h, slots)).collect();
-            let keep = match self.full[rule.head_pred].rows().get_ref(&tuple) {
-                None => true,
-                Some(cur) => cur.plus(&ann) != *cur,
-            };
-            if keep {
-                out.insert(tuple, ann);
-            }
+            self.emit(ann);
             return;
         }
         let atom = &rule.atoms[i];
-        let mut step = |tuple: &Tuple, k: &K, slots: &mut Vec<Option<RelValue>>| {
-            for &(col, slot) in &atom.binds {
-                slots[slot] = Some(tuple[col].clone());
-            }
-            let ok = atom
-                .checks
-                .iter()
-                .all(|c| slots[c.slot].as_ref() == Some(&tuple[c.col]));
-            if ok {
-                let next_ann = if k.is_one() {
-                    ann.clone()
-                } else {
-                    ann.times(k)
-                };
-                self.join_from(rule, srcs, indexes, seed0, i + 1, slots, next_ann, out);
-            }
-            for &(_, slot) in &atom.binds {
-                slots[slot] = None;
-            }
-        };
+        let rel = self.rels.rel(self.srcs[i], atom.pred);
         if i == 0 {
-            if let Some(seeds) = seed0 {
-                for &(tuple, k) in seeds {
-                    step(tuple, k, slots);
+            if let Some(range) = self.range0.clone() {
+                for p in range {
+                    self.step(i, rel, p, &ann);
                 }
                 return;
             }
         }
-        let ground_key = |slots: &Vec<Option<RelValue>>| -> Vec<RelValue> {
-            atom.key_parts
-                .iter()
-                .map(|p| match p {
-                    KeyPart::Const(c) => c.clone(),
-                    KeyPart::Slot(s) => slots[*s].clone().expect("key slot bound"),
-                })
-                .collect()
-        };
-        match indexes[i] {
-            None if atom.key_cols.is_empty() => {
-                for (tuple, k) in self.rel(srcs[i], atom.pred).iter() {
-                    step(tuple, k, slots);
-                }
+        if atom.key_cols.is_empty() {
+            for p in 0..rel.len() {
+                self.step(i, rel, p, &ann);
             }
+            return;
+        }
+        let mut key = std::mem::take(&mut self.keys[i]);
+        key.clear();
+        key.extend(atom.key_parts.iter().map(|part| match part {
+            KeyPart::Const(c) => *c,
+            KeyPart::Slot(s) => self.slots[*s],
+        }));
+        let matches = |row: &[TermId]| atom.key_cols.iter().zip(&key).all(|(&c, &v)| row[c] == v);
+        match self.indexes[i] {
+            // Keyed atom without an index (tiny-driver variant): scan
+            // the relation's cells, filtering on the key columns (a
+            // keyed atom has at least one column).
             None => {
-                // Keyed atom without an index (tiny-driver variant):
-                // scan the relation, filtering on the key columns.
-                let key = ground_key(slots);
-                for (tuple, k) in self.rel(srcs[i], atom.pred).iter() {
-                    if atom.key_cols.iter().zip(&key).all(|(&c, v)| tuple[c] == *v) {
-                        step(tuple, k, slots);
+                let rows = rel.cells().chunks_exact(rel.arity()).enumerate();
+                if let ([c], [v]) = (&atom.key_cols[..], &key[..]) {
+                    for (p, row) in rows {
+                        if row[*c] == *v {
+                            self.step(i, rel, p, &ann);
+                        }
+                    }
+                } else {
+                    for (p, row) in rows {
+                        if matches(row) {
+                            self.step(i, rel, p, &ann);
+                        }
                     }
                 }
             }
             Some(idx) => {
-                let key = ground_key(slots);
-                for &(tuple, k) in idx.probe(&key) {
-                    step(tuple, k, slots);
+                // Keys of one or two columns pack exactly; wider keys
+                // are hashed, so their probe results are re-checked.
+                let exact = key.len() <= 2;
+                for &p in idx.probe(pack_key(key.iter().copied())) {
+                    let p = p as usize;
+                    if exact || matches(rel.row(p)) {
+                        self.step(i, rel, p, &ann);
+                    }
                 }
             }
+        }
+        self.keys[i] = key;
+    }
+
+    /// Bind atom `i` to row `p` of `rel` and recurse.
+    fn step(&mut self, i: usize, rel: &Rows<K>, p: usize, ann: &K) {
+        let atom = &self.rule.atoms[i];
+        let row = rel.row(p);
+        for &(col, slot) in &atom.binds {
+            self.slots[slot] = row[col];
+        }
+        if atom.checks.iter().all(|c| self.slots[c.slot] == row[c.col]) {
+            let k = rel.ann(p);
+            let next = if k.is_one() {
+                ann.clone()
+            } else {
+                ann.times(k)
+            };
+            self.run(i + 1, next);
+        }
+    }
+
+    /// Ground the head and add the derivation unless absorbed.
+    fn emit(&mut self, ann: K) {
+        self.head.clear();
+        for h in &self.rule.head {
+            let id = ground(h, &self.slots, self.terms);
+            self.head.push(id);
+        }
+        let keep = match self.rels.full[self.rule.head_pred].get(&self.head) {
+            None => true,
+            Some(cur) => cur.plus(&ann) != *cur,
+        };
+        if keep {
+            self.out.insert(&self.head, ann);
         }
     }
 }
 
-fn ground(h: &HeadInstr, slots: &[Option<RelValue>]) -> RelValue {
+fn ground<I: Interner>(h: &HeadInstr, slots: &[TermId], terms: &mut I) -> TermId {
     match h {
-        HeadInstr::Const(c) => c.clone(),
-        HeadInstr::Slot(s) => slots[*s].clone().expect("head slot bound (checked)"),
+        HeadInstr::Const(c) => *c,
+        HeadInstr::Slot(s) => slots[*s],
         HeadInstr::Skolem(f, args) => {
-            RelValue::Skolem(*f, args.iter().map(|a| ground(a, slots)).collect())
+            if let [a] = args.as_slice() {
+                let a = ground(a, slots, terms);
+                return terms.skolem(*f, &[a]);
+            }
+            let ids: Vec<TermId> = args.iter().map(|a| ground(a, slots, terms)).collect();
+            terms.skolem(*f, &ids)
         }
     }
 }
@@ -692,12 +827,48 @@ const PAR_JOIN_MIN_TUPLES: usize = 64;
 
 /// A variant whose driving (first) atom holds at most this many tuples
 /// skips building hash indexes for its keyed atoms and scan-probes them
-/// instead: a handful of O(n) filtered scans is far cheaper than an
-/// O(n) *allocating* index build that only a handful of probes would
-/// ever consult. This is what makes resumed fixpoints
-/// ([`eval_datalog_idb_resume`]) cost O(Δ·n) comparisons instead of
-/// O(n) allocations per round when the edit delta is tiny.
+/// instead: a handful of O(n) `u32` scans is far cheaper than an O(n)
+/// index build that only a handful of probes would ever consult. This
+/// is what makes resumed fixpoints ([`eval_datalog_idb_resume`]) cost
+/// O(Δ·n) comparisons and no index builds when the edit delta is tiny.
 const SCAN_PROBE_MAX: usize = 16;
+
+/// Intern a boundary relation into rows over `terms`.
+fn intern_rel<K: Semiring>(rel: &KRelation<K>, terms: &mut TermTable) -> Rows<K> {
+    let mut rows = Rows::new(rel.schema().arity());
+    let mut row = Vec::with_capacity(rel.schema().arity());
+    for (t, k) in rel.iter() {
+        row.clear();
+        row.extend(t.iter().map(|v| terms.intern(v)));
+        rows.insert(&row, k.clone());
+    }
+    rows
+}
+
+/// Intern every EDB relation, in [`signature`] order.
+fn intern_db<K: Semiring>(edb: &Database<K>, terms: &mut TermTable) -> Vec<Rows<K>> {
+    edb.iter().map(|(_, r)| intern_rel(r, terms)).collect()
+}
+
+/// The IDB relations of a finished evaluation, back in boundary form.
+fn named_idb<K: Semiring>(
+    compiled: &Compiled,
+    full: &[Rows<K>],
+    terms: &TermTable,
+) -> BTreeMap<String, KRelation<K>> {
+    compiled
+        .idb_names
+        .iter()
+        .zip(full)
+        .map(|(name, rows)| {
+            let mut rel = KRelation::new(anon_schema(rows.arity()));
+            for (row, k) in rows.iter() {
+                rel.insert(row.iter().map(|&t| terms.value(t)).collect(), k.clone());
+            }
+            (name.clone(), rel)
+        })
+        .collect()
+}
 
 /// Semi-naive evaluation returning only the derived IDB relations
 /// (callers that own the EDB skip a database copy), with an explicit
@@ -715,13 +886,17 @@ const SCAN_PROBE_MAX: usize = 16;
 /// this computes the same iterate sequence and the same fixpoint as
 /// [`eval_datalog_naive`].
 ///
+/// The relations are interned on entry (one [`TermTable`] for the
+/// whole call) and converted back on exit; every round in between
+/// runs on `u32` rows.
+///
 /// `x` carries the call's execution state:
 /// - with a non-sequential context every round fans its rule
 ///   variants — and, for variants whose first body atom is a full
-///   scan, chunks of that scan — out over the context's pool, merging
-///   the per-task deltas with [`KRelation::union_with`]. Identical
-///   iterates and fixpoint (the absorption check reads the immutable
-///   previous iterate, and delta merging is the same commutative `+`);
+///   scan, row ranges of that scan — out over the context's pool,
+///   merging the per-task deltas. Identical iterates and fixpoint (the
+///   absorption check reads the immutable previous iterate, and delta
+///   merging is the same commutative `+`);
 /// - the deadline is checked at the top of every round: a round that
 ///   starts after it has passed aborts with [`DatalogError::deadline`]
 ///   (rounds already running complete, so abandonment is per round);
@@ -734,78 +909,12 @@ pub fn eval_datalog_idb<K: Semiring>(
     max_iters: usize,
     x: &Exec<'_>,
 ) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    let compiled = compile(prog, edb)?;
-    let n_idb = compiled.idb_names.len();
-    // One schema per predicate for the whole run (Schema is Arc-shared;
-    // rebuilding it would allocate column names every round).
-    let schemas: Vec<Schema> = compiled
-        .idb_arities
-        .iter()
-        .map(|&n| anon_schema(n))
-        .collect();
-    let full = empty_rels::<K>(&schemas);
-    let prev = empty_rels::<K>(&schemas);
-    let prev_fresh = vec![true; n_idb];
-    let edb_rels: Vec<&KRelation<K>> = edb.iter().map(|(_, r)| r).collect();
-
-    // The EDB never changes: build each (relation, key-columns) probe
-    // index exactly once for the whole evaluation.
-    let edb_indexes = build_edb_indexes(&compiled.rules, &edb_rels);
-
-    if max_iters == 0 {
-        return no_fixpoint(0);
-    }
-    if x.past_deadline() {
-        return Err(DatalogError::deadline());
-    }
-    // Round 0: depth-1 derivations — all-EDB bodies only.
-    let zero = empty_rels::<K>(&schemas);
-    let mut next_delta;
-    {
-        let mut round = Round {
-            edb_rels: &edb_rels,
-            edb_indexes: &edb_indexes,
-            full: &full,
-            prev: &prev,
-            delta: &zero,
-            idb_indexes: HashMap::new(),
-        };
-        let items: Vec<(usize, Vec<Src>)> = compiled
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, rule)| rule.idb_positions.is_empty())
-            .map(|(ri, rule)| (ri, vec![Src::Edb; rule.atoms.len()]))
-            .collect();
-        next_delta = execute_round(&compiled.rules, &schemas, &mut round, &items, x);
-    }
-    charge_round(x, &next_delta)?;
-    let mut full = full;
-    let mut prev = prev;
-    let mut prev_fresh = prev_fresh;
-    if !merge_round(
-        &compiled,
-        &schemas,
-        &mut full,
-        &mut prev,
-        &mut prev_fresh,
-        &mut next_delta,
-    ) {
-        return Ok(named_idb(&compiled, full));
-    }
-    drive_rounds(
-        &compiled,
-        &schemas,
-        &edb_rels,
-        &edb_indexes,
-        full,
-        prev,
-        prev_fresh,
-        next_delta,
-        max_iters - 1,
-        max_iters,
-        x,
-    )
+    let mut terms = TermTable::new();
+    let compiled = compile(prog, &signature(edb), &mut terms)?;
+    let rows = intern_db(edb, &mut terms);
+    let refs: Vec<&Rows<K>> = rows.iter().collect();
+    let full = solve(&compiled, &mut terms, &refs, max_iters, x)?;
+    Ok(named_idb(&compiled, &full, &terms))
 }
 
 /// Resume a semi-naive fixpoint after an EDB delta: given the retained
@@ -835,7 +944,9 @@ pub fn eval_datalog_idb<K: Semiring>(
 /// for exact seeding, which semirings without subtraction cannot
 /// recover, so that case is rejected.
 ///
-/// `x` is honoured exactly as by [`eval_datalog_idb`].
+/// `x` is honoured exactly as by [`eval_datalog_idb`]. The incremental
+/// shredded route keeps its fixpoint interned between edits and calls
+/// the same resume without this boundary conversion (`crate::ivm`).
 pub fn eval_datalog_idb_resume<K: Semiring>(
     prog: &Program,
     edb: &Database<K>,
@@ -845,75 +956,149 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
     max_iters: usize,
     x: &Exec<'_>,
 ) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    let compiled = compile(prog, edb)?;
-    let Some(changed_idx) = edb.iter().position(|(n, _)| n == changed) else {
-        return err(format!("resume: unknown EDB relation {changed:?}"));
-    };
-    for rule in &prog.rules {
-        if rule.body.iter().filter(|a| a.pred == changed).count() > 1 {
-            return err(format!(
-                "resume: rule {rule} mentions {changed:?} more than once \
-                 (exact delta seeding needs the pre-delta relation)"
-            ));
-        }
-    }
-    // The seeding variants: each body rotated so the changed atom joins
-    // first (the delta drives the join; everything else is probed).
-    // Rules without the changed atom are kept verbatim — and never
-    // fired in the seed round — purely so head order (and therefore
-    // predicate numbering) matches `compiled` exactly.
-    let mut seeded: Vec<bool> = Vec::with_capacity(prog.rules.len());
-    let resume_prog =
-        Program::new(prog.rules.iter().map(
-            |r| match r.body.iter().position(|a| a.pred == changed) {
-                Some(pos) => {
-                    seeded.push(true);
-                    let mut body = r.body.clone();
-                    let a = body.remove(pos);
-                    body.insert(0, a);
-                    Rule::new(r.head.clone(), body)
-                }
-                None => {
-                    seeded.push(false);
-                    r.clone()
-                }
-            },
-        ));
-    let resumed = compile(&resume_prog, edb)?;
-    debug_assert_eq!(resumed.idb_names, compiled.idb_names);
-
-    let n_idb = compiled.idb_names.len();
-    let schemas: Vec<Schema> = compiled
-        .idb_arities
-        .iter()
-        .map(|&n| anon_schema(n))
-        .collect();
+    let mut terms = TermTable::new();
+    let plan = ResumePlan::new(prog, &signature(edb), changed, &mut terms)?;
+    let rows = intern_db(edb, &mut terms);
+    let refs: Vec<&Rows<K>> = rows.iter().collect();
+    let added = intern_rel(added, &mut terms);
     let mut retained = retained;
-    let full: Vec<KRelation<K>> = compiled
+    let full: Vec<Rows<K>> = plan
+        .compiled
         .idb_names
         .iter()
-        .zip(&schemas)
-        .map(|(n, s)| {
-            retained
-                .remove(n)
-                .unwrap_or_else(|| KRelation::new(s.clone()))
+        .zip(&plan.compiled.idb_arities)
+        .map(|(n, &a)| match retained.remove(n) {
+            Some(r) => intern_rel(&r, &mut terms),
+            None => Rows::new(a),
         })
         .collect();
-    // At the resume point the iterate is stable: Iₙ₋₁ = Iₙ = retained.
-    let prev: Vec<KRelation<K>> = full
-        .iter()
-        .zip(&schemas)
-        .zip(&compiled.needs_prev)
-        .map(|((f, s), &np)| {
-            if np {
-                f.clone()
-            } else {
-                KRelation::new(s.clone())
-            }
-        })
-        .collect();
-    let prev_fresh = vec![true; n_idb];
+    let full = resume(&plan, &mut terms, &refs, &added, full, max_iters, x)?;
+    Ok(named_idb(&plan.compiled, &full, &terms))
+}
 
+/// The iterate of a running fixpoint: `Iₙ`, the lazily kept `Iₙ₋₁`,
+/// and whether each `prev` is already caught up.
+struct Iterate<K: Semiring> {
+    full: Vec<Rows<K>>,
+    prev: Vec<Rows<K>>,
+    prev_fresh: Vec<bool>,
+}
+
+impl<K: Semiring> Iterate<K> {
+    /// A stable iterate (`Iₙ₋₁ = Iₙ = full`): the start of every
+    /// evaluation, fresh (`full` empty) or resumed.
+    fn stable(compiled: &Compiled, full: Vec<Rows<K>>) -> Self {
+        let prev = full
+            .iter()
+            .zip(&compiled.needs_prev)
+            .map(|(f, &np)| if np { f.clone() } else { Rows::new(f.arity()) })
+            .collect();
+        Iterate {
+            prev_fresh: vec![true; full.len()],
+            full,
+            prev,
+        }
+    }
+
+    /// Fold one round's delta into the iterate, maintaining the lazy
+    /// `prev` invariant (`prev[p] == Iₙ₋₁[p]` for every `needs_prev`
+    /// predicate at the top of the next round). Output-only
+    /// predicates' rows are *moved* into the iterate (their delta is
+    /// never re-read). Returns whether anything changed — `false`
+    /// means fixpoint.
+    fn merge(&mut self, compiled: &Compiled, next: &mut [Rows<K>]) -> bool {
+        if next.iter().all(Rows::is_empty) {
+            return false;
+        }
+        for (p, delta) in next.iter_mut().enumerate() {
+            if !delta.is_empty() {
+                if compiled.needs_prev[p] {
+                    self.prev[p] = self.full[p].clone();
+                }
+                if compiled.idb_in_body[p] {
+                    for (row, k) in delta.iter() {
+                        self.full[p].insert(row, k.clone());
+                    }
+                } else {
+                    // Output-only predicate: no rule re-reads its
+                    // delta, so hand the rows over instead of cloning.
+                    let moved = std::mem::replace(delta, Rows::new(delta.arity()));
+                    self.full[p].union_with(moved);
+                }
+                self.prev_fresh[p] = false;
+            } else if compiled.needs_prev[p] && !self.prev_fresh[p] {
+                // The iterate stabilized this round; catch `prev` up
+                // once so later rounds read Iₙ₋₁ = Iₙ.
+                self.prev[p] = self.full[p].clone();
+                self.prev_fresh[p] = true;
+            }
+        }
+        true
+    }
+}
+
+/// The fresh semi-naive fixpoint of `compiled` over interned EDB
+/// relations (in the signature order it was compiled against).
+pub(crate) fn solve<K: Semiring>(
+    compiled: &Compiled,
+    terms: &mut TermTable,
+    edb: &[&Rows<K>],
+    max_iters: usize,
+    x: &Exec<'_>,
+) -> Result<Vec<Rows<K>>, DatalogError> {
+    if max_iters == 0 {
+        return no_fixpoint(0);
+    }
+    if x.past_deadline() {
+        return Err(DatalogError::deadline());
+    }
+    let mut it = Iterate::stable(compiled, compiled.empty_idb());
+    let mut edb_ix = Indexes::new();
+    // Round 0: depth-1 derivations — all-EDB bodies only.
+    let items: Vec<(usize, Vec<Src>)> = compiled
+        .rules
+        .iter()
+        .enumerate()
+        .filter(|(_, rule)| rule.idb_positions.is_empty())
+        .map(|(ri, rule)| (ri, vec![Src::Edb; rule.atoms.len()]))
+        .collect();
+    let zero = compiled.empty_idb();
+    let mut next = execute_round(
+        &compiled.rules,
+        &compiled.idb_arities,
+        terms,
+        Rels {
+            edb,
+            full: &it.full,
+            prev: &it.prev,
+            delta: &zero,
+        },
+        &mut edb_ix,
+        &items,
+        x,
+    );
+    charge_round(x, &next)?;
+    if !it.merge(compiled, &mut next) {
+        return Ok(it.full);
+    }
+    drive_rounds(compiled, terms, edb, &mut edb_ix, it, next, max_iters, x)
+}
+
+/// [`eval_datalog_idb_resume`] on interned relations: `edb` is the new
+/// EDB (the changed relation already includes `added`), `retained` the
+/// pruned fixpoint in `plan.compiled`'s predicate order.
+pub(crate) fn resume<K: Semiring>(
+    plan: &ResumePlan,
+    terms: &mut TermTable,
+    edb: &[&Rows<K>],
+    added: &Rows<K>,
+    retained: Vec<Rows<K>>,
+    max_iters: usize,
+    x: &Exec<'_>,
+) -> Result<Vec<Rows<K>>, DatalogError> {
+    let compiled = &plan.compiled;
+    // At the resume point the iterate is stable: Iₙ₋₁ = Iₙ = retained.
+    let mut it = Iterate::stable(compiled, retained);
     if max_iters == 0 {
         return no_fixpoint(0);
     }
@@ -921,88 +1106,55 @@ pub fn eval_datalog_idb_resume<K: Semiring>(
         return Err(DatalogError::deadline());
     }
     // Seed round: the changed atom scans only the added facts.
-    let mut seed_rels: Vec<&KRelation<K>> = edb.iter().map(|(_, r)| r).collect();
-    seed_rels[changed_idx] = added;
-    let seed_indexes = build_edb_indexes(&resumed.rules, &seed_rels);
-    let zero = empty_rels::<K>(&schemas);
-    let mut next_delta;
-    {
-        let mut round = Round {
-            edb_rels: &seed_rels,
-            edb_indexes: &seed_indexes,
-            full: &full,
-            prev: &prev,
+    let mut seed_edb: Vec<&Rows<K>> = edb.to_vec();
+    seed_edb[plan.changed] = added;
+    let items: Vec<(usize, Vec<Src>)> = plan
+        .resumed
+        .rules
+        .iter()
+        .enumerate()
+        .filter(|(ri, _)| plan.seeded[*ri])
+        .map(|(ri, rule)| {
+            let srcs = rule
+                .atoms
+                .iter()
+                .map(|a| match a.pred {
+                    Pred::Edb(_) => Src::Edb,
+                    Pred::Idb(_) => Src::Full,
+                })
+                .collect();
+            (ri, srcs)
+        })
+        .collect();
+    let zero = compiled.empty_idb();
+    let mut next = execute_round(
+        &plan.resumed.rules,
+        &compiled.idb_arities,
+        terms,
+        Rels {
+            edb: &seed_edb,
+            full: &it.full,
+            prev: &it.prev,
             delta: &zero,
-            idb_indexes: HashMap::new(),
-        };
-        let items: Vec<(usize, Vec<Src>)> = resumed
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(ri, _)| seeded[*ri])
-            .map(|(ri, rule)| {
-                let srcs = rule
-                    .atoms
-                    .iter()
-                    .map(|a| match a.pred {
-                        Pred::Edb(_) => Src::Edb,
-                        Pred::Idb(_) => Src::Full,
-                    })
-                    .collect();
-                (ri, srcs)
-            })
-            .collect();
-        next_delta = execute_round(&resumed.rules, &schemas, &mut round, &items, x);
+        },
+        &mut Indexes::new(),
+        &items,
+        x,
+    );
+    charge_round(x, &next)?;
+    if !it.merge(compiled, &mut next) {
+        return Ok(it.full);
     }
-    charge_round(x, &next_delta)?;
-    let mut full = full;
-    let mut prev = prev;
-    let mut prev_fresh = prev_fresh;
-    if !merge_round(
-        &compiled,
-        &schemas,
-        &mut full,
-        &mut prev,
-        &mut prev_fresh,
-        &mut next_delta,
-    ) {
-        return Ok(named_idb(&compiled, full));
-    }
-    let edb_rels: Vec<&KRelation<K>> = edb.iter().map(|(_, r)| r).collect();
-    // A tiny seed delta stays tiny through the remaining rounds (each
-    // derives only from the last delta), so a full-EDB hash index
-    // would cost more to build than every probe it would serve —
-    // leave the map empty and let the rounds scan-probe instead.
-    let delta_total: usize = next_delta.iter().map(KRelation::len).sum();
-    let edb_indexes = if delta_total > SCAN_PROBE_MAX {
-        build_edb_indexes(&compiled.rules, &edb_rels)
-    } else {
-        HashMap::new()
-    };
     drive_rounds(
-        &compiled,
-        &schemas,
-        &edb_rels,
-        &edb_indexes,
-        full,
-        prev,
-        prev_fresh,
-        next_delta,
-        max_iters - 1,
+        compiled,
+        terms,
+        edb,
+        &mut Indexes::new(),
+        it,
+        next,
         max_iters,
         x,
     )
-}
-
-fn empty_rels<K: Semiring>(schemas: &[Schema]) -> Vec<KRelation<K>> {
-    schemas.iter().map(|s| KRelation::new(s.clone())).collect()
-}
-
-fn named_idb<K: Semiring>(
-    compiled: &Compiled,
-    full: Vec<KRelation<K>>,
-) -> BTreeMap<String, KRelation<K>> {
-    compiled.idb_names.iter().cloned().zip(full).collect()
 }
 
 fn no_fixpoint<T>(max_iters: usize) -> Result<T, DatalogError> {
@@ -1011,100 +1163,88 @@ fn no_fixpoint<T>(max_iters: usize) -> Result<T, DatalogError> {
     ))
 }
 
-/// Build each (EDB relation, key-columns) probe index the rules need,
-/// exactly once per evaluation.
-fn build_edb_indexes<'a, K: Semiring>(
+/// Execute one round's work list, returning the per-predicate delta it
+/// derives. Indexes are built up front, so the round is immutable
+/// during the (possibly parallel) joins. With a non-sequential context
+/// the variants — and row ranges of full-scan first atoms — fan out
+/// over the pool; each task grounds head Skolem terms against a
+/// read-only snapshot of `terms` ([`Fresh`]), and the partial deltas
+/// are merged with the same commutative `+` once the new terms are
+/// absorbed into the table.
+#[allow(clippy::too_many_arguments)]
+fn execute_round<K: Semiring>(
     rules: &[CRule],
-    edb_rels: &[&'a KRelation<K>],
-) -> HashMap<(usize, Vec<usize>), RelIndex<'a, K>> {
-    let mut edb_indexes: HashMap<(usize, Vec<usize>), RelIndex<'a, K>> = HashMap::new();
-    for rule in rules {
-        for atom in &rule.atoms {
-            if let Pred::Edb(i) = atom.pred {
-                if !atom.key_cols.is_empty() {
-                    edb_indexes
-                        .entry((i, atom.key_cols.clone()))
-                        .or_insert_with(|| edb_rels[i].index_on(&atom.key_cols));
-                }
-            }
-        }
-    }
-    edb_indexes
-}
-
-/// Execute one round's work list against an immutable [`Round`] view,
-/// returning the per-predicate delta it derives. With a non-sequential
-/// context the variants — and probe chunks of full-scan first atoms —
-/// fan out over the pool and merge with the same commutative `+`.
-fn execute_round<'a, K: Semiring>(
-    rules: &[CRule],
-    schemas: &[Schema],
-    round: &mut Round<'a, K>,
+    arities: &[usize],
+    terms: &mut TermTable,
+    rels: Rels<'_, K>,
+    edb_ix: &mut Indexes,
     items: &[(usize, Vec<Src>)],
     x: &Exec<'_>,
-) -> Vec<KRelation<K>> {
-    // Build every index the work list needs up front, so the round is
-    // immutable during the (possibly parallel) joins.
+) -> Vec<Rows<K>> {
+    let mut idb_ix = Indexes::new();
     for (ri, srcs) in items {
-        round.prepare(&rules[*ri], srcs);
+        rels.prepare(&rules[*ri], srcs, edb_ix, &mut idb_ix);
     }
-    let mut next_delta = empty_rels::<K>(schemas);
-    let round = &*round;
-    match x.parallel() {
-        None => {
-            for (ri, srcs) in items {
-                let rule = &rules[*ri];
-                round.join(rule, srcs, None, &mut next_delta[rule.head_pred]);
-            }
+    let round = Round {
+        rels,
+        edb_ix,
+        idb_ix: &idb_ix,
+    };
+    let mut next: Vec<Rows<K>> = arities.iter().map(|&a| Rows::new(a)).collect();
+    let Some(c) = x.parallel() else {
+        for (ri, srcs) in items {
+            let rule = &rules[*ri];
+            round.join(rule, srcs, None, &mut next[rule.head_pred], terms);
         }
-        Some(c) => {
-            // Fan out: one task per variant, and — when a variant's
-            // first atom is a full scan over a big relation — one task
-            // per probe chunk of that scan.
-            let degree = c.degree();
-            type Seeds<'r, K> = Option<Vec<(&'r Tuple, &'r K)>>;
-            let mut tasks: Vec<(usize, &[Src], Seeds<'_, K>)> = Vec::new();
-            for (ri, srcs) in items {
-                let rule = &rules[*ri];
-                // Only rules whose first atom is a full scan can be
-                // probe-chunked (body-less fact rules and indexed
-                // first atoms run as one task).
-                if let Some(atom0) = rule.atoms.first().filter(|a| a.key_cols.is_empty()) {
-                    let rel = round.rel(srcs[0], atom0.pred);
-                    let want = (rel.len() / PAR_JOIN_MIN_TUPLES).min(degree);
-                    if want >= 2 {
-                        let tuples: Vec<(&Tuple, &K)> = rel.iter().collect();
-                        let per = tuples.len().div_ceil(want);
-                        for chunk in tuples.chunks(per) {
-                            tasks.push((*ri, srcs.as_slice(), Some(chunk.to_vec())));
-                        }
-                        continue;
-                    }
+        return next;
+    };
+    // Fan out: one task per variant, and — when a variant's first atom
+    // is a full scan over a big relation — one task per row range of
+    // that scan.
+    let degree = c.degree();
+    type Task<'s> = (usize, &'s [Src], Option<Range<usize>>);
+    let mut tasks: Vec<Task<'_>> = Vec::new();
+    for (ri, srcs) in items {
+        let rule = &rules[*ri];
+        // Only rules whose first atom is a full scan can be chunked
+        // (body-less fact rules and indexed first atoms run as one
+        // task).
+        if let Some(atom0) = rule.atoms.first().filter(|a| a.key_cols.is_empty()) {
+            let n = round.rels.rel(srcs[0], atom0.pred).len();
+            let want = (n / PAR_JOIN_MIN_TUPLES).min(degree);
+            if want >= 2 {
+                let per = n.div_ceil(want);
+                for start in (0..n).step_by(per) {
+                    tasks.push((*ri, srcs.as_slice(), Some(start..(start + per).min(n))));
                 }
-                tasks.push((*ri, srcs.as_slice(), None));
-            }
-            let partials: Vec<(usize, KRelation<K>)> =
-                c.pool.map_slice(&tasks, |_, (ri, srcs, seeds)| {
-                    let rule = &rules[*ri];
-                    let mut out = KRelation::new(schemas[rule.head_pred].clone());
-                    round.join(rule, srcs, seeds.as_deref(), &mut out);
-                    (rule.head_pred, out)
-                });
-            for (head, rel) in partials {
-                next_delta[head].union_with(rel);
+                continue;
             }
         }
+        tasks.push((*ri, srcs.as_slice(), None));
     }
-    next_delta
+    let base = terms.len();
+    let table = &*terms;
+    let partials = c.pool.map_slice(&tasks, |_, (ri, srcs, range)| {
+        let rule = &rules[*ri];
+        let mut fresh = Fresh::new(table);
+        let mut out = Rows::new(arities[rule.head_pred]);
+        round.join(rule, srcs, range.clone(), &mut out, &mut fresh);
+        (rule.head_pred, out, fresh.into_terms())
+    });
+    for (head, mut rows, new_terms) in partials {
+        if !new_terms.is_empty() {
+            let remap = terms.absorb(base, &new_terms);
+            rows.remap(|id| final_id(id, base, &remap));
+        }
+        next[head].union_with(rows);
+    }
+    next
 }
 
 /// Charge one round's derived tuples against the memory budget.
-fn charge_round<K: Semiring>(
-    x: &Exec<'_>,
-    next_delta: &[KRelation<K>],
-) -> Result<(), DatalogError> {
+fn charge_round<K: Semiring>(x: &Exec<'_>, next_delta: &[Rows<K>]) -> Result<(), DatalogError> {
     if let Some(b) = x.budget {
-        let derived: usize = next_delta.iter().map(|d| d.len()).sum();
+        let derived: usize = next_delta.iter().map(Rows::len).sum();
         if b.charge(derived).is_err() {
             return Err(DatalogError::memory());
         }
@@ -1112,121 +1252,70 @@ fn charge_round<K: Semiring>(
     Ok(())
 }
 
-/// Fold one round's delta into the iterate, maintaining the lazy
-/// `prev` invariant (`prev[p] == Iₙ₋₁[p]` for every `needs_prev`
-/// predicate at the top of the next round). Output-only predicates'
-/// rows are *moved* into the iterate (their delta is never re-read).
-/// Returns whether anything changed — `false` means fixpoint.
-fn merge_round<K: Semiring>(
-    compiled: &Compiled,
-    schemas: &[Schema],
-    full: &mut [KRelation<K>],
-    prev: &mut [KRelation<K>],
-    prev_fresh: &mut [bool],
-    next_delta: &mut [KRelation<K>],
-) -> bool {
-    let changed = next_delta.iter().any(|d| !d.is_empty());
-    if !changed {
-        return false;
-    }
-    for p in 0..full.len() {
-        if !next_delta[p].is_empty() {
-            if compiled.needs_prev[p] {
-                prev[p] = full[p].clone();
-            }
-            if compiled.idb_in_body[p] {
-                for (t, k) in next_delta[p].iter() {
-                    full[p].insert(t.clone(), k.clone());
-                }
-            } else {
-                // Output-only predicate: no rule re-reads its delta,
-                // so hand the rows over instead of cloning.
-                let moved =
-                    std::mem::replace(&mut next_delta[p], KRelation::new(schemas[p].clone()));
-                full[p].union_with(moved);
-            }
-            prev_fresh[p] = false;
-        } else if compiled.needs_prev[p] && !prev_fresh[p] {
-            // The iterate stabilized this round; catch `prev` up once
-            // so later rounds read Iₙ₋₁ = Iₙ.
-            prev[p] = full[p].clone();
-            prev_fresh[p] = true;
-        }
-    }
-    true
-}
-
 /// The delta-driven rounds shared by the fresh and resumed fixpoints:
 /// each fires one variant per IDB position carrying the last delta
 /// (`Iₙ₋₂` before it, `Iₙ₋₁` after — the exact partition of new-depth
-/// derivation trees), merging until a round derives nothing.
+/// derivation trees), merging until a round derives nothing. The
+/// caller has run one round of the `max_iters` already.
 #[allow(clippy::too_many_arguments)]
 fn drive_rounds<K: Semiring>(
     compiled: &Compiled,
-    schemas: &[Schema],
-    edb_rels: &[&KRelation<K>],
-    edb_indexes: &HashMap<(usize, Vec<usize>), RelIndex<'_, K>>,
-    mut full: Vec<KRelation<K>>,
-    mut prev: Vec<KRelation<K>>,
-    mut prev_fresh: Vec<bool>,
-    mut delta: Vec<KRelation<K>>,
-    rounds_left: usize,
+    terms: &mut TermTable,
+    edb: &[&Rows<K>],
+    edb_ix: &mut Indexes,
+    mut it: Iterate<K>,
+    mut delta: Vec<Rows<K>>,
     max_iters: usize,
     x: &Exec<'_>,
-) -> Result<BTreeMap<String, KRelation<K>>, DatalogError> {
-    for _ in 0..rounds_left {
+) -> Result<Vec<Rows<K>>, DatalogError> {
+    for _ in 1..max_iters {
         if x.past_deadline() {
             return Err(DatalogError::deadline());
         }
+        let mut items: Vec<(usize, Vec<Src>)> = Vec::new();
+        for (ri, rule) in compiled.rules.iter().enumerate() {
+            for (vi, &dpos) in rule.idb_positions.iter().enumerate() {
+                let Pred::Idb(dp) = rule.atoms[dpos].pred else {
+                    unreachable!("idb_positions index IDB atoms")
+                };
+                if delta[dp].is_empty() {
+                    continue; // this variant cannot derive anything
+                }
+                let srcs: Vec<Src> = rule
+                    .atoms
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, atom)| match atom.pred {
+                        Pred::Edb(_) => Src::Edb,
+                        Pred::Idb(_) if pos == dpos => Src::Delta,
+                        Pred::Idb(_) if rule.idb_positions[..vi].contains(&pos) => Src::Prev,
+                        Pred::Idb(_) => Src::Full,
+                    })
+                    .collect();
+                items.push((ri, srcs));
+            }
+        }
         // Derivations of the new depth, absorbed ones pruned at the
         // join (see [`Round::join`]): the next delta.
-        let mut next_delta;
-        {
-            let mut round = Round {
-                edb_rels,
-                edb_indexes,
-                full: &full,
-                prev: &prev,
+        let mut next = execute_round(
+            &compiled.rules,
+            &compiled.idb_arities,
+            terms,
+            Rels {
+                edb,
+                full: &it.full,
+                prev: &it.prev,
                 delta: &delta,
-                idb_indexes: HashMap::new(),
-            };
-            let mut items: Vec<(usize, Vec<Src>)> = Vec::new();
-            for (ri, rule) in compiled.rules.iter().enumerate() {
-                for (vi, &dpos) in rule.idb_positions.iter().enumerate() {
-                    let Pred::Idb(dp) = rule.atoms[dpos].pred else {
-                        unreachable!("idb_positions index IDB atoms")
-                    };
-                    if round.delta[dp].is_empty() {
-                        continue; // this variant cannot derive anything
-                    }
-                    let srcs: Vec<Src> = rule
-                        .atoms
-                        .iter()
-                        .enumerate()
-                        .map(|(pos, atom)| match atom.pred {
-                            Pred::Edb(_) => Src::Edb,
-                            Pred::Idb(_) if pos == dpos => Src::Delta,
-                            Pred::Idb(_) if rule.idb_positions[..vi].contains(&pos) => Src::Prev,
-                            Pred::Idb(_) => Src::Full,
-                        })
-                        .collect();
-                    items.push((ri, srcs));
-                }
-            }
-            next_delta = execute_round(&compiled.rules, schemas, &mut round, &items, x);
+            },
+            edb_ix,
+            &items,
+            x,
+        );
+        charge_round(x, &next)?;
+        if !it.merge(compiled, &mut next) {
+            return Ok(it.full);
         }
-        charge_round(x, &next_delta)?;
-        if !merge_round(
-            compiled,
-            schemas,
-            &mut full,
-            &mut prev,
-            &mut prev_fresh,
-            &mut next_delta,
-        ) {
-            return Ok(named_idb(compiled, full));
-        }
-        delta = next_delta;
+        delta = next;
     }
     no_fixpoint(max_iters)
 }
@@ -1253,7 +1342,7 @@ pub fn eval_datalog_naive_capped<K: Semiring>(
     max_iters: usize,
 ) -> Result<Database<K>, DatalogError> {
     // Same validation as the semi-naive path (errors must agree).
-    let _ = compile(prog, edb)?;
+    let _ = compile(prog, &signature(edb), &mut TermTable::new())?;
     let idb_arities = prog.idb_preds();
 
     // IDB iterate: start empty.
@@ -1433,7 +1522,7 @@ mod tests {
         };
         let err = eval_datalog_idb::<NatPoly>(&tc_prog(), &edge_db(), DEFAULT_MAX_ITERS, &past)
             .unwrap_err();
-        assert!(err.budget, "{err:?}");
+        assert_eq!(err.budget, Some(BudgetKind::WallClock), "{err:?}");
         assert!(err.msg.contains("deadline"), "{}", err.msg);
     }
 

@@ -33,12 +33,22 @@
 //! a body node variable in ψ's qualifier projection, so their cached
 //! IDB state cannot be pruned exactly — callers fall back to a full
 //! re-solve over the (still incrementally maintained) edge relation.
+//!
+//! [`ShreddedView`] packages both tiers for the engine: it keeps one
+//! query's edge relation, fixpoint and decoded result interned over
+//! its own term table and applies each net delta in place. The
+//! `KRelation` helpers here ([`prune_retired`],
+//! [`added_facts_relation`], [`OwnedDelta::apply_to_edges`]) state the
+//! same contract at the boundary, for tests and one-off callers.
 
+use crate::datalog::{resume, solve, DatalogError, ResumePlan, DEFAULT_MAX_ITERS};
 use crate::krel::{KRelation, RelValue, Tuple};
-use crate::shred::edge_schema;
+use crate::shred::{edge_schema, for_each_fact, path_to_datalog};
+use crate::term::{FxMap, FxSet, Rows, TermId, TermTable};
+use axml_core::path::PathQuery;
 use axml_semiring::{Semiring, SemiringHom};
-use axml_uxml::{Forest, Label, Tree};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use axml_uxml::{Exec, Forest, Label, Tree};
+use std::collections::{HashMap, HashSet};
 
 /// One forest entry in the mirror: the value tree it corresponds to,
 /// its annotation in the containing forest, the shred node id assigned
@@ -122,18 +132,6 @@ impl<K: Semiring> OwnedDelta<K> {
         }
         out
     }
-
-    /// [`OwnedDelta::apply_to_edges`] without the rebuild: retain the
-    /// surviving facts in place and insert the added ones — O(n)
-    /// predicate checks but O(Δ) allocation, which is what the
-    /// maintained edge relation on the churn path wants.
-    pub fn apply_to_edges_in_place(&self, rel: &mut KRelation<K>) {
-        let retired: HashSet<u64> = self.retired.iter().copied().collect();
-        rel.retain(|t, _| !tuple_mentions(t, &retired));
-        for (f, k) in &self.added {
-            rel.insert(fact_tuple(f), k.clone());
-        }
-    }
 }
 
 fn fact_tuple(f: &AddedFact) -> Tuple {
@@ -185,10 +183,273 @@ pub fn added_facts_relation<K: Semiring>(added: &[(AddedFact, K)]) -> KRelation<
     rel
 }
 
-/// The decoded result forest of one tier-A (filter-free) shredded
-/// query, maintained incrementally across edits. Replaces the
-/// per-evaluation `garbage_collect` + `decode` passes — both O(|E2|) —
-/// with an O(Δ) patch.
+/// The node was retired by the delta. The marks of one delta are bit
+/// sets indexed by term id (see [`ShreddedView::update`]).
+const RETIRED: u8 = 1;
+/// The node is the parent of a net added fact (an attach point).
+const TOUCHED: u8 = 2;
+/// The node is new in this delta.
+const FRESH: u8 = 4;
+/// The node belongs to a cached root that the delta made dirty.
+const NEED: u8 = 8;
+
+/// Compaction runs once at least this many terms are dead and they
+/// outnumber the live ones.
+const COMPACT_MIN_DEAD: usize = 1024;
+
+/// One §7 query's shredded pipeline over one document, kept in
+/// interned form across edits: the document's edge relation `E`, the
+/// ψ fixpoint over it, and the decoded result forest.
+///
+/// Everything is stored over one [`TermTable`] the view owns: `E` and
+/// the IDB relations are `u32` rows, the result cache is keyed on
+/// `E2` rows and records node term ids. [`ShreddedView::update`]
+/// applies an edit delta to all three without building or comparing a
+/// single [`RelValue`]:
+///
+/// - **edge delta and prune** — one forward pass over the term table
+///   marks every term that mentions a retired node (arguments precede
+///   terms), then a `u32` scan drops the `E` and IDB rows holding a
+///   marked term;
+/// - **seed and delta rounds** — the resumed semi-naive fixpoint
+///   ([`crate::datalog::eval_datalog_idb_resume`]'s engine) probes
+///   `u32` columns, driven by the handful of added facts;
+/// - **result** — the result cache tests parent ids against a bitmap
+///   and decodes only the roots the delta made live.
+///
+/// Pruning by retired ids is exact only for filter-free queries (see
+/// the module docs); a view of a query with filters re-solves from
+/// scratch over its maintained `E` on every update and keeps only the
+/// decoded forest.
+pub struct ShreddedView<K: Semiring> {
+    plan: ResumePlan,
+    /// Filter-free: updates resume the retained fixpoint.
+    exact: bool,
+    terms: TermTable,
+    /// Terms interned by compilation (rule constants, the virtual
+    /// root): compaction keeps them, so their ids never move.
+    fixed: usize,
+    zero: TermId,
+    edges: Rows<K>,
+    /// The retained fixpoint, in plan order (empty unless `exact`).
+    idb: Vec<Rows<K>>,
+    /// `E2`'s position among the IDB predicates.
+    e2: usize,
+    cache: ResultCache<K>,
+    /// Terms marked dead since the last compaction.
+    dead: usize,
+}
+
+impl<K: Semiring> ShreddedView<K> {
+    fn with_edges(
+        p: &PathQuery,
+        load: impl FnOnce(&mut TermTable, &mut Rows<K>),
+        x: &Exec<'_>,
+    ) -> Result<Self, DatalogError> {
+        let mut terms = TermTable::new();
+        let plan = ResumePlan::new(&path_to_datalog(p), &[("E", 3)], "E", &mut terms)?;
+        let zero = terms.node(0);
+        let e2 = plan.compiled.idb_index("E2").expect("ψ always defines E2");
+        let fixed = terms.len();
+        let mut edges = Rows::new(3);
+        load(&mut terms, &mut edges);
+        let mut view = ShreddedView {
+            plan,
+            exact: !p.has_filter(),
+            terms,
+            fixed,
+            zero,
+            edges,
+            idb: Vec::new(),
+            e2,
+            cache: ResultCache::default(),
+            dead: 0,
+        };
+        view.solve(x)?;
+        Ok(view)
+    }
+
+    /// Shred a mirrored document (annotations mapped through `h`) and
+    /// solve `p` over it. The deadline and budget of `x` are honoured
+    /// as by [`crate::datalog::eval_datalog_idb`].
+    pub fn new<S: Semiring, H: SemiringHom<S, K>>(
+        p: &PathQuery,
+        doc: &ShadowDoc<S>,
+        h: &H,
+        x: &Exec<'_>,
+    ) -> Result<Self, DatalogError> {
+        Self::with_edges(
+            p,
+            |terms, edges| {
+                doc.for_each_fact(&mut |pid, nid, label, ann| {
+                    edges.insert(&fact_row(terms, pid, nid, label), h.apply(ann));
+                })
+            },
+            x,
+        )
+    }
+
+    /// Shred a forest (φ, document-order ids) and solve `p` over it.
+    pub fn from_forest(
+        p: &PathQuery,
+        forest: &Forest<K>,
+        x: &Exec<'_>,
+    ) -> Result<Self, DatalogError> {
+        Self::with_edges(
+            p,
+            |terms, edges| {
+                for_each_fact(forest, |pid, nid, label, ann| {
+                    edges.insert(&fact_row(terms, pid, nid, label), ann.clone());
+                })
+            },
+            x,
+        )
+    }
+
+    /// The decoded result (`None`: the `E2` fixpoint is not
+    /// forest-shaped — a cycle or a non-label in the label column).
+    pub fn forest(&self) -> Option<&Forest<K>> {
+        self.cache.forest.as_ref()
+    }
+
+    /// The decoded result, by value.
+    pub fn into_forest(self) -> Option<Forest<K>> {
+        self.cache.forest
+    }
+
+    /// Solve from scratch over the current `E` and rebuild the result.
+    fn solve(&mut self, x: &Exec<'_>) -> Result<(), DatalogError> {
+        let before = self.terms.len();
+        let idb = solve(
+            &self.plan.compiled,
+            &mut self.terms,
+            &[&self.edges],
+            DEFAULT_MAX_ITERS,
+            x,
+        )?;
+        self.cache.rebuild(&self.terms, &idb[self.e2], self.zero);
+        if self.exact {
+            self.idb = idb;
+        } else {
+            // Nothing but the forest outlives the solve: drop the
+            // cache's term ids and every term the solve interned.
+            self.cache.roots.clear();
+            self.terms.truncate(before);
+        }
+        Ok(())
+    }
+
+    /// Apply one net edit delta — the node ids it retired and the edge
+    /// facts it added (with parents and children never retired in the
+    /// same delta) — and bring the result up to date. An error (a
+    /// tripped limit) consumes the view: its state is half-updated.
+    pub fn update(
+        mut self,
+        retired: &HashSet<u64>,
+        added: &[(AddedFact, K)],
+        x: &Exec<'_>,
+    ) -> Result<Self, DatalogError> {
+        if retired.is_empty() && added.is_empty() {
+            return Ok(self);
+        }
+        // 1. Edge delta and prune.
+        let mut marks = vec![0u8; self.terms.len()];
+        for &n in retired {
+            if let Some(t) = self.terms.find_node(n) {
+                marks[t as usize] |= RETIRED;
+            }
+        }
+        let dead = self.terms.mentions(|t| marks[t as usize] & RETIRED != 0);
+        let n_dead = dead.iter().filter(|&&d| d).count();
+        if n_dead > 0 {
+            let live = |row: &[TermId], _: &K| !row.iter().any(|&t| dead[t as usize]);
+            self.edges.retain(live);
+            for rel in &mut self.idb {
+                rel.retain(live);
+            }
+            self.dead += n_dead;
+        }
+        let mut fresh = Rows::new(3);
+        for (f, k) in added {
+            fresh.insert(&fact_row(&mut self.terms, f.pid, f.nid, f.label), k.clone());
+        }
+        marks.resize(self.terms.len(), 0);
+        for (row, k) in fresh.iter() {
+            marks[row[0] as usize] |= TOUCHED;
+            marks[row[1] as usize] |= FRESH;
+            self.edges.insert(row, k.clone());
+        }
+        if !self.exact {
+            self.solve(x)?;
+            self.maybe_compact();
+            return Ok(self);
+        }
+        // 2. Seed and delta rounds from the added facts.
+        let retained = std::mem::take(&mut self.idb);
+        self.idb = resume(
+            &self.plan,
+            &mut self.terms,
+            &[&self.edges],
+            &fresh,
+            retained,
+            DEFAULT_MAX_ITERS,
+            x,
+        )?;
+        // 3. Patch the result; rebuild whenever the delta steps outside
+        //    the tier-A id model.
+        marks.resize(self.terms.len(), 0);
+        let e2 = &self.idb[self.e2];
+        if !self
+            .cache
+            .apply_delta(&self.terms, e2, self.zero, &mut marks)
+        {
+            self.cache.rebuild(&self.terms, e2, self.zero);
+        }
+        self.maybe_compact();
+        Ok(self)
+    }
+
+    /// Once dead terms outnumber live ones, renumber the table down to
+    /// the terms still in use, so it stays proportional to the live
+    /// document rather than to the edit history.
+    fn maybe_compact(&mut self) {
+        if self.dead < COMPACT_MIN_DEAD || 2 * self.dead <= self.terms.len() {
+            return;
+        }
+        let mut live = vec![false; self.terms.len()];
+        live[..self.fixed].fill(true);
+        for rel in std::iter::once(&self.edges).chain(&self.idb) {
+            for &t in rel.cells() {
+                live[t as usize] = true;
+            }
+        }
+        for (key, root) in &self.cache.roots {
+            for &t in key.iter().chain(&root.ids) {
+                live[t as usize] = true;
+            }
+        }
+        self.terms.close_under_args(&mut live);
+        let remap = self.terms.compact(&live);
+        let f = |t: TermId| remap[t as usize];
+        self.edges.remap(f);
+        for rel in &mut self.idb {
+            rel.remap(f);
+        }
+        self.cache.remap(f);
+        self.dead = 0;
+    }
+}
+
+/// The interned edge fact `E(pid, nid, label)`.
+fn fact_row(terms: &mut TermTable, pid: u64, nid: u64, label: Label) -> [TermId; 3] {
+    [terms.node(pid), terms.node(nid), terms.label(label)]
+}
+
+/// The decoded result forest of one shredded query, maintained
+/// incrementally across edits. Replaces the per-evaluation
+/// `garbage_collect` + `decode` passes with a patch that decodes only
+/// what the delta touched, and keeps the assembled forest so a read at
+/// an unchanged version is a clone.
 ///
 /// Soundness rests on the same id discipline as the IDB pruning (see
 /// the module docs): a retained id keeps its label, annotation, and
@@ -197,203 +458,246 @@ pub fn added_facts_relation<K: Semiring>(added: &[(AddedFact, K)]) -> KRelation<
 /// added fact decodes to the identical tree with the identical
 /// annotation. Every other root — removed, interior-edited, or brand
 /// new — lives entirely inside the retired ∪ fresh id region, so its
-/// replacement decodes from tuples whose parent mentions one of those
+/// replacement decodes from rows whose parent mentions one of those
 /// ids. Any observation outside this model (a cached root vanishing
 /// while clean, an annotation moving on a clean root, a walk escaping
-/// the delta region) makes [`ResultCache::apply_delta`] return `None`
+/// the delta region) makes [`ResultCache::apply_delta`] report failure
 /// and the caller falls back to [`ResultCache::rebuild`].
-pub struct ResultCache<K: Semiring> {
-    roots: BTreeMap<Tuple, CachedRoot<K>>,
+pub(crate) struct ResultCache<K: Semiring> {
+    /// Live roots, keyed on their `E2` row.
+    roots: FxMap<[TermId; 3], CachedRoot<K>>,
+    /// The assembled result: `None` when `E2` is not forest-shaped.
+    forest: Option<Forest<K>>,
 }
 
 struct CachedRoot<K: Semiring> {
     tree: Tree<K>,
     ann: K,
-    /// Every document node id mentioned in the root's subtree tuples
-    /// (through Skolem arguments) — the dirtiness probe.
-    ids: Vec<u64>,
+    /// The node terms mentioned in the root's subtree rows (through
+    /// Skolem arguments) — the dirtiness probe.
+    ids: Vec<TermId>,
 }
 
 impl<K: Semiring> Default for ResultCache<K> {
     fn default() -> Self {
         ResultCache {
-            roots: BTreeMap::new(),
+            roots: FxMap::default(),
+            forest: Some(Forest::new()),
         }
     }
 }
 
-impl<K: Semiring> ResultCache<K> {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// `E2` row positions by parent term.
+type Children = FxMap<TermId, Vec<usize>>;
 
-    /// Rebuild the cache from a raw (pre-gc) `E2` relation and return
-    /// the result forest — `garbage_collect` + `decode` fused into one
-    /// pass (walking only from the pid-0 roots never visits garbage).
-    /// `None` mirrors `decode`'s failure cases (cycle, non-label in
-    /// the label column).
-    pub fn rebuild(&mut self, raw_e2: &KRelation<K>) -> Option<Forest<K>> {
+impl<K: Semiring> ResultCache<K> {
+    /// Rebuild the cache from a raw (pre-gc) `E2` relation —
+    /// `garbage_collect` + `decode` fused into one pass (walking only
+    /// from the `0`-parent roots never visits garbage).
+    pub(crate) fn rebuild(&mut self, terms: &TermTable, e2: &Rows<K>, zero: TermId) {
         self.roots.clear();
-        let zero = RelValue::Node(0);
-        let mut children: HashMap<&RelValue, Vec<(&Tuple, &K)>> = HashMap::new();
-        let mut live: Vec<(&Tuple, &K)> = Vec::new();
-        for (t, k) in raw_e2.iter() {
-            if t[0] == zero {
-                live.push((t, k));
+        let mut children = Children::default();
+        let mut live = Vec::new();
+        for p in 0..e2.len() {
+            let pid = e2.row(p)[0];
+            if pid == zero {
+                live.push(p);
             } else {
-                children.entry(&t[0]).or_default().push((t, k));
+                children.entry(pid).or_default().push(p);
             }
         }
-        for (t, k) in live {
-            let mut ids = Vec::new();
-            let mut on_path = HashSet::new();
-            let tree = decode_reachable(t, &children, &mut on_path, &mut ids, None)?;
-            self.roots.insert(
-                t.clone(),
-                CachedRoot {
-                    tree,
-                    ann: k.clone(),
-                    ids,
-                },
-            );
+        for p in live {
+            let Some(root) = decode_root(terms, e2, p, &children, None) else {
+                self.roots.clear();
+                self.forest = None;
+                return;
+            };
+            self.roots.insert(row3(e2.row(p)), root);
         }
-        Some(self.assemble())
+        self.assemble();
     }
 
-    /// Patch the cache after an edit delta and return the new result
-    /// forest. `new_e2` is the raw post-edit `E2` fixpoint; `retired`
-    /// and `fresh` are the edit's net id sets; `touched` holds the
-    /// parent ids of the net added edge facts (the attach points —
-    /// retained ids whose copied subtree gained children). `None`
-    /// means the delta did not behave like a tier-A edit — the caller
-    /// must [`ResultCache::rebuild`].
-    pub fn apply_delta(
+    /// Patch the cache after an edit delta. `e2` is the raw post-edit
+    /// `E2` fixpoint; `marks` flags the delta's retired, attach-point
+    /// and fresh node terms (indexes past its end are unmarked).
+    /// Returns `false` when the delta did not behave like a tier-A
+    /// edit — the caller must [`ResultCache::rebuild`].
+    pub(crate) fn apply_delta(
         &mut self,
-        new_e2: &KRelation<K>,
-        retired: &HashSet<u64>,
-        fresh: &HashSet<u64>,
-        touched: &HashSet<u64>,
-    ) -> Option<Forest<K>> {
+        terms: &TermTable,
+        e2: &Rows<K>,
+        zero: TermId,
+        marks: &mut [u8],
+    ) -> bool {
+        let mark = |marks: &[u8], t: TermId| marks.get(t as usize).copied().unwrap_or(0);
         // 1. Dirty roots: any overlap with retired ids or attach
         //    points. Their replacements decode from the need region.
-        let mut need: HashSet<u64> = fresh.clone();
-        let dirty: Vec<Tuple> = self
+        let dirty: Vec<[TermId; 3]> = self
             .roots
             .iter()
             .filter(|(_, r)| {
                 r.ids
                     .iter()
-                    .any(|i| retired.contains(i) || touched.contains(i))
+                    .any(|&t| mark(marks, t) & (RETIRED | TOUCHED) != 0)
             })
-            .map(|(t, _)| t.clone())
+            .map(|(key, _)| *key)
             .collect();
-        for t in &dirty {
-            if let Some(r) = self.roots.remove(t) {
-                need.extend(r.ids);
+        for key in &dirty {
+            if let Some(r) = self.roots.remove(key) {
+                for t in r.ids {
+                    if let Some(m) = marks.get_mut(t as usize) {
+                        *m |= NEED;
+                    }
+                }
             }
         }
-        // 2. One scan: live roots, plus children of the need region.
-        let zero = RelValue::Node(0);
-        let mut children: HashMap<&RelValue, Vec<(&Tuple, &K)>> = HashMap::new();
-        let mut live: Vec<(&Tuple, &K)> = Vec::new();
-        for (t, k) in new_e2.iter() {
-            if t[0] == zero {
-                live.push((t, k));
-            } else if value_mentions(&t[0], &need) {
-                children.entry(&t[0]).or_default().push((t, k));
+        // 2. One scan: live roots, plus children of the need region
+        //    (parents tested against a bitmap).
+        let need = terms.mentions(|t| mark(marks, t) & (NEED | FRESH) != 0);
+        let mut children = Children::default();
+        let mut live = Vec::new();
+        for p in 0..e2.len() {
+            let pid = e2.row(p)[0];
+            if pid == zero {
+                live.push(p);
+            } else if need[pid as usize] {
+                children.entry(pid).or_default().push(p);
             }
         }
         // 3. Clean cached roots must all still be live with their
-        //    annotation intact; anything else breaks the model.
+        //    annotation intact; only the rest are decoded.
         let mut seen = 0usize;
-        for (t, k) in live {
-            match self.roots.get(t) {
-                Some(r) => {
-                    if r.ann != *k {
-                        return None;
-                    }
-                    seen += 1;
-                }
+        for p in live {
+            let key = row3(e2.row(p));
+            match self.roots.get(&key) {
+                Some(r) if r.ann != *e2.ann(p) => return false,
+                Some(_) => {}
                 None => {
-                    let mut ids = Vec::new();
-                    let mut on_path = HashSet::new();
-                    let tree = decode_reachable(t, &children, &mut on_path, &mut ids, Some(&need))?;
-                    self.roots.insert(
-                        t.clone(),
-                        CachedRoot {
-                            tree,
-                            ann: k.clone(),
-                            ids,
-                        },
-                    );
-                    seen += 1;
+                    let Some(root) = decode_root(terms, e2, p, &children, Some(&need)) else {
+                        return false;
+                    };
+                    self.roots.insert(key, root);
                 }
             }
+            seen += 1;
         }
         if seen != self.roots.len() {
-            return None; // a clean cached root vanished from the fixpoint
+            return false; // a clean cached root vanished from the fixpoint
         }
-        Some(self.assemble())
+        self.assemble();
+        true
     }
 
-    /// The cached result forest (value-identical roots merge, exactly
-    /// as `decode` merges them).
-    pub fn assemble(&self) -> Forest<K> {
-        let mut out = Forest::new();
+    /// Refresh the assembled forest: value-identical roots merge,
+    /// exactly as `decode` merges them. Roots are counted per
+    /// (tree, annotation) first, and `n` equal annotations add up by
+    /// doubling — a result of n equal leaves costs O(log n) semiring
+    /// additions rather than n.
+    fn assemble(&mut self) {
+        let mut groups: FxMap<&Tree<K>, FxMap<&K, usize>> = FxMap::default();
         for r in self.roots.values() {
-            out.insert(r.tree.clone(), r.ann.clone());
+            *groups
+                .entry(&r.tree)
+                .or_default()
+                .entry(&r.ann)
+                .or_default() += 1;
         }
-        out
+        self.forest = Some(Forest::from_pairs(groups.into_iter().map(
+            |(tree, anns)| {
+                let total = K::sum(anns.into_iter().map(|(k, n)| times_count(k, n)));
+                (tree.clone(), total)
+            },
+        )));
+    }
+
+    /// Rewrite every term id through `f` (after table compaction).
+    fn remap(&mut self, f: impl Fn(TermId) -> TermId) {
+        self.roots = std::mem::take(&mut self.roots)
+            .into_iter()
+            .map(|(key, mut root)| {
+                for t in &mut root.ids {
+                    *t = f(*t);
+                }
+                (key.map(&f), root)
+            })
+            .collect();
     }
 }
 
-/// Decode the subtree hanging off one `E2` tuple from a children-by-pid
-/// map, collecting every mentioned document id into `ids`. With
-/// `need = Some(set)`, bail (`None`) if the walk mentions an id outside
-/// the set — the caller's children map only covers that region, so an
-/// escape would silently truncate the tree.
-fn decode_reachable<'a, K: Semiring>(
-    t: &'a Tuple,
-    children: &HashMap<&'a RelValue, Vec<(&'a Tuple, &'a K)>>,
-    on_path: &mut HashSet<&'a RelValue>,
-    ids: &mut Vec<u64>,
-    need: Option<&HashSet<u64>>,
+/// `k + k + … + k` (`n` times), by doubling.
+fn times_count<K: Semiring>(k: &K, mut n: usize) -> K {
+    let mut acc = K::zero();
+    let mut pow = k.clone();
+    while n > 0 {
+        if n & 1 == 1 {
+            acc = acc.plus(&pow);
+        }
+        n >>= 1;
+        if n > 0 {
+            pow = pow.plus(&pow);
+        }
+    }
+    acc
+}
+
+fn row3(row: &[TermId]) -> [TermId; 3] {
+    [row[0], row[1], row[2]]
+}
+
+/// Decode the root at `E2` position `p` with its annotation and id set.
+fn decode_root<K: Semiring>(
+    terms: &TermTable,
+    e2: &Rows<K>,
+    p: usize,
+    children: &Children,
+    need: Option<&[bool]>,
+) -> Option<CachedRoot<K>> {
+    let mut ids = Vec::new();
+    let mut on_path = FxSet::default();
+    let tree = decode_reachable(terms, e2, p, children, &mut on_path, &mut ids, need)?;
+    Some(CachedRoot {
+        tree,
+        ann: e2.ann(p).clone(),
+        ids,
+    })
+}
+
+/// Decode the subtree hanging off one `E2` row from a children-by-pid
+/// map, collecting every mentioned node term into `ids`. With
+/// `need = Some(set)`, bail (`None`) if the walk mentions a node
+/// outside the set — the caller's children map only covers that
+/// region, so an escape would silently truncate the tree.
+fn decode_reachable<K: Semiring>(
+    terms: &TermTable,
+    e2: &Rows<K>,
+    p: usize,
+    children: &Children,
+    on_path: &mut FxSet<TermId>,
+    ids: &mut Vec<TermId>,
+    need: Option<&[bool]>,
 ) -> Option<Tree<K>> {
-    let nid = &t[1];
-    let label = t[2].as_label()?;
+    let row = e2.row(p);
+    let nid = row[1];
+    let label = terms.as_label(row[2])?;
     if !on_path.insert(nid) {
         return None; // cycle through nid
     }
     let before = ids.len();
-    collect_ids(nid, ids);
+    terms.node_terms(nid, ids);
     if let Some(need) = need {
-        if ids[before..].iter().any(|i| !need.contains(i)) {
+        if ids[before..].iter().any(|&t| !need[t as usize]) {
             return None;
         }
     }
     let mut forest = Forest::new();
-    if let Some(kids) = children.get(nid) {
-        for &(ct, ck) in kids {
-            let sub = decode_reachable(ct, children, on_path, ids, need)?;
-            forest.insert(sub, ck.clone());
+    if let Some(kids) = children.get(&nid) {
+        for &c in kids {
+            let sub = decode_reachable(terms, e2, c, children, on_path, ids, need)?;
+            forest.insert(sub, e2.ann(c).clone());
         }
     }
-    on_path.remove(nid);
+    on_path.remove(&nid);
     Some(Tree::new(label, forest))
-}
-
-/// Append every `Node` id mentioned by `v` (through Skolem arguments).
-fn collect_ids(v: &RelValue, out: &mut Vec<u64>) {
-    match v {
-        RelValue::Label(_) => {}
-        RelValue::Node(n) => out.push(*n),
-        RelValue::Skolem(_, args) => {
-            for a in args {
-                collect_ids(a, out);
-            }
-        }
-    }
 }
 
 impl<K: Semiring> ShadowDoc<K> {
@@ -680,5 +984,73 @@ mod tests {
         // retires and <y/> is fresh.
         assert_eq!(delta.retired.len(), 1);
         assert_eq!(delta.added.len(), 1);
+    }
+
+    fn descendant(l: &str) -> PathQuery {
+        use axml_core::ast::{Axis, NodeTest, Step};
+        PathQuery::from_steps(&[Step {
+            axis: Axis::Descendant,
+            test: NodeTest::Label(Label::new(l)),
+        }])
+    }
+
+    #[test]
+    fn a_patched_result_equals_a_rebuild_over_the_same_e2() {
+        let old = parse("<r> <a> c {x} <b> c {y} </b> </a> <a> c {z} </a> <d> <c/> </d> </r>");
+        let new = parse("<r> <a> c {x} <b> c {y} <e> c {w} </e> </b> </a> <d> <c/> </d> </r>");
+        let q = descendant("c");
+        let mut doc = ShadowDoc::from_forest(&old);
+        let view = ShreddedView::new(&q, &doc, &IdentityHom, &Exec::default()).unwrap();
+        let before: HashMap<[TermId; 3], usize> = view
+            .cache
+            .roots
+            .iter()
+            .map(|(key, r)| (*key, r.tree.ptr_token()))
+            .collect();
+        let delta = doc.sync(&new);
+        let retired: HashSet<u64> = delta.retired.iter().copied().collect();
+        let view = view
+            .update(&retired, &delta.added, &Exec::default())
+            .unwrap();
+        // The patch kept the clean roots' decoded trees (a rebuild
+        // would have decoded every root afresh).
+        let kept = view
+            .cache
+            .roots
+            .iter()
+            .filter(|(key, r)| before.get(*key) == Some(&r.tree.ptr_token()))
+            .count();
+        assert!(kept > 0 && kept < view.cache.roots.len(), "kept {kept}");
+        let mut rebuilt = ResultCache::default();
+        rebuilt.rebuild(&view.terms, &view.idb[view.e2], view.zero);
+        assert_eq!(view.forest(), rebuilt.forest.as_ref());
+        let direct = crate::shred::eval_path_via_shredding(&new, &q, &Exec::default()).unwrap();
+        assert_eq!(view.forest(), Some(&direct));
+    }
+
+    #[test]
+    fn compaction_keeps_the_result_and_bounds_the_table() {
+        let q = descendant("c");
+        let base = parse("<r> <a> c {x} </a> <b> c {y} </b> </r>");
+        let mut doc = ShadowDoc::from_forest(&base);
+        let mut view = ShreddedView::new(&q, &doc, &IdentityHom, &Exec::default()).unwrap();
+        let mut peak = 0;
+        for i in 0..1500 {
+            let next = parse(&format!(
+                "<r> <a> c {{x}} </a> <b> <n{i}> c {{y}} </n{i}> </b> </r>"
+            ));
+            let delta = doc.sync(&next);
+            let retired: HashSet<u64> = delta.retired.iter().copied().collect();
+            view = view
+                .update(&retired, &delta.added, &Exec::default())
+                .unwrap();
+            peak = peak.max(view.terms.len());
+            if i % 250 == 0 {
+                let direct =
+                    crate::shred::eval_path_via_shredding(&next, &q, &Exec::default()).unwrap();
+                assert_eq!(view.forest(), Some(&direct), "edit {i}");
+            }
+        }
+        assert!(peak < 4 * COMPACT_MIN_DEAD, "term table grew to {peak}");
     }
 }

@@ -143,13 +143,6 @@ impl<K: Semiring> Database<K> {
         self.relations.get(name)
     }
 
-    /// Look up a relation for in-place mutation (the churn path
-    /// maintains its edge relation inside the database it solves over,
-    /// so evaluation never clones it).
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut KRelation<K>> {
-        self.relations.get_mut(name)
-    }
-
     /// Iterate relations by name.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &KRelation<K>)> + '_ {
         self.relations.iter()

@@ -36,12 +36,13 @@
 //! whole translation stays uniform.
 
 use crate::datalog::{atom, lbl, node, sk, v, Atom, DatalogError, Program, Rule, Term};
+use crate::ivm::ShreddedView;
 use crate::krel::{KRelation, RelValue, Schema};
 use crate::ra::Database;
 use axml_core::ast::{Axis, NodeTest, Step};
 use axml_core::path::PathQuery;
 use axml_semiring::Semiring;
-use axml_uxml::{Exec, Forest, Tree};
+use axml_uxml::{Exec, Forest, Label, Tree};
 use std::collections::BTreeMap;
 
 /// The schema of the edge relation `E(pid, nid, label)`.
@@ -53,41 +54,40 @@ pub fn edge_schema() -> Schema {
 /// depth-first document order starting at 1 (0 is the virtual root).
 pub fn shred<K: Semiring>(forest: &Forest<K>) -> KRelation<K> {
     let mut rel = KRelation::new(edge_schema());
-    let mut next_id = 1u64;
-    // Document order keeps the assigned ids stable across processes
-    // (the forest's internal order is fingerprint-based).
-    for (t, k) in forest.iter_document() {
-        shred_tree(t, k, 0, &mut next_id, &mut rel);
-    }
-    rel
-}
-
-fn shred_tree<K: Semiring>(
-    t: &Tree<K>,
-    ann: &K,
-    pid: u64,
-    next_id: &mut u64,
-    rel: &mut KRelation<K>,
-) {
-    // Pre-order DFS on an explicit stack — one linear scan emitting one
-    // EDB fact per node; document depth costs heap, never Rust stack.
-    // Children are pushed in reverse document order so pop order (and
-    // therefore every assigned nid) matches the recursive encoding
-    // exactly.
-    let mut stack: Vec<(&Tree<K>, &K, u64)> = vec![(t, ann, pid)];
-    while let Some((t, ann, pid)) = stack.pop() {
-        let nid = *next_id;
-        *next_id += 1;
+    for_each_fact(forest, |pid, nid, label, ann| {
         rel.insert(
             vec![
                 RelValue::Node(pid),
                 RelValue::Node(nid),
-                RelValue::Label(t.label()),
+                RelValue::Label(label),
             ],
             ann.clone(),
         );
-        for (c, k) in t.children_document().iter().rev() {
-            stack.push((c, k, nid));
+    });
+    rel
+}
+
+/// Visit φ's facts `E(pid, nid, label) @ ann` in id order.
+pub(crate) fn for_each_fact<K: Semiring>(
+    forest: &Forest<K>,
+    mut f: impl FnMut(u64, u64, Label, &K),
+) {
+    let mut next_id = 1u64;
+    // Document order keeps the assigned ids stable across processes
+    // (the forest's internal order is fingerprint-based). Pre-order DFS
+    // on an explicit stack — one linear scan emitting one EDB fact per
+    // node; document depth costs heap, never Rust stack. Children are
+    // pushed in reverse document order so pop order (and therefore
+    // every assigned nid) matches the recursive encoding exactly.
+    for (t, k) in forest.iter_document() {
+        let mut stack: Vec<(&Tree<K>, &K, u64)> = vec![(t, k, 0)];
+        while let Some((t, ann, pid)) = stack.pop() {
+            let nid = next_id;
+            next_id += 1;
+            f(pid, nid, t.label(), ann);
+            for (c, k) in t.children_document().iter().rev() {
+                stack.push((c, k, nid));
+            }
         }
     }
 }
@@ -388,15 +388,17 @@ fn decode_tree<K: Semiring>(
 /// End-to-end shredded evaluation of any §7-fragment query: shred,
 /// run ψ, garbage-collect, decode back to a forest — for a step chain
 /// (`PathQuery::from_steps`), the object Theorem 2 equates with direct
-/// evaluation. `x` is honoured as by [`shredded_eval_path`].
+/// evaluation. φ writes straight into interned rows and the reachable
+/// part of `E2` decodes without a boxed relation in between (see
+/// [`ShreddedView`]). `x` is honoured as by [`shredded_eval_path`].
 pub fn eval_path_via_shredding<K: Semiring>(
     forest: &Forest<K>,
     p: &PathQuery,
     x: &Exec<'_>,
 ) -> Result<Forest<K>, DatalogError> {
-    let raw = shredded_eval_path(forest, p, x)?;
-    let clean = garbage_collect(&raw);
-    decode(&clean).ok_or_else(|| DatalogError::new("shredded result is not forest-shaped"))
+    ShreddedView::from_forest(p, forest, x)?
+        .into_forest()
+        .ok_or_else(|| DatalogError::new("shredded result is not forest-shaped"))
 }
 
 #[cfg(test)]

@@ -223,3 +223,223 @@ proptest! {
         check_agreement(&prog, &db);
     }
 }
+
+// ---------------------------------------------------------------------
+// Resume ≡ fresh solve: the incremental contract at the relational
+// level, plus the interned boundary round trip.
+// ---------------------------------------------------------------------
+
+use axml_core::ast::{Axis, NodeTest, Step};
+use axml_core::path::PathQuery;
+use axml_relational::datalog::eval_datalog_idb_resume;
+use axml_relational::shred::path_to_datalog;
+use axml_relational::{added_facts_relation, prune_retired, ShadowDoc};
+use axml_semiring::IdentityHom;
+use axml_uxml::{Forest, Label, Tree};
+use std::collections::{BTreeMap, HashSet};
+
+const LABELS: [&str; 3] = ["a", "b", "c"];
+
+/// A semiring-independent document shape: label index, children with
+/// annotation indexes.
+#[derive(Clone, Debug)]
+struct Shape(usize, Vec<(Shape, usize)>);
+
+fn arb_shape(depth: u32) -> BoxedStrategy<Shape> {
+    if depth == 0 {
+        (0..LABELS.len()).prop_map(|l| Shape(l, Vec::new())).boxed()
+    } else {
+        (
+            0..LABELS.len(),
+            proptest::collection::vec((arb_shape(depth - 1), 0usize..4), 0..3),
+        )
+            .prop_map(|(l, kids)| Shape(l, kids))
+            .boxed()
+    }
+}
+
+fn arb_doc() -> impl Strategy<Value = Vec<(Shape, usize)>> {
+    proptest::collection::vec((arb_shape(3), 0usize..4), 1..3)
+}
+
+fn count(doc: &[(Shape, usize)]) -> usize {
+    doc.iter().map(|(s, _)| 1 + count(&s.1)).sum()
+}
+
+/// Replace (`Some`) or delete (`None`) the pre-order `target`-th node.
+fn edit(
+    doc: &[(Shape, usize)],
+    at: &mut usize,
+    target: usize,
+    with: &Option<(Shape, usize)>,
+) -> Vec<(Shape, usize)> {
+    let mut out = Vec::new();
+    for (s, k) in doc {
+        let here = *at;
+        *at += 1;
+        if here == target {
+            *at += count(&s.1);
+            out.extend(with.clone());
+        } else {
+            out.push((Shape(s.0, edit(&s.1, at, target, with)), *k));
+        }
+    }
+    out
+}
+
+fn build<K: Semiring>(doc: &[(Shape, usize)], ann: &impl Fn(usize) -> K) -> Forest<K> {
+    Forest::from_pairs(doc.iter().map(|(s, k)| {
+        (
+            Tree::new(Label::new(LABELS[s.0]), build(&s.1, ann)),
+            ann(*k),
+        )
+    }))
+}
+
+fn arb_path() -> impl Strategy<Value = PathQuery> {
+    let step = (
+        proptest::sample::select(
+            &[
+                Axis::SelfAxis,
+                Axis::Child,
+                Axis::Descendant,
+                Axis::StrictDescendant,
+            ][..],
+        ),
+        proptest::sample::select(&[None, Some("a"), Some("b"), Some("c")][..]),
+    )
+        .prop_map(|(axis, l)| Step {
+            axis,
+            test: l.map_or(NodeTest::Wildcard, |l| NodeTest::Label(Label::new(l))),
+        });
+    let chain = proptest::collection::vec(step, 1..4).prop_map(|s| PathQuery::from_steps(&s));
+    (
+        chain.clone(),
+        chain,
+        proptest::sample::select(&[false, true][..]),
+    )
+        .prop_map(|(a, b, union)| match union {
+            true => PathQuery::Union(Box::new(a), Box::new(b)),
+            false => a,
+        })
+}
+
+/// Solve ψ(`q`) over `old`, sync the shredding mirror to `new`, prune
+/// the fixpoint by the retired ids and resume it from the added facts:
+/// the result must be the fresh solve over the post-edit edges.
+fn check_resume<K: Semiring>(
+    q: &PathQuery,
+    old: &[(Shape, usize)],
+    new: &[(Shape, usize)],
+    ann: impl Fn(usize) -> K,
+) {
+    let prog = path_to_datalog(q);
+    let mut doc = ShadowDoc::from_forest(&build(old, &ann));
+    let e_old = doc.edges_mapped(&IdentityHom);
+    let solved = eval_datalog_idb(
+        &prog,
+        &Database::new().with("E", e_old.clone()),
+        MAX_ITERS,
+        &Exec::default(),
+    )
+    .expect("fresh solve");
+    let delta = doc.sync(&build(new, &ann));
+    let retired: HashSet<u64> = delta.retired.iter().copied().collect();
+    let e_new = delta.apply_to_edges(&e_old);
+    assert_eq!(e_new, doc.edges_mapped(&IdentityHom), "edge delta");
+    let db = Database::new().with("E", e_new);
+    let pruned: BTreeMap<String, KRelation<K>> = solved
+        .iter()
+        .map(|(p, r)| (p.clone(), prune_retired(r, &retired)))
+        .collect();
+    let resumed = eval_datalog_idb_resume(
+        &prog,
+        &db,
+        "E",
+        &added_facts_relation(&delta.added),
+        pruned,
+        MAX_ITERS,
+        &Exec::default(),
+    )
+    .expect("resume");
+    let fresh = eval_datalog_idb(&prog, &db, MAX_ITERS, &Exec::default()).expect("fresh");
+    assert_eq!(resumed, fresh, "resume diverges on {q}\n{prog}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// For random documents, filter-free path queries and one edit
+    /// (a subtree replaced or deleted), resuming the pruned fixpoint
+    /// equals solving the edited document from scratch.
+    #[test]
+    fn resume_after_an_edit_matches_a_fresh_solve(
+        q in arb_path(),
+        old in arb_doc(),
+        target in 0usize..16,
+        replacement in (arb_shape(2), 0usize..4),
+        delete in proptest::sample::select(&[false, true][..]),
+    ) {
+        let with = (!delete).then_some(replacement);
+        let new = edit(&old, &mut 0, target % count(&old), &with);
+        check_resume(&q, &old, &new, |i| Nat(1 + i as u128));
+        check_resume(&q, &old, &new, |i| NatPoly::var_named(&format!("rs{i}")));
+        check_resume(&q, &old, &new, |i| PosBool::var_named(&format!("rb{i}")));
+    }
+}
+
+/// Nested Skolem values survive the evaluator's boundary: interned on
+/// entry, rebuilt on exit, both through a copy rule and the table.
+#[test]
+fn nested_skolem_values_round_trip_through_the_interned_boundary() {
+    let f = |args: Vec<RelValue>| RelValue::Skolem(Label::new("f"), args);
+    let g = |args: Vec<RelValue>| RelValue::Skolem(Label::new("g"), args);
+    let values = [
+        f(vec![RelValue::Node(1)]),
+        f(vec![g(vec![RelValue::Node(1), RelValue::label("x")])]),
+        g(vec![f(vec![f(vec![RelValue::Node(2)])]), RelValue::Node(2)]),
+        g(vec![]),
+        RelValue::label("x"),
+        RelValue::Node(0),
+    ];
+    let mut table = axml_relational::term::TermTable::new();
+    for v in &values {
+        let id = table.intern(v);
+        assert_eq!(table.intern(v), id, "hash-consed");
+        assert_eq!(table.value(id), *v);
+    }
+    let mut rel = KRelation::new(Schema::new(["a", "b"]));
+    for (i, v) in values.iter().enumerate() {
+        for w in &values[i..] {
+            rel.insert(
+                vec![v.clone(), w.clone()],
+                NatPoly::var_named(&format!("rt{i}")),
+            );
+        }
+    }
+    let prog = Program::new([
+        Rule::new(
+            atom("Out", [v("x"), v("y")]),
+            [atom("In", [v("x"), v("y")])],
+        ),
+        Rule::new(
+            atom("Wrap", [sk("h", [v("x"), v("y")]), v("y")]),
+            [atom("In", [v("x"), v("y")])],
+        ),
+    ]);
+    let db = Database::new().with("In", rel.clone());
+    let out = eval_datalog_idb(&prog, &db, MAX_ITERS, &Exec::default()).unwrap();
+    let copied: Vec<_> = out["Out"]
+        .iter()
+        .map(|(t, k)| (t.clone(), k.clone()))
+        .collect();
+    let original: Vec<_> = rel.iter().map(|(t, k)| (t.clone(), k.clone())).collect();
+    assert_eq!(copied, original);
+    for (t, k) in rel.iter() {
+        let wrapped = vec![
+            RelValue::Skolem(Label::new("h"), vec![t[0].clone(), t[1].clone()]),
+            t[1].clone(),
+        ];
+        assert_eq!(out["Wrap"].get(&wrapped), *k);
+    }
+}
