@@ -1,21 +1,25 @@
 //! Runtime → static dispatch: the bridge between [`SemiringKind`]
 //! values and the workspace's compile-time `K: Semiring` generics.
 //!
-//! Each selectable kind implements [`KindDispatch`]: the canonical
+//! Each selectable kind implements [`EvalKind`]: the canonical
 //! homomorphism out of ℕ\[X\] (documents and prepared queries are
-//! stored symbolically, once), plus the per-kind cache slots on
-//! prepared queries and stored documents. The facade monomorphizes one
-//! evaluator per kind; choosing a semiring at runtime is a `match`
-//! followed by `OnceLock` reads.
+//! stored symbolically, once), where the kind's specialized artifacts
+//! and documents live, and how its values wrap into the kind-tagged
+//! result types. The facade monomorphizes one evaluator per kind;
+//! choosing a semiring at runtime is a `match` followed by a
+//! `OnceLock` read and a root lookup in the kind's arena.
 
+use crate::engine::{Engine, StoredDoc};
 use crate::options::SemiringKind;
+use crate::prepared::PreparedInner;
+use crate::result::{AxmlResult, ResultPieceRef};
 use axml_core::{compile_optimized, CompiledQuery, Query};
 use axml_nrc::CompiledExpr;
 use axml_semiring::trio::collapse::{natpoly_to_posbool, natpoly_to_trio, natpoly_to_why};
 use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Valuation, Why};
-use axml_uxml::{Forest, TreeArena};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use axml_uxml::arena::{intern_forest_mapped, ImageMemo};
+use axml_uxml::{hom::map_value, Forest, Tree, TreeArena, Value};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Everything `prepare` produces for one semiring: the typed core
 /// query and the normalized `NRC_K + srt` term (kept as the
@@ -51,7 +55,7 @@ impl Artifacts<NatPoly> {
     /// the plans (plan lowering is linear in the term). The query is
     /// small (annotations occur only under `annot`), so this is cheap;
     /// it still runs at most once per kind per prepared query.
-    pub fn specialize<S: KindDispatch>(&self) -> Artifacts<S> {
+    pub fn specialize<S: EvalKind>(&self) -> Artifacts<S> {
         let h = FnHom::new(S::from_poly);
         let core = axml_core::hom::map_query(&h, &self.core);
         let nrc = axml_nrc::hom::map_expr(&h, &self.nrc);
@@ -78,131 +82,44 @@ pub(crate) struct KindCaches {
     pub prob: OnceLock<Artifacts<Prob>>,
 }
 
-/// One evictable per-kind document slot: the cached specialization
-/// plus its last-read stamp on the engine's LRU clock.
-/// `RwLock<Option<…>>` instead of `OnceLock` so the engine's
-/// size-capped eviction policy can clear it; correctness never depends
-/// on a slot staying filled (an evicted specialization is simply
-/// recomputed on next use). Readers take the shared side of the lock
-/// and bump the atomic stamp — no exclusive locking on the hot path.
-#[derive(Debug)]
-pub(crate) struct DocSlot<S: Semiring> {
-    val: RwLock<Option<Arc<Forest<S>>>>,
-    /// Engine-clock value of the most recent read (LRU touch); 0 =
-    /// never read. Relaxed ordering suffices: the stamp only steers
-    /// the eviction heuristic, never correctness.
-    last_used: AtomicU64,
+/// One specialized kind's share of [`KindArenas`]: the kind's
+/// hash-consing arena plus its **image memo**, which maps every
+/// ℕ\[X\] subtree ever specialized into this kind to the id of its
+/// image in `arena`.
+pub(crate) struct KindArena<S: Semiring> {
+    pub arena: TreeArena<S>,
+    pub images: ImageMemo<NatPoly>,
 }
 
-// Manual impl: `derive(Default)` would wrongly require `S: Default`
-// (the slot starts empty regardless of `S`).
-impl<S: Semiring> Default for DocSlot<S> {
+// Manual impls: `derive` would wrongly require `S: Default` /
+// `S: Debug`, and a derived `Debug` would dump the whole memo.
+impl<S: Semiring> Default for KindArena<S> {
     fn default() -> Self {
-        DocSlot {
-            val: RwLock::new(None),
-            last_used: AtomicU64::new(0),
+        KindArena {
+            arena: TreeArena::default(),
+            images: ImageMemo::default(),
         }
     }
 }
 
-impl<S: Semiring> DocSlot<S> {
-    /// The cached specialization, touching the LRU stamp.
-    /// `stamp == 0` means "no LRU in play" (uncapped engine): skip the
-    /// store so uncapped readers share no written cache line.
-    pub fn get(&self, stamp: u64) -> Option<Arc<Forest<S>>> {
-        let v = self.val.read().unwrap_or_else(|e| e.into_inner()).clone();
-        if stamp != 0 && v.is_some() {
-            self.last_used.store(stamp, Ordering::Relaxed);
-        }
-        v
-    }
-
-    /// Fill an empty slot. If another thread won the race, returns its
-    /// copy instead (the caller must then *not* enqueue an eviction
-    /// entry — the winner already did).
-    pub fn fill(&self, fresh: Arc<Forest<S>>, stamp: u64) -> Result<(), Arc<Forest<S>>> {
-        let mut w = self.val.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = w.as_ref() {
-            return Err(existing.clone());
-        }
-        *w = Some(fresh);
-        self.last_used.store(stamp, Ordering::Relaxed);
-        Ok(())
-    }
-
-    pub fn last_used(&self) -> u64 {
-        self.last_used.load(Ordering::Relaxed)
-    }
-
-    fn clear(&self) {
-        *self.val.write().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
-    fn is_filled(&self) -> bool {
-        self.val.read().unwrap_or_else(|e| e.into_inner()).is_some()
+impl<S: Semiring> std::fmt::Debug for KindArena<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KindArena")
+            .field("arena", &self.arena)
+            .field("images", &self.images.len())
+            .finish()
     }
 }
 
-/// Per-kind specialized copies of a loaded document, filled on first
-/// use by each kind and shared by every query thereafter (until the
-/// engine's document-cache cap, if any, evicts them oldest-first).
-#[derive(Debug, Default)]
-pub(crate) struct DocCaches {
-    pub nat: DocSlot<Nat>,
-    pub posbool: DocSlot<PosBool>,
-    pub tropical: DocSlot<Tropical>,
-    pub why: DocSlot<Why>,
-    pub trio: DocSlot<Trio>,
-    pub prob: DocSlot<Prob>,
-}
-
-impl DocCaches {
-    /// Drop the cached specialization for `kind`, if any. `NatPoly`
-    /// has no slot — the symbolic document is the source of truth and
-    /// is never evicted.
-    pub fn clear(&self, kind: SemiringKind) {
-        match kind {
-            SemiringKind::Nat => self.nat.clear(),
-            SemiringKind::PosBool => self.posbool.clear(),
-            SemiringKind::Tropical => self.tropical.clear(),
-            SemiringKind::Why => self.why.clear(),
-            SemiringKind::Trio => self.trio.clear(),
-            SemiringKind::Prob => self.prob.clear(),
-            SemiringKind::NatPoly => {}
-        }
-    }
-
-    /// The LRU stamp of `kind`'s slot (0 for `NatPoly`, which is
-    /// never evicted and so never raced for recency).
-    pub fn last_used(&self, kind: SemiringKind) -> u64 {
-        match kind {
-            SemiringKind::Nat => self.nat.last_used(),
-            SemiringKind::PosBool => self.posbool.last_used(),
-            SemiringKind::Tropical => self.tropical.last_used(),
-            SemiringKind::Why => self.why.last_used(),
-            SemiringKind::Trio => self.trio.last_used(),
-            SemiringKind::Prob => self.prob.last_used(),
-            SemiringKind::NatPoly => 0,
-        }
-    }
-
-    /// The kinds currently holding a cached specialization (for
-    /// introspection and the eviction tests). Driven by
-    /// [`SemiringKind::ALL`] through an exhaustive match, so a new
-    /// kind cannot be silently exempted.
-    pub fn filled(&self) -> Vec<SemiringKind> {
-        SemiringKind::ALL
-            .into_iter()
-            .filter(|kind| match kind {
-                SemiringKind::Nat => self.nat.is_filled(),
-                SemiringKind::PosBool => self.posbool.is_filled(),
-                SemiringKind::Tropical => self.tropical.is_filled(),
-                SemiringKind::Why => self.why.is_filled(),
-                SemiringKind::Trio => self.trio.is_filled(),
-                SemiringKind::Prob => self.prob.is_filled(),
-                SemiringKind::NatPoly => false,
-            })
-            .collect()
+impl<S: EvalKind> KindArena<S> {
+    /// `doc` pushed through the canonical homomorphism into this
+    /// kind, over the arena's canonical handles. Only subtrees the
+    /// image memo has not seen are mapped: a seen subtree costs one
+    /// lookup, and nothing below it is visited.
+    pub fn specialize(&mut self, doc: &Forest<NatPoly>) -> Arc<Forest<S>> {
+        let h = FnHom::new(S::from_poly);
+        let roots = intern_forest_mapped(&mut self.arena, &mut self.images, &h, doc);
+        Arc::new(self.arena.canonical_forest(&roots))
     }
 }
 
@@ -210,76 +127,137 @@ impl DocCaches {
 /// kind, shared across **all** documents in the store, so structurally
 /// identical subtrees — within one document or between documents — are
 /// interned once and every stored forest is built over canonical
-/// `Arc` handles (equal subtrees are pointer-equal). The `Mutex` is
-/// held only while loading or specializing a document; evaluation
-/// never touches an arena (it runs on the canonical handles).
+/// `Arc` handles (equal subtrees are pointer-equal).
 ///
-/// **Arenas only grow** — removing a document does not un-intern its
-/// subtrees (they stay available for future sharing), so
-/// [`StorageStats`](crate::StorageStats)' `distinct_subtrees` and
-/// `child_edges` rise monotonically and long-lived processes with
-/// heavy load/remove churn over disjoint content accumulate arena
-/// memory proportional to everything ever loaded. Front ends exposing
-/// document removal (the HTTP server) document this operationally;
-/// reference-counted or epoch-based compaction is an open ROADMAP
-/// item if churn-heavy deployments materialize.
+/// Each specialized kind's [`KindArena`] is also the engine's **only
+/// specialization cache**. Its image memo maps an ℕ\[X\] subtree to
+/// the id of its image, so specializing a document maps only what the
+/// memo has not seen: the whole document on its first read, only the
+/// new spine after an edit (every other subtree of the edited version
+/// is a canonical handle the previous version already had), and only
+/// the root lookups on a repeat read. The memo is sound on its own:
+/// each entry holds a clone of its key tree, so a keyed pointer stays
+/// allocated for as long as the entry and can never be reused by
+/// another tree.
+///
+/// The `Mutex` is held while loading, editing or specializing a
+/// document; evaluation never touches an arena (it runs on the
+/// canonical handles).
+///
+/// **Arenas only grow, and so do the image memos** — removing a
+/// document does not un-intern its subtrees (they stay available for
+/// future sharing), so [`StorageStats`](crate::StorageStats)'
+/// `distinct_subtrees` and `child_edges` rise monotonically and
+/// long-lived processes with heavy load/remove churn over disjoint
+/// content accumulate arena memory proportional to everything ever
+/// loaded. Reference-counted or epoch-based compaction is an open
+/// ROADMAP item; it must compact each image memo with its arenas —
+/// drop the entries whose source subtrees died, and remap the ids of
+/// the rest — or the memo would keep dead sources alive and point at
+/// moved rows.
 #[derive(Debug, Default)]
 pub(crate) struct KindArenas {
     pub poly: Mutex<TreeArena<NatPoly>>,
-    pub nat: Mutex<TreeArena<Nat>>,
-    pub posbool: Mutex<TreeArena<PosBool>>,
-    pub tropical: Mutex<TreeArena<Tropical>>,
-    pub why: Mutex<TreeArena<Why>>,
-    pub trio: Mutex<TreeArena<Trio>>,
-    pub prob: Mutex<TreeArena<Prob>>,
+    pub nat: Mutex<KindArena<Nat>>,
+    pub posbool: Mutex<KindArena<PosBool>>,
+    pub tropical: Mutex<KindArena<Tropical>>,
+    pub why: Mutex<KindArena<Why>>,
+    pub trio: Mutex<KindArena<Trio>>,
+    pub prob: Mutex<KindArena<Prob>>,
 }
 
-/// A runtime-selectable semiring: the canonical homomorphism from
-/// ℕ\[X\] plus the cache slots and result constructor for this kind.
-pub(crate) trait KindDispatch: Semiring {
+/// A runtime-selectable semiring: the hooks one kind needs to take
+/// part in evaluation — the canonical homomorphism out of ℕ\[X\],
+/// where its compiled artifacts live, how a stored document projects
+/// into it, how its values wrap into the kind-tagged result types.
+/// ℕ\[X\] implements it by hand (its artifacts and documents *are* the
+/// source of truth); `eval_kind!` implements it for the six
+/// specialized kinds. Together with `with_kind!` this is what lets
+/// every evaluation entry point share one generic body instead of
+/// seven match arms.
+pub(crate) trait EvalKind: Semiring {
     /// The runtime tag.
     const KIND: SemiringKind;
     /// The canonical homomorphism ℕ\[X\] → Self (see
-    /// [`SemiringKind`]'s table).
+    /// [`SemiringKind`]'s table) — also the value-level map the
+    /// incremental layer uses on ±Δ facts.
     fn from_poly(p: &NatPoly) -> Self;
-    /// This kind's artifact slot on a prepared query.
-    fn artifact_cache(c: &KindCaches) -> &OnceLock<Artifacts<Self>>;
-    /// This kind's document slot on a stored document.
-    fn doc_cache(d: &DocCaches) -> &DocSlot<Self>;
-    /// This kind's hash-consing arena on the engine.
-    fn kind_arena(a: &KindArenas) -> &Mutex<TreeArena<Self>>;
+    /// This kind's evaluation artifacts (specializing and caching on
+    /// first use where applicable).
+    fn artifacts(inner: &PreparedInner) -> &Artifacts<Self>;
+    /// A stored document projected into this kind.
+    fn project_doc(engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<Self>>;
+    /// Tag a value of this kind as an [`AxmlResult`].
+    fn wrap_value(v: Value<Self>) -> AxmlResult;
+    /// Tag one borrowed piece of this kind as a [`ResultPieceRef`].
+    fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a>;
+    /// Push a symbolic (ℕ\[X\]) result through the canonical
+    /// homomorphism into this kind.
+    fn specialize_value(sym: &Value<NatPoly>) -> Value<Self> {
+        map_value(&FnHom::new(Self::from_poly), sym)
+    }
 }
 
-macro_rules! dispatch_kind {
-    ($k:ty, $kind:expr, $slot:ident, $from:expr) => {
-        impl KindDispatch for $k {
-            const KIND: SemiringKind = $kind;
+impl EvalKind for NatPoly {
+    const KIND: SemiringKind = SemiringKind::NatPoly;
+    fn from_poly(p: &NatPoly) -> NatPoly {
+        p.clone()
+    }
+    fn artifacts(inner: &PreparedInner) -> &Artifacts<NatPoly> {
+        &inner.poly
+    }
+    fn project_doc(_engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<NatPoly>> {
+        doc.poly.clone()
+    }
+    fn wrap_value(v: Value<NatPoly>) -> AxmlResult {
+        AxmlResult::NatPoly(v)
+    }
+    fn piece_ref<'a>(t: &'a Tree<NatPoly>, k: &'a NatPoly) -> ResultPieceRef<'a> {
+        ResultPieceRef::NatPoly(t, k)
+    }
+}
+
+/// Implement [`EvalKind`] for a specialized kind: `$k` names the type
+/// and its `SemiringKind` / result variants, `$slot` its
+/// [`KindCaches`] and [`KindArenas`] field.
+macro_rules! eval_kind {
+    ($k:ident, $slot:ident, $from:expr) => {
+        impl EvalKind for $k {
+            const KIND: SemiringKind = SemiringKind::$k;
             fn from_poly(p: &NatPoly) -> Self {
                 ($from)(p)
             }
-            fn artifact_cache(c: &KindCaches) -> &OnceLock<Artifacts<Self>> {
-                &c.$slot
+            fn artifacts(inner: &PreparedInner) -> &Artifacts<Self> {
+                inner
+                    .caches
+                    .$slot
+                    .get_or_init(|| inner.poly.specialize::<$k>())
             }
-            fn doc_cache(d: &DocCaches) -> &DocSlot<Self> {
-                &d.$slot
+            fn project_doc(engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<Self>> {
+                engine
+                    .arenas
+                    .$slot
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .specialize(&doc.poly)
             }
-            fn kind_arena(a: &KindArenas) -> &Mutex<TreeArena<Self>> {
-                &a.$slot
+            fn wrap_value(v: Value<Self>) -> AxmlResult {
+                AxmlResult::$k(v)
+            }
+            fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a> {
+                ResultPieceRef::$k(t, k)
             }
         }
     };
 }
 
-dispatch_kind!(Nat, SemiringKind::Nat, nat, |p: &NatPoly| {
-    p.eval(&Valuation::<Nat>::new())
-});
-dispatch_kind!(PosBool, SemiringKind::PosBool, posbool, natpoly_to_posbool);
-dispatch_kind!(Tropical, SemiringKind::Tropical, tropical, |p: &NatPoly| p
+eval_kind!(Nat, nat, |p: &NatPoly| p.eval(&Valuation::<Nat>::new()));
+eval_kind!(PosBool, posbool, natpoly_to_posbool);
+eval_kind!(Tropical, tropical, |p: &NatPoly| p
     .eval(&Valuation::<Tropical>::new()));
-dispatch_kind!(Why, SemiringKind::Why, why, natpoly_to_why);
-dispatch_kind!(Trio, SemiringKind::Trio, trio, natpoly_to_trio);
-dispatch_kind!(Prob, SemiringKind::Prob, prob, |p: &NatPoly| p
-    .eval(&Valuation::<Prob>::new()));
+eval_kind!(Why, why, natpoly_to_why);
+eval_kind!(Trio, trio, natpoly_to_trio);
+eval_kind!(Prob, prob, |p: &NatPoly| p.eval(&Valuation::<Prob>::new()));
 
 #[cfg(test)]
 mod tests {
@@ -289,7 +267,7 @@ mod tests {
     fn canonical_homs_preserve_units() {
         // The dispatch homomorphisms must map 0 ↦ 0 and 1 ↦ 1 — the
         // full hom laws are property-tested in `axml-semiring`.
-        fn check<S: KindDispatch>() {
+        fn check<S: EvalKind>() {
             assert_eq!(S::from_poly(&NatPoly::zero()), S::zero());
             assert_eq!(S::from_poly(&NatPoly::one()), S::one());
         }

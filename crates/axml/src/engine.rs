@@ -2,11 +2,16 @@
 //! `prepare` entry point and the batch scheduling APIs.
 //!
 //! Documents are parsed **once**, into ℕ\[X\] — the universal
-//! annotation semiring — and shared via `Arc`. When a query asks for a
-//! different [`SemiringKind`], the engine pushes the document through
-//! the canonical homomorphism the first time and caches the
-//! specialized copy, so steady-state evaluation never re-parses or
-//! re-specializes anything.
+//! annotation semiring — and shared via `Arc`. When a query asks for
+//! a different [`SemiringKind`](crate::SemiringKind), the engine
+//! pushes the document through the canonical homomorphism into that
+//! kind's hash-consing arena.
+//! The arena is the only specialization cache: its image memo
+//! remembers the image of every ℕ\[X\] subtree it has seen, so a
+//! document is mapped whole only on its first read in a kind, an
+//! edited version maps only its new spine, and a repeat read costs
+//! one memo lookup per root. Steady-state evaluation never re-parses
+//! or re-specializes anything.
 //!
 //! # Concurrency
 //!
@@ -16,29 +21,29 @@
 //! documents never serializes on one lock (the pre-PR-5 single
 //! `RwLock<BTreeMap>` did). Lookups take one shard's read lock for a
 //! `BTreeMap::get` + `Arc` clone; evaluation itself runs entirely on
-//! the cloned `Arc`s, lock-free. Specialization caches are per-document
-//! `RwLock` slots — readers share the lock and in steady state there
-//! are no writers.
+//! the cloned `Arc`s, lock-free. Binding a document in a specialized
+//! kind also takes that kind's arena lock, for the root lookups in the
+//! image memo; evaluation itself holds no lock.
 //!
 //! [`Engine::eval_batch`] and [`Engine::eval_many_docs`] schedule
 //! independent evaluations onto an [`axml_pool::Pool`] — the
 //! throughput face of the paper's Prop. 2 observation that annotated
 //! evaluation is embarrassingly parallel across queries and documents.
 
-use crate::dispatch::{DocCaches, KindArenas, KindDispatch};
+use crate::dispatch::KindArenas;
 use crate::edit::EditScript;
 use crate::error::AxmlError;
 use crate::incr::{DocIncr, IncrCounters, IncrStats};
-use crate::options::{EvalOptions, SemiringKind};
+use crate::options::EvalOptions;
 use crate::prepared::PreparedQuery;
 use crate::result::AxmlResult;
 use axml_pool::PoolStats;
-use axml_semiring::{FnHom, NatPoly};
-use axml_uxml::{arena::intern_forest_mapped, parse_forest, Forest};
-use std::collections::{BTreeMap, VecDeque};
+use axml_semiring::NatPoly;
+use axml_uxml::{parse_forest, Forest};
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Number of independently-locked document-store shards. A fixed
 /// power of two: enough that 8–16 threads hammering different
@@ -46,13 +51,11 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 /// (`document_names`) stay trivial.
 pub const STORE_SHARDS: usize = 16;
 
-/// One stored document: the symbolic original plus per-kind
-/// specializations, filled lazily (and evictable — see
-/// [`Engine::with_doc_cache_cap`]).
+/// One stored document: the symbolic original (its specializations
+/// live in the engine's per-kind arenas — see [`KindArenas`]).
 #[derive(Debug)]
 pub(crate) struct StoredDoc {
     pub poly: Arc<Forest<NatPoly>>,
-    pub kinds: DocCaches,
     /// Edit version: 0 for a freshly loaded document, bumped by each
     /// [`Engine::edit_document`]. A replace via `load_document` resets
     /// to 0 (with a fresh `incr`), so incremental state never leaks
@@ -69,21 +72,10 @@ impl StoredDoc {
     fn new(poly: Forest<NatPoly>) -> Arc<Self> {
         Arc::new(StoredDoc {
             poly: Arc::new(poly),
-            kinds: DocCaches::default(),
             version: 0,
             incr: Arc::new(Mutex::new(DocIncr::default())),
         })
     }
-}
-
-/// One entry in the eviction queue: which `(document, kind)`
-/// specialization was filled, and the LRU clock reading at enqueue
-/// time (compared against the slot's live stamp to detect touches).
-#[derive(Debug)]
-struct SpecEntry {
-    doc: Weak<StoredDoc>,
-    kind: SemiringKind,
-    stamp: u64,
 }
 
 type DocMap = BTreeMap<String, Arc<StoredDoc>>;
@@ -106,27 +98,13 @@ type DocMap = BTreeMap<String, Arc<StoredDoc>>;
 #[derive(Debug)]
 pub struct Engine {
     shards: [RwLock<DocMap>; STORE_SHARDS],
-    /// Optional cap on the number of per-kind document
-    /// specializations held across the whole store; `None` = unbounded
-    /// (every specialization is kept forever, the pre-cap behavior).
-    doc_cache_cap: Option<usize>,
-    /// LRU order of `(document, kind)` specializations: least recently
-    /// used at the front. Touches don't reorder the queue (that would
-    /// cost O(n) per read) — they bump the slot's atomic stamp, and
-    /// eviction passes re-queue any front entry whose slot was read
-    /// since it was enqueued. `Weak` so a replaced/removed document
-    /// neither leaks nor is kept alive by its queue entries; dead
-    /// entries are purged on every eviction pass.
-    spec_queue: Mutex<VecDeque<SpecEntry>>,
-    /// The LRU clock: bumped on every cache read/fill when a cap is
-    /// configured.
-    clock: AtomicU64,
     /// Per-kind hash-consing arenas (see [`KindArenas`]): every stored
-    /// document and every cached specialization is interned here, so
+    /// document and every specialization is interned here, so
     /// structurally identical subtrees are stored once across the
     /// whole store and the forests the evaluators see are maximally
-    /// `Arc`-shared.
-    arenas: KindArenas,
+    /// `Arc`-shared. The specialized kinds' image memos are the
+    /// engine's only specialization cache.
+    pub(crate) arenas: KindArenas,
     /// Monotonic counters of the incremental layer (edits, ±Δ facts,
     /// memo hits/misses) — surfaced via [`Engine::storage_stats`].
     counters: Arc<IncrCounters>,
@@ -186,9 +164,6 @@ impl Default for Engine {
     fn default() -> Self {
         Engine {
             shards: std::array::from_fn(|_| RwLock::new(DocMap::new())),
-            doc_cache_cap: None,
-            spec_queue: Mutex::new(VecDeque::new()),
-            clock: AtomicU64::new(0),
             arenas: KindArenas::default(),
             counters: Arc::default(),
         }
@@ -196,131 +171,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with an empty document store and no cap on the
-    /// per-kind document caches.
+    /// An engine with an empty document store.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An engine whose per-kind document caches are size-capped:
-    /// at most `cap` specialized document copies (one copy =
-    /// one document × one [`SemiringKind`]) are held at a time, evicted
-    /// **least-recently-used** first (every cache read refreshes an
-    /// entry's recency). The symbolic ℕ\[X\] originals are never
-    /// evicted — they are the source of truth — and an evicted
-    /// specialization is transparently recomputed on next use, so the
-    /// cap trades CPU for memory on servers holding many large
-    /// documents across many semirings. A cap of 0 disables
-    /// specialization caching entirely.
-    pub fn with_doc_cache_cap(cap: usize) -> Self {
-        Engine {
-            doc_cache_cap: Some(cap),
-            ..Self::default()
-        }
-    }
-
-    /// The configured specialization-cache cap, if any.
-    pub fn doc_cache_cap(&self) -> Option<usize> {
-        self.doc_cache_cap
-    }
-
-    /// Which semirings currently hold a cached specialization of the
-    /// named document (introspection; `NatPoly` is the always-present
-    /// symbolic original and is not listed).
-    pub fn cached_specializations(&self, name: &str) -> Vec<SemiringKind> {
-        self.stored(name)
-            .map(|d| d.kinds.filled())
-            .unwrap_or_default()
-    }
-
-    /// The next LRU clock reading — or 0 (= "don't stamp") on an
-    /// uncapped engine, keeping the shared fetch-add cache line out of
-    /// the uncapped read path entirely (recency only matters when
-    /// eviction exists to consume it).
-    fn tick(&self) -> u64 {
-        if self.doc_cache_cap.is_none() {
-            return 0;
-        }
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// The document specialized to `S`, computing, caching and
-    /// (when capped) registering it for LRU eviction. Cache reads
-    /// touch the slot's recency stamp.
-    pub(crate) fn specialized<S: KindDispatch>(&self, doc: &Arc<StoredDoc>) -> Arc<Forest<S>> {
-        let slot = S::doc_cache(&doc.kinds);
-        if let Some(f) = slot.get(self.tick()) {
-            return f;
-        }
-        // Specialize through this kind's hash-consing arena: the hom
-        // image is interned per *distinct* subtree (pointer-memoized
-        // over the document's value DAG) instead of re-expanded per
-        // occurrence, and identical subtrees across documents land on
-        // the same canonical handles. The arena lock is held only for
-        // this interning — never during evaluation.
-        let fresh = Arc::new({
-            let mut arena = S::kind_arena(&self.arenas)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            let roots = intern_forest_mapped(&mut arena, &FnHom::new(S::from_poly), &doc.poly);
-            arena.canonical_forest(&roots)
-        });
-        if let Err(existing) = slot.fill(fresh.clone(), self.tick()) {
-            // Another thread won the race; keep its copy (and its
-            // queue entry).
-            return existing;
-        }
-        self.note_specialization(doc, S::KIND);
-        fresh
-    }
-
-    /// Register a freshly-filled specialization and run an eviction
-    /// pass if the cap is exceeded. The pass walks from the LRU end:
-    /// dead entries (document replaced/removed) are dropped outright —
-    /// this is what keeps the queue from growing without bound under
-    /// document churn — and entries whose slot was touched since they
-    /// were queued are re-queued at their true recency instead of
-    /// evicted.
-    fn note_specialization(&self, doc: &Arc<StoredDoc>, kind: SemiringKind) {
-        let Some(cap) = self.doc_cache_cap else {
-            return;
-        };
-        let mut q = self.spec_queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(SpecEntry {
-            doc: Arc::downgrade(doc),
-            kind,
-            stamp: doc.kinds.last_used(kind),
-        });
-        if q.len() > cap {
-            // Purge entries whose documents are gone so they neither
-            // occupy cap slots (forcing a live specialization out
-            // prematurely) nor accumulate as the store churns.
-            q.retain(|e| e.doc.strong_count() > 0);
-        }
-        // Each re-queue is bounded so concurrent readers hammering the
-        // stamps cannot starve the eviction loop.
-        let mut budget = 2 * q.len() + 2;
-        while q.len() > cap && budget > 0 {
-            budget -= 1;
-            let Some(entry) = q.pop_front() else {
-                break;
-            };
-            let Some(d) = entry.doc.upgrade() else {
-                continue; // died since the retain: drop it
-            };
-            let live = d.kinds.last_used(entry.kind);
-            if live > entry.stamp && budget > 0 {
-                // Read since enqueued: second chance at its real
-                // recency (classic lazy-LRU reinsertion).
-                q.push_back(SpecEntry {
-                    doc: entry.doc,
-                    kind: entry.kind,
-                    stamp: live,
-                });
-            } else {
-                d.kinds.clear(entry.kind);
-            }
-        }
     }
 
     fn shard(&self, name: &str) -> &RwLock<DocMap> {
@@ -439,7 +292,6 @@ impl Engine {
         let version = incr.version;
         let new_doc = Arc::new(StoredDoc {
             poly: canonical,
-            kinds: DocCaches::default(),
             version,
             incr: Arc::clone(&incr_arc),
         });
@@ -631,6 +483,9 @@ fn fan_out<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::EvalKind;
+    use axml_semiring::{FnHom, Nat, PosBool, Prob, Trio, Tropical, Why};
+    use axml_uxml::hom::map_forest;
 
     #[test]
     fn load_replaces_and_removes() {
@@ -666,5 +521,87 @@ mod tests {
         let names = e.document_names();
         assert_eq!(names.len(), 64);
         assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
+    }
+
+    /// Specialization after an edit is O(spine): once a document has
+    /// been read in ℕ, a splice's first ℕ read adds at most the
+    /// splice's newly interned spine nodes to the ℕ image memo, and a
+    /// repeat read adds none.
+    #[test]
+    fn post_edit_specialization_maps_only_the_spine() {
+        let e = Engine::new();
+        let body: String = (0..40)
+            .map(|i| format!("<b{i}> c {{x{i}}} <d> e {{y{i}}} </d> </b{i}> "))
+            .collect();
+        e.load_document("S", &format!("<a> {body} </a>")).unwrap();
+        let memo_len = || e.arenas.nat.lock().unwrap().images.len();
+        let read = || Nat::project_doc(&e, &e.stored("S").unwrap());
+        read();
+        let loaded = memo_len();
+        assert!(loaded > 80, "the first read maps the whole document");
+        for i in 0..20 {
+            let script = format!("splice /0/{i} <n{i}> c {{z{i}}} </n{i}>");
+            let stats = e.edit_document_text("S", &script).unwrap();
+            let before = memo_len();
+            read();
+            let after = memo_len();
+            assert!(
+                after - before <= stats.spine_nodes_interned,
+                "edit {i}: {} memo entries for {} spine nodes",
+                after - before,
+                stats.spine_nodes_interned
+            );
+            read();
+            assert_eq!(memo_len(), after, "edit {i}: a repeat read maps nothing");
+        }
+    }
+
+    /// Every kind's specialization equals the plain recursive hom
+    /// lifting of the stored document, through splices, a replace and
+    /// a remove.
+    #[test]
+    fn specializations_equal_the_hom_lifting_across_edits() {
+        fn check<S: EvalKind>(e: &Engine, name: &str) {
+            let doc = e.stored(name).unwrap();
+            let want = map_forest(&FnHom::new(S::from_poly), &doc.poly);
+            assert_eq!(*S::project_doc(e, &doc), want, "{} {name}", S::KIND);
+        }
+        fn check_all(e: &Engine) {
+            for name in e.document_names() {
+                check::<NatPoly>(e, &name);
+                check::<Nat>(e, &name);
+                check::<PosBool>(e, &name);
+                check::<Tropical>(e, &name);
+                check::<Why>(e, &name);
+                check::<Trio>(e, &name);
+                check::<Prob>(e, &name);
+            }
+        }
+        let e = Engine::new();
+        e.load_document(
+            "S",
+            "<a> <b {x}> c {2} d {y} </b> <b> c {0} </b> e {x*y} </a>",
+        )
+        .unwrap();
+        e.load_document("T", "<a> <b {x}> c {2} d {y} </b> f {3} </a>")
+            .unwrap();
+        check_all(&e);
+        for script in [
+            "splice /0/0 <b {x}> c {y} </b>",
+            "insert /0 <g {x+1}> c {2} </g>",
+            "reannotate /0/1 2*x",
+            "relabel /0/0 h",
+            "delete /0/0",
+        ] {
+            e.edit_document_text("S", script).unwrap();
+            check_all(&e);
+        }
+        e.load_document("S", "<a> <b {x}> c {2} d {y} </b> </a>")
+            .unwrap();
+        check_all(&e);
+        assert!(e.remove_document("T"));
+        e.load_document("T", "<a> f {3} <b {x}> c {2} </b> </a>")
+            .unwrap();
+        check_all(&e);
     }
 }

@@ -100,10 +100,10 @@
 //! route over its own snapshot — it can never observe a torn or
 //! future document.
 
+use crate::dispatch::EvalKind;
 use crate::engine::StoredDoc;
 use crate::error::{AxmlError, BudgetKind};
 use crate::options::SemiringKind;
-use crate::prepared::EvalKind;
 use axml_core::path::PathQuery;
 use axml_core::{eval_path_memo, MemoStop, PathMemo};
 use axml_relational::{AddedFact, OwnedDelta, ShadowDoc, ShreddedView};
@@ -324,7 +324,7 @@ fn net_delta<S: EvalKind>(
     log: &VecDeque<(u64, OwnedDelta<NatPoly>)>,
     from: u64,
 ) -> (HashSet<u64>, Vec<(AddedFact, S)>) {
-    let hom = FnHom::new(S::from_poly_val);
+    let hom = FnHom::new(S::from_poly);
     let mut retired = HashSet::new();
     let mut added: Vec<(AddedFact, S)> = Vec::new();
     for (v, delta) in log {
@@ -410,7 +410,7 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     //    its fixpoint, one with filters re-solves over its maintained
     //    edges), otherwise shred the mirror and solve from scratch. A
     //    stale state the log no longer covers is dropped here.
-    let hom = FnHom::new(S::from_poly_val);
+    let hom = FnHom::new(S::from_poly);
     let view = match kind.queries.remove(key) {
         Some(state) if covered(log, state.version, *version) => {
             let (retired, added) = net_delta::<S>(log, state.version);

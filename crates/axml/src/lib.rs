@@ -10,7 +10,7 @@
 //! ```text
 //!                ┌───────────────── Engine ─────────────────┐
 //!  xml text ──▶  │ load_document: parse once → ℕ[X] forest  │
-//!                │         (Arc-shared, per-kind caches)    │
+//!                │         (Arc-shared, per-kind arenas)    │
 //!                └──────────────────┬───────────────────────┘
 //!                                   │ bind $X ↦ document "X"
 //!  query text ─▶ prepare ──────────▶│◀────────── EvalOptions
@@ -264,12 +264,12 @@
 //! Under the hood the document store is **sharded**
 //! ([`STORE_SHARDS`] independently-locked maps keyed by name hash), so
 //! concurrent load/remove/eval traffic on different documents never
-//! serializes on one lock, and the per-(document × semiring)
-//! specialization caches are read through shared locks with no
-//! steady-state writers. With [`Engine::with_doc_cache_cap`] those
-//! caches are a true LRU: reads refresh recency, and eviction passes
-//! purge entries for removed documents so the bookkeeping stays
-//! bounded under document churn.
+//! serializes on one lock. A document is specialized to another
+//! semiring through that kind's hash-consing arena, whose image memo
+//! is the only specialization cache: the first read in a kind maps
+//! the whole document, the first read after an edit maps only the
+//! new spine, and a repeat read costs a root lookup under the arena's
+//! lock. Evaluation itself holds no lock.
 //!
 //! The statically-generic layers stay public (`axml-core`,
 //! `axml-nrc`, `axml-relational`, …) for compile-time-`K` callers;

@@ -15,7 +15,7 @@
 //! tree-walking interpreters and asserts agreement.
 
 use crate::cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
-use crate::dispatch::{Artifacts, KindCaches, KindDispatch};
+use crate::dispatch::{Artifacts, EvalKind, KindCaches};
 use crate::engine::{Engine, StoredDoc};
 use crate::error::{AxmlError, BudgetKind};
 use crate::incr::IncrCounters;
@@ -26,10 +26,9 @@ use axml_core::eval::{eval_core, QueryEnv};
 use axml_core::path::{extract_path, Ineligible, PathQuery};
 use axml_core::{elaborate, parse_query};
 use axml_pool::ExecCtx;
-use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
+use axml_semiring::{Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
 use axml_uxml::{
-    hom::map_value, Exec, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree,
-    Value,
+    Exec, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree, Value,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,9 +40,9 @@ pub(crate) struct PreparedInner {
     free_vars: Vec<String>,
     /// The symbolic artifacts — the source of truth every other kind
     /// is derived from.
-    poly: Artifacts<NatPoly>,
+    pub(crate) poly: Artifacts<NatPoly>,
     /// Lazily specialized per-kind artifacts.
-    caches: KindCaches,
+    pub(crate) caches: KindCaches,
     /// `Ok((input var, path))` when the query is inside the §7 XPath
     /// fragment the relational route can evaluate (navigation chains,
     /// composition, union, branching predicates, label tests);
@@ -103,92 +102,6 @@ macro_rules! with_kind {
         }
     };
 }
-
-/// The hooks one semiring kind needs to participate in evaluation:
-/// where its compiled artifacts live, how a stored document projects
-/// into it, how its values wrap into the kind-tagged result types.
-/// ℕ\[X\] implements it directly (its artifacts *are* the source of
-/// truth); the six specialized kinds implement it through their
-/// [`KindDispatch`] caches. Together with [`with_kind!`] this is what
-/// lets `eval_with` and `eval_stream` share one generic body instead
-/// of seven hand-written match arms each.
-pub(crate) trait EvalKind: Semiring {
-    /// The runtime tag of this kind.
-    const KIND: SemiringKind;
-    /// This kind's evaluation artifacts (specializing and caching on
-    /// first use where applicable).
-    fn artifacts(inner: &PreparedInner) -> &Artifacts<Self>;
-    /// A stored document projected into this kind (cached).
-    fn project_doc(engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<Self>>;
-    /// One ℕ\[X\] annotation pushed through the canonical
-    /// homomorphism into this kind (the value-level map the
-    /// incremental layer uses on ±Δ facts).
-    fn from_poly_val(p: &NatPoly) -> Self;
-    /// Push a symbolic (ℕ\[X\]) result through the canonical
-    /// homomorphism into this kind.
-    fn specialize_value(sym: &Value<NatPoly>) -> Value<Self>;
-    /// Tag a value of this kind as an [`AxmlResult`].
-    fn wrap_value(v: Value<Self>) -> AxmlResult;
-    /// Tag one borrowed piece of this kind as a [`ResultPieceRef`].
-    fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a>;
-}
-
-impl EvalKind for NatPoly {
-    const KIND: SemiringKind = SemiringKind::NatPoly;
-    fn artifacts(inner: &PreparedInner) -> &Artifacts<NatPoly> {
-        &inner.poly
-    }
-    fn project_doc(_engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<NatPoly>> {
-        doc.poly.clone()
-    }
-    fn from_poly_val(p: &NatPoly) -> NatPoly {
-        p.clone()
-    }
-    fn specialize_value(sym: &Value<NatPoly>) -> Value<NatPoly> {
-        sym.clone()
-    }
-    fn wrap_value(v: Value<NatPoly>) -> AxmlResult {
-        AxmlResult::NatPoly(v)
-    }
-    fn piece_ref<'a>(t: &'a Tree<NatPoly>, k: &'a NatPoly) -> ResultPieceRef<'a> {
-        ResultPieceRef::NatPoly(t, k)
-    }
-}
-
-macro_rules! eval_kind_via_dispatch {
-    ($($k:ty => $variant:ident),* $(,)?) => {
-        $(impl EvalKind for $k {
-            const KIND: SemiringKind = SemiringKind::$variant;
-            fn artifacts(inner: &PreparedInner) -> &Artifacts<Self> {
-                <$k as KindDispatch>::artifact_cache(&inner.caches)
-                    .get_or_init(|| inner.poly.specialize::<$k>())
-            }
-            fn project_doc(engine: &Engine, doc: &Arc<StoredDoc>) -> Arc<Forest<Self>> {
-                engine.specialized::<$k>(doc)
-            }
-            fn from_poly_val(p: &NatPoly) -> Self {
-                <$k as KindDispatch>::from_poly(p)
-            }
-            fn specialize_value(sym: &Value<NatPoly>) -> Value<Self> {
-                map_value(&FnHom::new(<$k as KindDispatch>::from_poly), sym)
-            }
-            fn wrap_value(v: Value<Self>) -> AxmlResult {
-                AxmlResult::$variant(v)
-            }
-            fn piece_ref<'a>(t: &'a Tree<Self>, k: &'a Self) -> ResultPieceRef<'a> {
-                ResultPieceRef::$variant(t, k)
-            }
-        })*
-    };
-}
-eval_kind_via_dispatch!(
-    Nat => Nat,
-    PosBool => PosBool,
-    Tropical => Tropical,
-    Why => Why,
-    Trio => Trio,
-    Prob => Prob,
-);
 
 impl PreparedQuery {
     pub(crate) fn compile(src: &str) -> Result<Self, AxmlError> {

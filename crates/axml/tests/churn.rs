@@ -301,7 +301,7 @@ fn concurrent_edits_and_differential_evals() {
 /// their pre-replace snapshot.
 #[test]
 fn replace_drops_all_derived_state() {
-    let engine = Engine::with_doc_cache_cap(4);
+    let engine = Engine::new();
     engine.load_document("S", "<a> c {x} </a>").unwrap();
     let q = engine.prepare("$S//c").unwrap();
 

@@ -9,10 +9,10 @@
 //! - byte-identical results against a single-threaded reference run
 //!   (rendered text compared verbatim).
 //!
-//! The engine runs with a small doc-cache cap, so the LRU eviction
-//! path and the specialize-recompute path are both continuously
-//! exercised under contention; batch threads additionally evaluate
-//! with intra-query parallelism on the shared global pool.
+//! Every specialized read goes through the kind arena's image memo,
+//! so its lock and the specialize path are continuously exercised
+//! under contention; batch threads additionally evaluate with
+//! intra-query parallelism on the shared global pool.
 
 use axml::{Engine, EvalOptions, Parallelism, Pool, Route, SemiringKind};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ fn reference_results() -> Vec<((usize, SemiringKind), String)> {
 #[test]
 fn eight_threads_mixed_workload_byte_identical() {
     let expected = Arc::new(reference_results());
-    let engine = Arc::new(Engine::with_doc_cache_cap(5));
+    let engine = Arc::new(Engine::new());
     load_stable(&engine);
     // Shared prepared queries: threads evaluate the same compiled
     // artifacts concurrently (the OnceLock per-kind caches race on

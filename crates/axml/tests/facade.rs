@@ -326,88 +326,45 @@ fn hostile_inputs_error_cleanly() {
     }
 }
 
-/// The per-kind document caches honor the construction-time cap:
-/// specializations are evicted oldest-first, and evaluation stays
-/// correct after eviction (the copy is transparently recomputed).
+/// Specializations stay correct while documents come and go: each
+/// kind's arena is the engine's only specialization cache, so reads
+/// interleaved with loads, replaces, removes and all seven kinds keep
+/// answering from each document's current contents.
 #[test]
-fn doc_cache_cap_evicts_oldest_first() {
-    let engine = Engine::with_doc_cache_cap(2);
-    assert_eq!(engine.doc_cache_cap(), Some(2));
+fn specializations_track_document_churn_in_every_kind() {
+    let engine = Engine::new();
+    let nat = EvalOptions::new().semiring(SemiringKind::Nat);
     for name in ["A", "B", "C"] {
         engine
             .load_document(name, &format!("<r> {} {{2}} </r>", name.to_lowercase()))
             .unwrap();
-    }
-    let nat = EvalOptions::new().semiring(SemiringKind::Nat);
-    for name in ["A", "B", "C"] {
         let q = engine.prepare(&format!("${name}/*")).unwrap();
         q.eval(&engine, nat).unwrap();
     }
-    // Cap 2: A's Nat copy (oldest) was evicted; B and C are cached.
-    assert_eq!(engine.cached_specializations("A"), []);
-    assert_eq!(engine.cached_specializations("B"), [SemiringKind::Nat]);
-    assert_eq!(engine.cached_specializations("C"), [SemiringKind::Nat]);
-
-    // Evaluating A again recomputes (correctness unaffected) and
-    // pushes B out in turn.
     let q = engine.prepare("$A/*").unwrap();
     assert_eq!(q.eval(&engine, nat).unwrap().to_string(), "(a {2})");
-    assert_eq!(engine.cached_specializations("A"), [SemiringKind::Nat]);
-    assert_eq!(engine.cached_specializations("B"), []);
 
-    // Mixed kinds count against the same cap: two more kinds on C
-    // evict everything else.
-    let qc = engine.prepare("$C/*").unwrap();
-    qc.eval(&engine, EvalOptions::new().semiring(SemiringKind::Why))
-        .unwrap();
-    qc.eval(&engine, EvalOptions::new().semiring(SemiringKind::Trio))
-        .unwrap();
-    assert_eq!(engine.cached_specializations("A"), []);
-    assert_eq!(
-        engine.cached_specializations("C"),
-        [SemiringKind::Why, SemiringKind::Trio]
-    );
-}
-
-/// The cap is a true LRU (PR 5): *reading* a cached specialization
-/// refreshes its recency, so a hot entry survives eviction pressure
-/// that would have expelled it under fill-order FIFO.
-#[test]
-fn doc_cache_cap_is_lru_on_read() {
-    let engine = Engine::with_doc_cache_cap(2);
-    let nat = EvalOptions::new().semiring(SemiringKind::Nat);
-    for name in ["A", "B", "C"] {
-        engine
-            .load_document(name, &format!("<r> {} {{2}} </r>", name.to_lowercase()))
-            .unwrap();
+    // Every kind, before and after a replace, against a fresh engine
+    // holding only the current contents.
+    let q = engine.prepare("$S/*").unwrap();
+    for doc in ["<r> a {x} b {2*y} </r>", "<r> a {3} </r>"] {
+        engine.load_document("S", doc).unwrap();
+        let fresh = Engine::new();
+        fresh.load_document("S", doc).unwrap();
+        for kind in SemiringKind::ALL {
+            let opts = EvalOptions::new().semiring(kind);
+            assert_eq!(
+                q.eval(&engine, opts).unwrap(),
+                q.eval(&fresh, opts).unwrap(),
+                "{kind} on {doc}"
+            );
+        }
     }
-    let qa = engine.prepare("$A/*").unwrap();
-    qa.eval(&engine, nat).unwrap(); // fill A
-    engine.prepare("$B/*").unwrap().eval(&engine, nat).unwrap(); // fill B
-    qa.eval(&engine, nat).unwrap(); // touch A: now more recent than B
-    engine.prepare("$C/*").unwrap().eval(&engine, nat).unwrap(); // fill C
+    assert_eq!(q.eval(&engine, nat).unwrap().to_string(), "(a {3})");
 
-    // FIFO would evict A (oldest fill); LRU must evict B instead.
-    assert_eq!(engine.cached_specializations("A"), [SemiringKind::Nat]);
-    assert_eq!(engine.cached_specializations("B"), []);
-    assert_eq!(engine.cached_specializations("C"), [SemiringKind::Nat]);
-}
-
-/// Document churn (load → specialize → remove, repeatedly) must not
-/// starve the live working set: dead queue entries are purged on
-/// eviction passes, so long-lived hot documents stay cached no matter
-/// how many ephemeral documents pass through the store.
-#[test]
-fn doc_cache_survives_document_churn() {
-    let engine = Engine::with_doc_cache_cap(3);
-    let nat = EvalOptions::new().semiring(SemiringKind::Nat);
+    // Load → specialize → remove churn beside two hot documents.
     for name in ["hotA", "hotB"] {
         engine.load_document(name, "<r> a {3} </r>").unwrap();
-        engine
-            .prepare(&format!("${name}/*"))
-            .unwrap()
-            .eval(&engine, nat)
-            .unwrap();
     }
     let qa = engine.prepare("$hotA/*").unwrap();
     let qb = engine.prepare("$hotB/*").unwrap();
@@ -420,62 +377,13 @@ fn doc_cache_survives_document_churn() {
             .eval(&engine, nat)
             .unwrap();
         assert!(engine.remove_document(&name));
-        // Keep the hot documents hot.
-        qa.eval(&engine, nat).unwrap();
-        qb.eval(&engine, nat).unwrap();
+        assert_eq!(qa.eval(&engine, nat).unwrap().to_string(), "(a {3})");
+        assert_eq!(qb.eval(&engine, nat).unwrap().to_string(), "(a {3})");
     }
-    assert_eq!(engine.cached_specializations("hotA"), [SemiringKind::Nat]);
-    assert_eq!(engine.cached_specializations("hotB"), [SemiringKind::Nat]);
-    assert_eq!(engine.document_names(), ["hotA", "hotB"]);
-}
-
-/// Queue entries for replaced documents must not occupy cap slots:
-/// with cap 2, replacing a specialized document and then specializing
-/// a third must keep the *live* oldest specialization cached.
-#[test]
-fn doc_cache_cap_ignores_dead_entries() {
-    let engine = Engine::with_doc_cache_cap(2);
-    let nat = EvalOptions::new().semiring(SemiringKind::Nat);
-    for name in ["A", "B"] {
-        engine.load_document(name, "<r> a </r>").unwrap();
-        engine
-            .prepare(&format!("${name}/*"))
-            .unwrap()
-            .eval(&engine, nat)
-            .unwrap();
-    }
-    // Replace B: its queued specialization entry is now dead.
-    engine.load_document("B", "<r> b </r>").unwrap();
-    engine.load_document("C", "<r> c </r>").unwrap();
-    engine.prepare("$C/*").unwrap().eval(&engine, nat).unwrap();
-    // Only two live specializations (A, C) exist — A must survive.
-    assert_eq!(engine.cached_specializations("A"), [SemiringKind::Nat]);
-    assert_eq!(engine.cached_specializations("C"), [SemiringKind::Nat]);
-}
-
-/// An uncapped engine (the default) never evicts; a 0-cap engine
-/// caches nothing but still answers correctly.
-#[test]
-fn doc_cache_cap_edge_cases() {
-    let uncapped = Engine::new();
-    assert_eq!(uncapped.doc_cache_cap(), None);
-    uncapped.load_document("S", "<r> a </r>").unwrap();
-    let q = uncapped.prepare("$S/*").unwrap();
-    for kind in SemiringKind::ALL {
-        q.eval(&uncapped, EvalOptions::new().semiring(kind))
-            .unwrap();
-    }
-    // All 6 non-symbolic kinds stay cached.
-    assert_eq!(uncapped.cached_specializations("S").len(), 6);
-
-    let nocache = Engine::with_doc_cache_cap(0);
-    nocache.load_document("S", "<r> a {3} </r>").unwrap();
-    let q = nocache.prepare("$S/*").unwrap();
-    let out = q
-        .eval(&nocache, EvalOptions::new().semiring(SemiringKind::Nat))
-        .unwrap();
-    assert_eq!(out.to_string(), "(a {3})");
-    assert_eq!(nocache.cached_specializations("S"), []);
+    assert_eq!(
+        engine.document_names(),
+        ["A", "B", "C", "S", "hotA", "hotB"]
+    );
 }
 
 #[test]

@@ -18,7 +18,8 @@
 //!    a truncated-but-`Ok` result.
 //! 5. **Push parity**: `PreparedQuery::eval_each` hands its callback
 //!    exactly the materialized pieces (or returns the scalar, or the
-//!    error), and stops as soon as the callback says so.
+//!    error), stops as soon as the callback says so, and trips a
+//!    memory budget exactly when `eval_with` does.
 
 use axml::json::{result_header, result_json};
 use axml::{
@@ -284,6 +285,43 @@ proptest! {
             }
             (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
             (m, each) => panic!("eval gave {}, eval_each gave {each:?}", rendered(m)),
+        }
+    }
+}
+
+/// `eval_each` charges the memory budget exactly like `eval_with`:
+/// each produced node is charged once, so the smallest budget that
+/// lets a query through is the same on the push path as on the
+/// materializing one — for every root shape, semiring, incremental
+/// route and parallelism.
+#[test]
+fn eval_each_trips_budgets_exactly_when_eval_with_does() {
+    let fix = fixture();
+    // The pool already holds the union root `($S//d, $S/b)`.
+    let extra = ["$S//c", "for $x in $S/* return ($x)/*"];
+    let smallest = |fits: &dyn Fn(usize) -> bool| (1..=256).find(|&b| fits(b));
+    for src in QUERY_POOL.into_iter().chain(extra) {
+        let q = fix.engine.prepare(src).unwrap();
+        for kind in SemiringKind::ALL {
+            for route in [Route::Direct, Route::ViaNrc] {
+                for par in [false, true] {
+                    let mut opts = EvalOptions::new().semiring(kind).route(route);
+                    if par {
+                        opts = opts.parallel(4);
+                    }
+                    let with = smallest(&|b| {
+                        q.eval_with(&fix.engine, opts.memory_budget(b), &[], None)
+                            .is_ok()
+                    });
+                    let each = smallest(&|b| {
+                        q.eval_each(&fix.engine, opts.memory_budget(b), &[], None, |_| Ok(()))
+                            .is_ok()
+                    });
+                    let at = format!("{src} in {kind} via {route:?}, parallel={par}");
+                    assert!(with.is_some() || src.starts_with("$MISSING"), "{at}");
+                    assert_eq!(with, each, "{at}");
+                }
+            }
         }
     }
 }

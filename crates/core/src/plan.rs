@@ -121,8 +121,10 @@ impl<K: Semiring> CompiledQuery<K> {
     /// identical pieces in identical order either way (differentially
     /// tested), only the latency differs. Scalar results (a bare
     /// label, a top-level element constructor) bypass the sink and
-    /// come back whole as [`Streamed::Scalar`]. Each emitted piece is
-    /// charged and checked against `x` like a plan op's output.
+    /// come back whole as [`Streamed::Scalar`]. Every node is charged
+    /// against `x` exactly once, as in [`CompiledQuery::eval`]: a piece
+    /// is charged when it is emitted only where no plan op charged it
+    /// already, and every emission checks the deadline.
     pub fn eval_stream(
         &self,
         inputs: &[(&str, Value<K>)],
@@ -140,7 +142,7 @@ impl<K: Semiring> CompiledQuery<K> {
                 let f = eval_qset(inner, &mut env, x).map_err(eval)?;
                 for (t, k) in f.iter_document() {
                     if test_matches(step.test, t.label()) {
-                        emit(x, &self.op, sink, t, k)?;
+                        emit(x, &self.op, sink, t, k, t.size())?;
                     }
                 }
                 Ok(Streamed::Set)
@@ -165,20 +167,22 @@ impl<K: Semiring> CompiledQuery<K> {
                         if ann.is_zero() {
                             continue;
                         }
-                        emit(x, &self.op, sink, c, &ann)?;
+                        emit(x, &self.op, sink, c, &ann, c.size())?;
                     }
                     Ok(Streamed::Set)
                 } else {
                     // Children of different roots can interleave and
-                    // merge; materialize, then emit.
+                    // merge; materialize, then emit (charging here, in
+                    // place of the path op's own charge).
                     let out = eval_step_ctx(&f, *step, x.ctx);
-                    emit_forest(x, &self.op, sink, &out)
+                    emit_forest(x, &self.op, sink, &out, true)
                 }
             }
             op => {
                 let v = eval_qop(op, &mut env, x).map_err(eval)?;
                 match v {
-                    Value::Set(f) => emit_forest(x, op, sink, &f),
+                    // `eval_qop` charged the result already.
+                    Value::Set(f) => emit_forest(x, op, sink, &f, false),
                     scalar => Ok(Streamed::Scalar(scalar)),
                 }
             }
@@ -205,31 +209,36 @@ fn test_matches(test: NodeTest, l: Label) -> bool {
     }
 }
 
-/// Push one piece, charging its node count against the budget (and
-/// checking the deadline) first: a streamed piece is "produced" the
-/// moment it is emitted.
+/// Push one piece, charging `nodes` against the budget (and checking
+/// the deadline) first: a streamed piece is "produced" the moment it
+/// is emitted.
 fn emit<K: Semiring>(
     x: &Exec<'_>,
     op: &QOp<K>,
     sink: &mut dyn ResultSink<K>,
     t: &Tree<K>,
     k: &K,
+    nodes: usize,
 ) -> Result<(), StreamError<EvalError>> {
-    charge(x, t.size(), op).map_err(StreamError::Eval)?;
+    charge(x, nodes, op).map_err(StreamError::Eval)?;
     sink.piece(t, k)?;
     Ok(())
 }
 
-/// Emit a materialized forest piece by piece, in document order.
+/// Emit a materialized forest piece by piece, in document order,
+/// checking the deadline before each piece. `charge_pieces` charges
+/// each piece's node count too — only for a forest no plan op has
+/// charged, so no node is charged twice.
 fn emit_forest<K: Semiring>(
     x: &Exec<'_>,
     op: &QOp<K>,
     sink: &mut dyn ResultSink<K>,
     f: &Forest<K>,
+    charge_pieces: bool,
 ) -> Result<Streamed<K>, StreamError<EvalError>> {
     for (t, k) in f.iter_document() {
-        charge(x, t.size(), op).map_err(StreamError::Eval)?;
-        sink.piece(t, k)?;
+        let nodes = if charge_pieces { t.size() } else { 0 };
+        emit(x, op, sink, t, k, nodes)?;
     }
     Ok(Streamed::Set)
 }

@@ -184,8 +184,10 @@ impl<K: Semiring> CompiledExpr<K> {
     /// it is scanned). Every other root shape materializes and then
     /// emits — the sink sees identical pieces in identical order
     /// either way. Non-set results come back whole as
-    /// [`Streamed::Scalar`]. Each emitted piece is charged and checked
-    /// against `x` like an op's output.
+    /// [`Streamed::Scalar`]. Every node is charged against `x` exactly
+    /// once, as in the materializing entry points: a piece is charged
+    /// when it is emitted only where no op charged it already, and
+    /// every emission checks the deadline.
     pub fn eval_stream_with_forests(
         &self,
         inputs: &[(&str, &Forest<K>)],
@@ -196,7 +198,8 @@ impl<K: Semiring> CompiledExpr<K> {
         let eval = StreamError::Eval;
         match &self.op {
             Op::Slot(i) => match &env[*i as usize] {
-                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s),
+                // An input is never charged: it was not produced.
+                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s, false),
                 SlotVal::Bound(v) => match v.to_uxml() {
                     Some(scalar) => Ok(Streamed::Scalar(scalar)),
                     None => err(&self.op, "top-level result is not a K-UXML value").map_err(eval),
@@ -228,7 +231,7 @@ impl<K: Semiring> CompiledExpr<K> {
                 pairs.sort_by(|(a, _), (b, _)| a.cmp_document(b));
                 for (t, k) in pairs {
                     if t.label() == *label {
-                        emit(x, &self.op, sink, t, k)?;
+                        emit(x, &self.op, sink, t, k, t.size())?;
                     }
                 }
                 Ok(Streamed::Set)
@@ -255,12 +258,13 @@ impl<K: Semiring> CompiledExpr<K> {
                         if ann.is_zero() {
                             continue;
                         }
-                        emit(x, &self.op, sink, c, &ann)?;
+                        emit(x, &self.op, sink, c, &ann, c.size())?;
                     }
                     Ok(Streamed::Set)
                 } else {
                     // Children of different roots can interleave and
-                    // merge; materialize, then emit.
+                    // merge; materialize, then emit (charging here, in
+                    // place of the op's own charge).
                     let mut out: KSet<CValue<K>, K> = KSet::new();
                     for (v, k) in s.iter() {
                         match v {
@@ -275,13 +279,14 @@ impl<K: Semiring> CompiledExpr<K> {
                             }
                         }
                     }
-                    emit_cset(x, &self.op, sink, &out)
+                    emit_cset(x, &self.op, sink, &out, true)
                 }
             }
             op => {
                 let v = eval_op(op, &mut env, x).map_err(eval)?;
                 match v {
-                    CValue::Set(s) => emit_cset(x, op, sink, &s),
+                    // `eval_op` charged the result already.
+                    CValue::Set(s) => emit_cset(x, op, sink, &s, false),
                     scalar => match scalar.to_uxml() {
                         Some(scalar) => Ok(Streamed::Scalar(scalar)),
                         None => err(op, "top-level result is not a K-UXML value").map_err(eval),
@@ -628,29 +633,34 @@ fn set_nodes<K: Semiring>(s: &KSet<CValue<K>, K>) -> usize {
         .fold(0usize, |n, (v, _)| n.saturating_add(cvalue_nodes(v)))
 }
 
-/// Push one piece, charging its node count against the budget (and
-/// checking the deadline) first: a streamed piece is "produced" the
-/// moment it is emitted.
+/// Push one piece, charging `nodes` against the budget (and checking
+/// the deadline) first: a streamed piece is "produced" the moment it
+/// is emitted.
 fn emit<K: Semiring>(
     x: &Exec<'_>,
     op: &Op<K>,
     sink: &mut dyn ResultSink<K>,
     t: &Tree<K>,
     k: &K,
+    nodes: usize,
 ) -> Result<(), StreamError<EvalError>> {
-    charge(x, t.size(), op).map_err(StreamError::Eval)?;
+    charge(x, nodes, op).map_err(StreamError::Eval)?;
     sink.piece(t, k)?;
     Ok(())
 }
 
 /// Emit a materialized K-set of trees piece by piece, in document
 /// order (the same comparator `Forest::iter_document` sorts by;
-/// distinct trees never tie, so the order is total).
+/// distinct trees never tie, so the order is total), checking the
+/// deadline before each piece. `charge_pieces` charges each piece's
+/// node count too — only for a set no op has charged, so no node is
+/// charged twice.
 fn emit_cset<K: Semiring>(
     x: &Exec<'_>,
     op: &Op<K>,
     sink: &mut dyn ResultSink<K>,
     s: &KSet<CValue<K>, K>,
+    charge_pieces: bool,
 ) -> Result<Streamed<K>, StreamError<EvalError>> {
     let mut pairs: Vec<(&Tree<K>, &K)> = Vec::with_capacity(s.support_len());
     for (v, k) in s.iter() {
@@ -667,7 +677,8 @@ fn emit_cset<K: Semiring>(
     }
     pairs.sort_by(|(a, _), (b, _)| a.cmp_document(b));
     for (t, k) in pairs {
-        emit(x, op, sink, t, k)?;
+        let nodes = if charge_pieces { t.size() } else { 0 };
+        emit(x, op, sink, t, k, nodes)?;
     }
     Ok(Streamed::Set)
 }

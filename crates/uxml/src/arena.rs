@@ -441,18 +441,35 @@ impl<K: Semiring> TreeArena<K> {
     }
 }
 
+/// The image memo of [`intern_forest_mapped`]: a source subtree's
+/// pointer → the [`NodeId`] of its image in the target arena. Each
+/// entry keeps a clone of its key tree alive, so a pointer key can
+/// never be freed and reused by a different tree while the memo
+/// lives — the memo is sound on its own, whoever owns the source.
+pub type ImageMemo<K> = HashMap<usize, (Tree<K>, NodeId)>;
+
 /// Intern the image of a forest under a semiring homomorphism,
 /// directly into a `K2` arena — the hom lifting of §6.4 fused with
 /// hash-consing. Walks the value-level DAG once per **distinct** input
-/// subtree (pointer-memoized per call), instead of once per occurrence
+/// subtree (pointer-memoized in `memo`), instead of once per occurrence
 /// like the plain recursive [`crate::hom::map_forest`]; subtrees that
 /// become identified after the hom merge their annotations, and
 /// subtrees whose annotation maps to `0` vanish, exactly as the
 /// recursive lifting does. Returns `(root id, annotation)` pairs with
 /// zeros dropped (duplicate ids possible when roots become
 /// identified; [`TreeArena::canonical_forest`] merges them).
+///
+/// `memo` records the image of every subtree this call interns. A
+/// fresh memo per call is always correct. A memo may outlive the call
+/// — and should, when the same source subtrees come back (every
+/// version of an edited document shares all but its new spine) — as
+/// long as every call that uses it passes the same `arena` and the
+/// same `h`: its ids point into that arena and are images under that
+/// hom. A repeat call then maps only the subtrees the memo has not
+/// seen, plus one lookup per root.
 pub fn intern_forest_mapped<K1, K2, H>(
     arena: &mut TreeArena<K2>,
+    memo: &mut ImageMemo<K1>,
     h: &H,
     f: &Forest<K1>,
 ) -> Vec<(NodeId, K2)>
@@ -479,14 +496,14 @@ where
         arena: &mut TreeArena<K2>,
         h: &H,
         t: &'t Tree<K1>,
-        memo: &mut HashMap<usize, NodeId>,
+        memo: &mut ImageMemo<K1>,
     ) -> NodeId
     where
         K1: Semiring,
         K2: Semiring,
         H: SemiringHom<K1, K2>,
     {
-        if let Some(&id) = memo.get(&t.ptr_token()) {
+        if let Some(&(_, id)) = memo.get(&t.ptr_token()) {
             return id;
         }
         let mut stack: Vec<Frame<'t, K1, K2>> = vec![frame(t)];
@@ -510,7 +527,7 @@ where
                         continue;
                     }
                     match memo.get(&child.ptr_token()) {
-                        Some(&id) => {
+                        Some(&(_, id)) => {
                             top.ids.push((id, k2));
                             top.next += 1;
                         }
@@ -523,7 +540,7 @@ where
                 Action::Complete => {
                     let done = stack.pop().expect("completing frame exists");
                     let id = arena.intern_node(done.tree.label(), done.ids);
-                    memo.insert(done.tree.ptr_token(), id);
+                    memo.insert(done.tree.ptr_token(), (done.tree.clone(), id));
                     match stack.last_mut() {
                         Some(parent) => {
                             let k2 = h.apply(parent.kids[parent.next].1);
@@ -536,14 +553,13 @@ where
             }
         }
     }
-    let mut memo: HashMap<usize, NodeId> = HashMap::new();
     let mut out = Vec::with_capacity(f.len());
     for (t, k1) in f.iter() {
         let k2 = h.apply(k1);
         if k2.is_zero() {
             continue;
         }
-        out.push((map_tree(arena, h, t, &mut memo), k2));
+        out.push((map_tree(arena, h, t, memo), k2));
     }
     out
 }

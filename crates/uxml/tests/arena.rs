@@ -129,7 +129,7 @@ fn check_kind<S: Semiring>(f: &Forest<NatPoly>, hom: impl Fn(&NatPoly) -> S) {
 
     // (b) hom-fused interning == recursive lifting.
     let mut fused = TreeArena::<S>::new();
-    let fused_roots = intern_forest_mapped(&mut fused, &h, f);
+    let fused_roots = intern_forest_mapped(&mut fused, &mut Default::default(), &h, f);
     assert_eq!(fused.canonical_forest(&fused_roots), reference);
 
     // (c) sweep parity.
