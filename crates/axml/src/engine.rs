@@ -130,6 +130,14 @@ pub struct StorageStats {
     /// applied, spine nodes interned per edit, ±Δ fact volumes, memo
     /// hits/misses, incremental evals vs stateless fallbacks.
     pub incr: IncrStats,
+    /// Distinct element labels the process has interned — a gauge
+    /// that only grows: interned names are never freed, so a workload
+    /// that mints fresh labels (splicing in new tags, say) grows it by
+    /// one per new label. Process-wide, not per engine.
+    pub interned_labels: usize,
+    /// Distinct provenance variables the process has interned; never
+    /// freed either. Process-wide, not per engine.
+    pub interned_vars: usize,
     /// Scheduling counters of the **global** worker pool (queue depths
     /// per lane class, owned/helped/stolen/injected executions, max
     /// queue residency). All-zero until some evaluation has actually
@@ -235,6 +243,8 @@ impl Engine {
             distinct_subtrees: arena.len(),
             child_edges: arena.child_edge_count(),
             incr: self.counters.snapshot(),
+            interned_labels: axml_uxml::Label::interned_count(),
+            interned_vars: axml_semiring::Var::interned_count(),
             scheduler: axml_pool::global_stats(),
         }
     }

@@ -288,9 +288,9 @@ struct QueryState<S: Semiring> {
 
 impl DocIncr {
     /// Record one applied edit: lazily build the shadow from the
-    /// pre-edit document, sync it against the post-edit one, bump the
-    /// version and log the delta. Returns `(facts_retired,
-    /// facts_added)`.
+    /// pre-edit document (unless a shredded read already did), sync it
+    /// against the post-edit one, bump the version and log the delta.
+    /// Returns `(facts_retired, facts_added)`.
     pub fn apply_edit(&mut self, old: &Forest<NatPoly>, new: &Forest<NatPoly>) -> (u64, u64) {
         if self.shadow.is_none() {
             self.shadow = Some(ShadowDoc::from_forest(old));
@@ -356,10 +356,12 @@ fn kind_mut<S: EvalKind>(
         .expect("kind state downcasts to its own kind")
 }
 
-/// Incremental shredded evaluation. `None` = not engaged (never
-/// edited, or this snapshot is behind the incr state) — the caller
-/// runs the stateless route on its snapshot. The solve honours `x`
-/// like the stateless route's fixpoint.
+/// Incremental shredded evaluation. `None` = not engaged (this
+/// snapshot is behind the incr state) — the caller runs the stateless
+/// route on its snapshot. A never-edited document engages too: its
+/// shadow is shredded from the stored version on the first shredded
+/// read, and the views kept from then on make a repeat read a clone.
+/// The solve honours `x` like the stateless route's fixpoint.
 pub(crate) fn eval_shredded_incr<S: EvalKind>(
     doc: &Arc<StoredDoc>,
     p: &PathQuery,
@@ -367,9 +369,6 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     x: &Exec<'_>,
     counters: &IncrCounters,
 ) -> Option<Result<Forest<S>, AxmlError>> {
-    if doc.version == 0 {
-        return None;
-    }
     let mut incr = doc.incr.lock().unwrap_or_else(|e| e.into_inner());
     let DocIncr {
         version,
@@ -381,7 +380,10 @@ pub(crate) fn eval_shredded_incr<S: EvalKind>(
     if *version != doc.version {
         return None;
     }
-    let shadow = shadow.as_ref()?;
+    // Every edit builds the shadow before bumping the version, so only
+    // a version-0 document gets here without one — and its stored
+    // forest is exactly what the first edit would shred.
+    let shadow = &*shadow.get_or_insert_with(|| ShadowDoc::from_forest(&doc.poly));
     let kind = kind_mut::<S>(kinds);
 
     // 0. Pure hit: the query was already solved at exactly this

@@ -237,6 +237,9 @@
 //!   Queries **with filters** skip the IDB resume (a filter head
 //!   drops variables, so pruning is not exact) but still reuse the
 //!   incrementally-maintained edge relation, skipping the re-shred.
+//!   Never-edited documents keep their views too: the first shredded
+//!   read shreds the stored version once, and a repeat read at the
+//!   same version is a clone of the kept result.
 //! - **Direct / via-NRC routes (fingerprint memoization).** Path
 //!   evaluation consults a per-`(document × query × semiring)` memo
 //!   keyed on the subtree's `(size, hash)` structural fingerprint —

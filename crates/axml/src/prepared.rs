@@ -574,12 +574,14 @@ fn stream_err<E: Into<AxmlError>>(e: StreamError<E>) -> StreamError<AxmlError> {
 ///
 /// On **edited** documents (version > 0) the §7-fragment routes
 /// engage the incremental layer: `Direct`/`ViaNrc` serve from the
-/// subtree-fingerprint memo ([`crate::incr::eval_path_memoized`]) and
-/// `Shredded` propagates deltas through the retained Datalog fixpoint
-/// ([`crate::incr::eval_shredded_incr`]); `Differential` additionally
-/// runs the memoized evaluator as a sixth leg and asserts it agrees
-/// with the compiled direct plan. Never-edited documents take exactly
-/// the pre-incrementality code paths.
+/// subtree-fingerprint memo ([`crate::incr::eval_path_memoized`]);
+/// `Differential` additionally runs the memoized evaluator as a sixth
+/// leg and asserts it agrees with the compiled direct plan.
+/// `Shredded` always reads through the document's retained views
+/// ([`crate::incr::eval_shredded_incr`]): the first read of a
+/// never-edited document shreds it once, later reads at that version
+/// clone the kept result, and edits propagate deltas through the
+/// retained Datalog fixpoint.
 fn eval_route<S: EvalKind>(
     arts: &Artifacts<S>,
     path: &Result<(String, PathQuery), Ineligible>,
@@ -858,13 +860,12 @@ fn eval_shredded<S: EvalKind>(
             available: inputs.iter().map(|b| b.name.clone()).collect(),
         });
     };
-    // Delta propagation: on an edited, current snapshot, solve from
-    // the retained fixpoint instead of re-shredding the document.
-    if b.doc.version > 0 {
-        match crate::incr::eval_shredded_incr::<S>(&b.doc, p, key, x, engine.incr_counters()) {
-            Some(out) => return out.map(Value::Set),
-            None => engine.incr_counters().note_fallback(),
-        }
+    // Delta propagation: on a current snapshot, solve from the
+    // retained view instead of re-shredding the document (a repeat
+    // read at the same version is a clone of the kept result).
+    match crate::incr::eval_shredded_incr::<S>(&b.doc, p, key, x, engine.incr_counters()) {
+        Some(out) => return out.map(Value::Set),
+        None => engine.incr_counters().note_fallback(),
     }
     let out = axml_relational::eval_path_via_shredding(&b.forest, p, x)?;
     Ok(Value::Set(out))

@@ -624,3 +624,63 @@ fn a_repeat_filtered_shredded_read_is_served_at_its_version() {
     assert_eq!(outcome(&engine, &q, opts), fresh_outcome(&engine));
     assert_eq!(outcome(&engine, &q, opts), fresh_outcome(&engine));
 }
+
+/// A never-edited document keeps its shredded views too: the first
+/// shredded read shreds the stored version once, and a repeat read at
+/// version 0 clones the kept result. The repeat counts as an
+/// incremental eval, fits a memory budget just above the result's size
+/// (a re-solve would charge every derived tuple and trip it), and is
+/// byte-identical to a fresh engine's read and to the direct route.
+#[test]
+fn a_repeat_shredded_read_of_an_unedited_document_is_kept() {
+    const PATH_QUERIES: [&str; 2] = [
+        "$S//c",
+        "for $x in $S//a return for $y in ($x)/c return ($x)",
+    ];
+    for src in PATH_QUERIES {
+        for kind in SemiringKind::ALL {
+            let engine = Engine::new();
+            engine.load_document("S", BASE).unwrap();
+            let q = engine.prepare(src).unwrap();
+            let o = opts(kind, Route::Shredded, EvalMode::InSemiring);
+            let at = format!("{src} in {kind}");
+            // The ℕ[X] result bounds every kind's: specializing only
+            // merges trees.
+            let symbolic = opts(SemiringKind::NatPoly, Route::Direct, EvalMode::InSemiring);
+            let size = q
+                .eval(&engine, symbolic)
+                .unwrap()
+                .as_natpoly()
+                .and_then(|v| v.as_set())
+                .expect("a forest result")
+                .size();
+            let budget = o.memory_budget(size + 4);
+            let first = q.eval(&engine, o).unwrap();
+            let evals = engine.storage_stats().incr.incremental_evals;
+            let repeat = q.eval(&engine, budget);
+            assert_eq!(
+                repeat.as_ref().map(|r| r.to_string()),
+                Ok(first.to_string()),
+                "{at}: the repeat read re-solved"
+            );
+            let stats = engine.storage_stats().incr;
+            assert_eq!(stats.incremental_evals, evals + 1, "{at}");
+            assert_eq!(stats.edits_applied, 0, "{at}");
+
+            let fresh = Engine::new();
+            fresh.load_document("S", BASE).unwrap();
+            let fq = fresh.prepare(src).unwrap();
+            assert!(
+                matches!(fq.eval(&fresh, budget), Err(AxmlError::Budget { .. })),
+                "{at}: the budget does not tell a solve from a clone"
+            );
+            assert_eq!(outcome(&fresh, &fq, o), outcome(&engine, &q, o), "{at}");
+            let direct = opts(kind, Route::Direct, EvalMode::InSemiring);
+            assert_eq!(
+                outcome(&fresh, &fq, direct),
+                outcome(&engine, &q, o),
+                "{at}"
+            );
+        }
+    }
+}

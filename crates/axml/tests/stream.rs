@@ -20,11 +20,15 @@
 //!    exactly the materialized pieces (or returns the scalar, or the
 //!    error), stops as soon as the callback says so, and trips a
 //!    memory budget exactly when `eval_with` does.
+//! 6. **Shared grandchildren**: a child step over several roots whose
+//!    children repeat (the same leaf under many parents) sums them
+//!    without building a K-set; the pushed pieces are byte-identical
+//!    to `eval_with`'s and budgets trip after the same pieces.
 
 use axml::json::{result_header, result_json};
 use axml::{
-    AxmlError, BudgetKind, Engine, EvalCursor, EvalOptions, Pool, PreparedQuery, Route,
-    SemiringKind, SinkClosed, StreamItem, STREAM_BUFFER_PIECES,
+    AxmlError, BudgetKind, Engine, EvalCursor, EvalOptions, Pool, PreparedQuery, ResultPieceRef,
+    Route, SemiringKind, SinkClosed, StreamItem, STREAM_BUFFER_PIECES,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -349,5 +353,102 @@ fn eval_each_stops_when_the_callback_closes() {
         });
         assert!(matches!(out, Ok(None)), "{route:?}: {out:?}");
         assert_eq!(seen, 3, "{route:?}");
+    }
+}
+
+/// Node count of one result piece.
+fn piece_size(p: &ResultPieceRef<'_>) -> usize {
+    match p {
+        ResultPieceRef::Nat(t, _) => t.size(),
+        ResultPieceRef::PosBool(t, _) => t.size(),
+        ResultPieceRef::Tropical(t, _) => t.size(),
+        ResultPieceRef::NatPoly(t, _) => t.size(),
+        ResultPieceRef::Why(t, _) => t.size(),
+        ResultPieceRef::Trio(t, _) => t.size(),
+        ResultPieceRef::Prob(t, _) => t.size(),
+    }
+}
+
+/// Child steps over several roots whose children repeat: `d` sits
+/// under four parents, `e` and `c` under two, and two parents share a
+/// label, so the summed pieces interleave across roots. `M` is a
+/// forest of those parents (its child step is the multi-root branch
+/// of both plans); `S` nests them under one root (`$S/*/*` takes the
+/// direct plan's multi-root branch). `eval_each` must push exactly
+/// `eval_with`'s pieces in all 7 semirings, on both incremental
+/// routes, sequential and parallel; and where the root step emits its
+/// pieces one by one, every smaller budget must trip after exactly
+/// the pieces whose charges fit (the inner steps' charge, then one
+/// piece at a time) — where `eval_with` trips too.
+#[test]
+fn shared_grandchildren_sum_like_the_materialized_k_set() {
+    const PARENTS: &str = "<b {x1}> d {y1} c {w1} </b> <b {x3}> d {y4} e {2*y4} </b> \
+                           <c {x2}> d {y2} e {y3} c </c> <f {x1*x2}> d {y1} <g> d </g> </f>";
+    let engine = Engine::new();
+    engine.load_document("M", PARENTS).unwrap();
+    engine
+        .load_document("S", &format!("<a {{z}}> {PARENTS} </a>"))
+        .unwrap();
+    // (query, whether each route's root step charges piece by piece)
+    let cases = [
+        ("$M/*", [true, true]),
+        ("$M/d", [true, false]),
+        ("$S/*/*", [true, false]),
+    ];
+    for (src, per_piece) in cases {
+        let q = engine.prepare(src).unwrap();
+        for kind in SemiringKind::ALL {
+            for (route, per_piece) in [Route::Direct, Route::ViaNrc].into_iter().zip(per_piece) {
+                for par in [false, true] {
+                    let mut opts = EvalOptions::new().semiring(kind).route(route);
+                    if par {
+                        opts = opts.parallel(4);
+                    }
+                    let at = format!("{src} in {kind} via {route:?}, parallel={par}");
+                    let whole = q.eval_with(&engine, opts, &[], None).unwrap();
+                    let pieces = whole.pieces().expect("a set");
+                    let want: Vec<String> = pieces.iter().map(|p| p.json()).collect();
+                    let sizes: Vec<usize> = pieces.iter().map(piece_size).collect();
+                    assert!(!want.is_empty(), "{at}");
+                    let mut pushed = Vec::new();
+                    let each = q.eval_each(&engine, opts, &[], None, |p| {
+                        pushed.push(p.json());
+                        Ok(())
+                    });
+                    assert!(matches!(each, Ok(None)), "{at}: {each:?}");
+                    assert_eq!(pushed, want, "{at}");
+
+                    let fits = |b: usize| {
+                        q.eval_with(&engine, opts.memory_budget(b), &[], None)
+                            .is_ok()
+                    };
+                    let smallest = (1..=512).find(|&b| fits(b)).expect("some budget fits");
+                    let inner = smallest - sizes.iter().sum::<usize>();
+                    for b in 1..=smallest {
+                        let mut got = Vec::new();
+                        let out = q.eval_each(&engine, opts.memory_budget(b), &[], None, |p| {
+                            got.push(p.json());
+                            Ok(())
+                        });
+                        assert_eq!(out.is_ok(), b == smallest, "{at}, budget {b}");
+                        let fit = if per_piece {
+                            let mut used = inner;
+                            sizes
+                                .iter()
+                                .take_while(|&&n| {
+                                    used += n;
+                                    used <= b
+                                })
+                                .count()
+                        } else if b == smallest {
+                            want.len()
+                        } else {
+                            0
+                        };
+                        assert_eq!(got, want[..fit], "{at}, budget {b}");
+                    }
+                }
+            }
+        }
     }
 }

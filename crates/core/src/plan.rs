@@ -21,7 +21,9 @@ use crate::ast::{Axis, NodeTest, Query, QueryNode, Step};
 use crate::eval::{eval_step_ctx, EvalError};
 use axml_nrc::compile::SlotScope;
 use axml_semiring::Semiring;
-use axml_uxml::{Exec, Forest, Label, ResultSink, StreamError, Streamed, Tree, Value};
+use axml_uxml::{
+    coalesce_document, Exec, Forest, Label, ResultSink, StreamError, Streamed, Tree, Value,
+};
 use std::fmt;
 
 /// A reusable execution plan for one elaborated core query. Build
@@ -116,15 +118,19 @@ impl<K: Semiring> CompiledQuery<K> {
     /// step over a single root tree (the `$S/*` / `$S/entry` paging
     /// shapes: one tree's children are distinct and already
     /// document-sorted, so each filtered, scaled child is final the
-    /// moment it is scanned). Every other root shape evaluates to the
-    /// full K-set first and then emits its pieces — the sink sees
-    /// identical pieces in identical order either way (differentially
-    /// tested), only the latency differs. Scalar results (a bare
-    /// label, a top-level element constructor) bypass the sink and
-    /// come back whole as [`Streamed::Scalar`]. Every node is charged
-    /// against `x` exactly once, as in [`CompiledQuery::eval`]: a piece
-    /// is charged when it is emitted only where no plan op charged it
-    /// already, and every emission checks the deadline.
+    /// moment it is scanned). A child step over several roots gathers
+    /// the scaled children, sorts them once into document order and
+    /// sums equal neighbours ([`coalesce_document`]) instead of
+    /// building the K-set and sorting it again. Every other root
+    /// shape evaluates to the full K-set first and then emits its
+    /// pieces. The sink sees identical pieces in identical order
+    /// either way (differentially tested); only the latency and the
+    /// work differ. Scalar results (a bare label, a top-level element
+    /// constructor) bypass the sink and come back whole as
+    /// [`Streamed::Scalar`]. Every node is charged against `x` exactly
+    /// once, as in [`CompiledQuery::eval`]: a piece is charged when it
+    /// is emitted only where no plan op charged it already, and every
+    /// emission checks the deadline.
     pub fn eval_stream(
         &self,
         inputs: &[(&str, Value<K>)],
@@ -172,17 +178,37 @@ impl<K: Semiring> CompiledQuery<K> {
                     Ok(Streamed::Set)
                 } else {
                     // Children of different roots can interleave and
-                    // merge; materialize, then emit (charging here, in
-                    // place of the path op's own charge).
-                    let out = eval_step_ctx(&f, *step, x.ctx);
-                    emit_forest(x, &self.op, sink, &out, true)
+                    // merge. Gather `(child, k·kc)` in the order the
+                    // step kernel's `bind` absorbs them (roots in K-set
+                    // order), then sort once and fold equal neighbours
+                    // — the materialized K-set's sums and document
+                    // order, without building it. Each piece is
+                    // charged here, in place of the path op's charge.
+                    let mut kids: Vec<(&Tree<K>, K)> = Vec::new();
+                    for (t, k) in f.iter() {
+                        for (c, kc) in t.children().iter() {
+                            if test_matches(step.test, c.label()) {
+                                let ann = if k.is_one() { kc.clone() } else { k.times(kc) };
+                                kids.push((c, ann));
+                            }
+                        }
+                    }
+                    for (c, ann) in coalesce_document(kids) {
+                        emit(x, &self.op, sink, c, &ann, c.size())?;
+                    }
+                    Ok(Streamed::Set)
                 }
             }
             op => {
-                let v = eval_qop(op, &mut env, x).map_err(eval)?;
-                match v {
-                    // `eval_qop` charged the result already.
-                    Value::Set(f) => emit_forest(x, op, sink, &f, false),
+                // `eval_qop` charged the result already, so the pieces
+                // are emitted uncharged.
+                match eval_qop(op, &mut env, x).map_err(eval)? {
+                    Value::Set(f) => {
+                        for (t, k) in f.iter_document() {
+                            emit(x, op, sink, t, k, 0)?;
+                        }
+                        Ok(Streamed::Set)
+                    }
                     scalar => Ok(Streamed::Scalar(scalar)),
                 }
             }
@@ -223,24 +249,6 @@ fn emit<K: Semiring>(
     charge(x, nodes, op).map_err(StreamError::Eval)?;
     sink.piece(t, k)?;
     Ok(())
-}
-
-/// Emit a materialized forest piece by piece, in document order,
-/// checking the deadline before each piece. `charge_pieces` charges
-/// each piece's node count too — only for a forest no plan op has
-/// charged, so no node is charged twice.
-fn emit_forest<K: Semiring>(
-    x: &Exec<'_>,
-    op: &QOp<K>,
-    sink: &mut dyn ResultSink<K>,
-    f: &Forest<K>,
-    charge_pieces: bool,
-) -> Result<Streamed<K>, StreamError<EvalError>> {
-    for (t, k) in f.iter_document() {
-        let nodes = if charge_pieces { t.size() } else { 0 };
-        emit(x, op, sink, t, k, nodes)?;
-    }
-    Ok(Streamed::Set)
 }
 
 /// One frame slot: a value, or — for a free variable the caller did

@@ -36,7 +36,8 @@ use crate::expr::{Expr, Name};
 use crate::value::CValue;
 use axml_semiring::{KSet, Semiring};
 use axml_uxml::{
-    weighted_descendant_closure, Exec, Forest, Label, ResultSink, StreamError, Streamed, Tree,
+    coalesce_document, sort_document, weighted_descendant_closure, Exec, Forest, Label, ResultSink,
+    StreamError, Streamed, Tree,
 };
 use std::fmt;
 
@@ -181,13 +182,15 @@ impl<K: Semiring> CompiledExpr<K> {
     /// subset of its source with annotations untouched), or a fused
     /// `kids-flat` over a single root tree (one tree's children are
     /// distinct and pre-sorted; each scaled child is final the moment
-    /// it is scanned). Every other root shape materializes and then
-    /// emits — the sink sees identical pieces in identical order
-    /// either way. Non-set results come back whole as
-    /// [`Streamed::Scalar`]. Every node is charged against `x` exactly
-    /// once, as in the materializing entry points: a piece is charged
-    /// when it is emitted only where no op charged it already, and
-    /// every emission checks the deadline.
+    /// it is scanned). A `kids-flat` over several roots gathers the
+    /// scaled children, sorts them once and sums equal neighbours
+    /// ([`coalesce_document`]) instead of building the K-set. Every
+    /// other root shape materializes and then emits — the sink sees
+    /// identical pieces in identical order either way. Non-set results
+    /// come back whole as [`Streamed::Scalar`]. Every node is charged
+    /// against `x` exactly once, as in the materializing entry points:
+    /// a piece is charged when it is emitted only where no op charged
+    /// it already, and every emission checks the deadline.
     pub fn eval_stream_with_forests(
         &self,
         inputs: &[(&str, &Forest<K>)],
@@ -199,7 +202,7 @@ impl<K: Semiring> CompiledExpr<K> {
         match &self.op {
             Op::Slot(i) => match &env[*i as usize] {
                 // An input is never charged: it was not produced.
-                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s, false),
+                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s),
                 SlotVal::Bound(v) => match v.to_uxml() {
                     Some(scalar) => Ok(Streamed::Scalar(scalar)),
                     None => err(&self.op, "top-level result is not a K-UXML value").map_err(eval),
@@ -228,7 +231,7 @@ impl<K: Semiring> CompiledExpr<K> {
                         }
                     }
                 }
-                pairs.sort_by(|(a, _), (b, _)| a.cmp_document(b));
+                sort_document(&mut pairs);
                 for (t, k) in pairs {
                     if t.label() == *label {
                         emit(x, &self.op, sink, t, k, t.size())?;
@@ -263,14 +266,19 @@ impl<K: Semiring> CompiledExpr<K> {
                     Ok(Streamed::Set)
                 } else {
                     // Children of different roots can interleave and
-                    // merge; materialize, then emit (charging here, in
-                    // place of the op's own charge).
-                    let mut out: KSet<CValue<K>, K> = KSet::new();
+                    // merge. Gather `(child, k·kc)` in the order the
+                    // materializing op inserts them (roots in K-set
+                    // order), then sort once and fold equal neighbours
+                    // — its sums and document order, without building
+                    // the K-set. Each piece is charged here, in place
+                    // of the op's own charge.
+                    let mut kids: Vec<(&Tree<K>, K)> = Vec::new();
                     for (v, k) in s.iter() {
                         match v {
                             CValue::Tree(t) => {
                                 for (c, kc) in t.children().iter() {
-                                    out.insert(CValue::Tree(c.clone()), k.times(kc));
+                                    let ann = if k.is_one() { kc.clone() } else { k.times(kc) };
+                                    kids.push((c, ann));
                                 }
                             }
                             other => {
@@ -279,14 +287,17 @@ impl<K: Semiring> CompiledExpr<K> {
                             }
                         }
                     }
-                    emit_cset(x, &self.op, sink, &out, true)
+                    for (c, ann) in coalesce_document(kids) {
+                        emit(x, &self.op, sink, c, &ann, c.size())?;
+                    }
+                    Ok(Streamed::Set)
                 }
             }
             op => {
                 let v = eval_op(op, &mut env, x).map_err(eval)?;
                 match v {
                     // `eval_op` charged the result already.
-                    CValue::Set(s) => emit_cset(x, op, sink, &s, false),
+                    CValue::Set(s) => emit_cset(x, op, sink, &s),
                     scalar => match scalar.to_uxml() {
                         Some(scalar) => Ok(Streamed::Scalar(scalar)),
                         None => err(op, "top-level result is not a K-UXML value").map_err(eval),
@@ -649,18 +660,15 @@ fn emit<K: Semiring>(
     Ok(())
 }
 
-/// Emit a materialized K-set of trees piece by piece, in document
-/// order (the same comparator `Forest::iter_document` sorts by;
-/// distinct trees never tie, so the order is total), checking the
-/// deadline before each piece. `charge_pieces` charges each piece's
-/// node count too — only for a set no op has charged, so no node is
-/// charged twice.
+/// Emit a K-set of trees that is already charged (an input, or an
+/// op's result) piece by piece, in document order (the
+/// [`sort_document`] order `Forest::iter_document` uses too),
+/// checking the deadline before each piece.
 fn emit_cset<K: Semiring>(
     x: &Exec<'_>,
     op: &Op<K>,
     sink: &mut dyn ResultSink<K>,
     s: &KSet<CValue<K>, K>,
-    charge_pieces: bool,
 ) -> Result<Streamed<K>, StreamError<EvalError>> {
     let mut pairs: Vec<(&Tree<K>, &K)> = Vec::with_capacity(s.support_len());
     for (v, k) in s.iter() {
@@ -675,10 +683,9 @@ fn emit_cset<K: Semiring>(
             }
         }
     }
-    pairs.sort_by(|(a, _), (b, _)| a.cmp_document(b));
+    sort_document(&mut pairs);
     for (t, k) in pairs {
-        let nodes = if charge_pieces { t.size() } else { 0 };
-        emit(x, op, sink, t, k, nodes)?;
+        emit(x, op, sink, t, k, 0)?;
     }
     Ok(Streamed::Set)
 }

@@ -9,7 +9,9 @@
 //! Interning is append-only; ids are stable for the life of the process.
 //! [`Var`]'s `Ord` sorts by *name* (not id) so every printed polynomial
 //! and every `BTreeMap` iteration order is deterministic regardless of
-//! interning order — figure regeneration must be byte-stable.
+//! interning order — figure regeneration must be byte-stable. Resolving
+//! a name is lock-free (see [`crate::intern::NameTable`]), so ordering
+//! by name costs two acquire loads per side, even with many readers.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -37,6 +39,12 @@ impl Var {
     pub fn id(self) -> u32 {
         self.0
     }
+
+    /// How many distinct variable names the process has interned.
+    /// Interned names are never freed, so this only grows.
+    pub fn interned_count() -> usize {
+        interned_count()
+    }
 }
 
 impl PartialOrd for Var {
@@ -50,7 +58,8 @@ impl Ord for Var {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
-        // Order by name for deterministic, human-meaningful output.
+        // Order by name for deterministic, human-meaningful output;
+        // both lookups are lock-free.
         self.name().cmp(other.name())
     }
 }
@@ -120,6 +129,48 @@ mod tests {
         let v: Var = "w1".into();
         assert_eq!(v.to_string(), "w1");
         assert_eq!(format!("{v:?}"), "w1");
+    }
+
+    #[test]
+    fn concurrent_interning_resolves_every_id() {
+        // Four threads mint fresh names and resolve their own and each
+        // other's ids while the pool grows past several name-table
+        // chunk boundaries (ids 63/64, 191/192, 447/448, 959/960).
+        let minted: Vec<Vec<(String, Var)>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    s.spawn(move || {
+                        let mut own: Vec<(String, Var)> = Vec::new();
+                        for i in 0..300 {
+                            let name = format!("conc_intern_{t}_{i}");
+                            let v = Var::new(&name);
+                            assert_eq!(v.name(), name);
+                            // Re-resolve everything minted so far.
+                            if i % 50 == 49 {
+                                for (n, w) in &own {
+                                    assert_eq!(w.name(), n.as_str());
+                                }
+                            }
+                            own.push((name, v));
+                        }
+                        own
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (name, v) in minted.iter().flatten() {
+            assert_eq!(v.name(), name.as_str());
+            assert_eq!(Var::new(name), *v);
+        }
+        let count = Var::interned_count();
+        assert!(count >= 1200, "{count}");
+        // Every id the pool ever handed out resolves and round-trips,
+        // boundary ids included.
+        for id in 0..count as u32 {
+            let v = Var(id);
+            assert_eq!(Var::new(v.name()), v, "id {id}");
+        }
     }
 
     #[test]

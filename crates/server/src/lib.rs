@@ -31,7 +31,7 @@
 //! | Method & path            | Body            | Response |
 //! |--------------------------|-----------------|----------|
 //! | `GET /health`            | —               | `{"status":"ok"}` |
-//! | `GET /stats`             | —               | documents, prepared queries, in-flight connections, storage stats, `incremental` edit/memo counters |
+//! | `GET /stats`             | —               | documents, prepared queries, in-flight connections, storage stats, intern-pool gauges, `incremental` edit/memo counters |
 //! | `GET /documents`         | —               | `{"documents":[…]}` |
 //! | `PUT /documents/{name}`  | document text   | `{"document":…,"loaded":true}` |
 //! | `PATCH /documents/{name}` | edit script    | `{"document":…,"version":…,"ops_applied":…,"spine_nodes_interned":…,"facts_retired":…,"facts_added":…}` |

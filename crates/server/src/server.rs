@@ -376,6 +376,10 @@ fn respond<W: Write>(
             j.int(stats.distinct_subtrees as u64);
             j.key("child_edges");
             j.int(stats.child_edges as u64);
+            j.key("interned_labels");
+            j.int(stats.interned_labels as u64);
+            j.key("interned_vars");
+            j.int(stats.interned_vars as u64);
             j.key("incremental");
             axml::json::incremental_json(&mut j, &stats.incr);
             // The scheduler counters of *this server's* pool (the one

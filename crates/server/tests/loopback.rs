@@ -960,6 +960,11 @@ fn a_direct_eval_after_a_patch_is_served_from_the_subtree_memo() {
         "the read re-ran the whole plan:\n{before}\n{after}"
     );
     assert!(stat(&after, "memo_entries") > 0, "{after}");
+    // The intern-pool gauges: process-wide, never falling, and at
+    // least this document's 22 labels and 4 + 2 variables.
+    assert!(stat(&after, "interned_labels") >= 22, "{after}");
+    assert!(stat(&after, "interned_vars") >= 6, "{after}");
+    assert!(stat(&after, "interned_labels") >= stat(&before, "interned_labels"));
 
     // Served from the memo, and still exactly the library's answer.
     let lib = engine

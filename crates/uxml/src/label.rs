@@ -6,7 +6,9 @@
 //! [`Label`] is a `Copy` 4-byte id with O(1) equality; ordering is by
 //! *name* so all printed forests and map iterations are deterministic
 //! regardless of interning order (tests run concurrently and share the
-//! pool).
+//! pool). Resolving a name takes no lock (see
+//! [`axml_semiring::intern::NameTable`]), so name-ordered compares and
+//! document-order sorts do not contend across threads.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -32,6 +34,13 @@ impl Label {
     pub fn id(self) -> u32 {
         self.0
     }
+
+    /// How many distinct labels the process has interned. Interned
+    /// names are never freed, so this only grows — every fresh label
+    /// an edit mints adds one.
+    pub fn interned_count() -> usize {
+        interned_count()
+    }
 }
 
 impl PartialOrd for Label {
@@ -45,6 +54,7 @@ impl Ord for Label {
         if self.0 == other.0 {
             return Ordering::Equal;
         }
+        // Both lookups are lock-free.
         self.name().cmp(other.name())
     }
 }

@@ -33,7 +33,9 @@
 //! only on fingerprint collisions, staying consistent with `Eq`.
 //! User-facing orders (printing, DFS numbering in the shredder) use
 //! [`Tree::cmp_document`] / [`tree::Forest::iter_document`], which
-//! sort by label name and structure and are stable across processes.
+//! sort by label name and structure and are stable across processes;
+//! every such sort is [`tree::sort_document`], keyed once per item on
+//! `(label name, size)` so the structural comparison runs only on ties.
 //! Forests also carry the in-place accumulator ops
 //! ([`tree::Forest::union_with`], [`tree::Forest::scalar_mul_in_place`],
 //! [`tree::Forest::extend_scaled`]) that the evaluators use instead of
@@ -95,14 +97,16 @@ pub use stream::{
     Streamed,
 };
 pub use tree::{
-    expand_sweep_seeds, leaf, tree, weighted_descendant_closure, Forest, SweepSeeds, Tree, Value,
+    coalesce_document, expand_sweep_seeds, leaf, sort_document, tree, weighted_descendant_closure,
+    Forest, SweepSeeds, Tree, Value,
 };
 
 // Thread-safety audit (PR 5): documents are `Arc`-shared across the
 // worker pool and label interning is hit from every worker, so the
 // whole data model must be `Send + Sync` — pinned at compile time here
-// (the `Label` pool itself is a global `RwLock` of leaked strings; a
-// future non-`Sync` cache field on `Tree` would fail this build).
+// (the `Label` pool itself is a lock-guarded index of leaked strings
+// with a lock-free `NameTable` read side; a future non-`Sync` cache
+// field on `Tree` would fail this build).
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Label>();

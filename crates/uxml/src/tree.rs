@@ -203,14 +203,9 @@ impl<K: Semiring> Tree<K> {
     /// sibling sorts all share the same slice.
     pub fn children_document(&self) -> &[(Tree<K>, K)] {
         self.0.doc_children.get_or_init(|| {
-            let mut v: Vec<(Tree<K>, K)> = self
-                .0
-                .children
-                .iter()
-                .map(|(t, k)| (t.clone(), k.clone()))
-                .collect();
-            v.sort_by(|(ta, ka), (tb, kb)| ta.cmp_document(tb).then_with(|| ka.cmp(kb)));
-            v.into_boxed_slice()
+            let mut v: Vec<(&Tree<K>, &K)> = self.0.children.iter().collect();
+            sort_document(&mut v);
+            v.into_iter().map(|(t, k)| (t.clone(), k.clone())).collect()
         })
     }
 
@@ -327,6 +322,72 @@ pub fn weighted_descendant_closure<K: Semiring>(
             add(&mut pending, &mut heap, c.clone(), wk);
         }
         out.push((t, w));
+    }
+    out
+}
+
+/// Sort `(tree, payload)` pairs into document order
+/// ([`Tree::cmp_document`]) — the one sort behind every printed,
+/// streamed and DFS-numbered sequence of trees.
+///
+/// Each pair is keyed once with its root's label name and subtree
+/// size, the two leading criteria of [`Tree::cmp_document`], so almost
+/// every comparison is a string compare on a precomputed key; only
+/// pairs tied on both fall back to the structural comparison. The sort
+/// is stable and ignores the payload, so equal trees keep their input
+/// order — a gather in root order can then fold equal neighbours left
+/// to right. On distinct trees (any forest) this is exactly the order
+/// of `sort_by(cmp_document, then annotation)`.
+pub fn sort_document<K: Semiring, A>(pairs: &mut Vec<(&Tree<K>, A)>) {
+    if pairs.len() < 2 {
+        return;
+    }
+    let mut keyed: Vec<(Label, &'static str, usize, _)> = pairs
+        .drain(..)
+        .map(|p| (p.0.label(), p.0.label().name(), p.0.size(), p))
+        .collect();
+    keyed.sort_by(|(la, na, sa, (ta, _)), (lb, nb, sb, (tb, _))| {
+        let names = if la == lb {
+            Ordering::Equal
+        } else {
+            na.cmp(nb)
+        };
+        names.then(sa.cmp(sb)).then_with(|| ta.cmp_document(tb))
+    });
+    pairs.extend(keyed.into_iter().map(|(_, _, _, p)| p));
+}
+
+/// Sum a gather of `(tree, contribution)` pairs into distinct pairs in
+/// document order — what building the K-set and then calling
+/// [`Forest::iter_document`] would give, without the map.
+///
+/// `pairs` must be in the order a K-set would have absorbed them
+/// (for a multi-root child step: roots in K-set order, each root's
+/// children after it). The stable [`sort_document`] keeps equal trees
+/// in that order, and each run is folded left to right with the
+/// K-set's insert rule — zero contributions skipped, `acc ⊕ k` per
+/// step, an entry dropped if its sum reaches zero — so every
+/// annotation is the same value, bit for bit (floating-point sums
+/// included), that the K-set would hold. (A K-set union may merge into
+/// the larger side, which only swaps `⊕`'s operands; that is exact.)
+pub fn coalesce_document<K: Semiring>(mut pairs: Vec<(&Tree<K>, K)>) -> Vec<(&Tree<K>, K)> {
+    sort_document(&mut pairs);
+    let mut out: Vec<(&Tree<K>, K)> = Vec::with_capacity(pairs.len());
+    for (t, k) in pairs {
+        if k.is_zero() {
+            continue;
+        }
+        match out.last_mut() {
+            Some((last, acc)) if *last == t => {
+                let sum = acc.plus(&k);
+                if sum.is_zero() {
+                    out.pop();
+                } else {
+                    *acc = sum;
+                }
+            }
+            _ => out.push((t, k)),
+        }
     }
     out
 }
@@ -569,7 +630,7 @@ impl<K: Semiring> Forest<K> {
     /// hot loops.
     pub fn iter_document(&self) -> Vec<(&Tree<K>, &K)> {
         let mut v: Vec<(&Tree<K>, &K)> = self.0.iter().collect();
-        v.sort_by(|(ta, ka), (tb, kb)| ta.cmp_document(tb).then_with(|| ka.cmp(kb)));
+        sort_document(&mut v);
         v
     }
 

@@ -6,10 +6,13 @@
 //! - the cached `Tree::size` equals a recomputation from scratch;
 //! - the fingerprint-leading `Ord` is consistent with `Eq`, and the
 //!   document-order comparator is too;
-//! - structurally equal trees built separately share fingerprints.
+//! - structurally equal trees built separately share fingerprints;
+//! - the keyed `sort_document` gives the comparator sort's order, and
+//!   `coalesce_document` the K-set's sums, on inputs heavy with label
+//!   and size ties.
 
 use axml_semiring::{NatPoly, Semiring};
-use axml_uxml::{Forest, Tree};
+use axml_uxml::{coalesce_document, sort_document, Forest, Tree};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["ia", "ib", "ic", "id"];
@@ -110,5 +113,69 @@ proptest! {
         let forward = Forest::from_pairs(pairs.clone());
         let reversed = Forest::from_pairs(pairs.into_iter().rev());
         prop_assert_eq!(forward.to_string(), reversed.to_string());
+    }
+
+    /// On distinct trees (a forest) the keyed sort is exactly
+    /// `sort_by(cmp_document, then annotation)`; with repeated trees it
+    /// is that comparator's *stable* sort, so equal trees keep their
+    /// input order.
+    #[test]
+    fn sort_document_matches_the_comparator_sort(
+        pairs in proptest::collection::vec((arb_tied_tree(2), arb_annotation()), 0..12),
+    ) {
+        let forest = Forest::from_pairs(pairs.clone());
+        let mut keyed: Vec<(&Tree<NatPoly>, &NatPoly)> = forest.iter().collect();
+        let mut reference = keyed.clone();
+        sort_document(&mut keyed);
+        reference.sort_by(|(ta, ka), (tb, kb)| ta.cmp_document(tb).then_with(|| ka.cmp(kb)));
+        prop_assert_eq!(
+            keyed.iter().map(|(t, k)| (t.ptr_token(), *k)).collect::<Vec<_>>(),
+            reference.iter().map(|(t, k)| (t.ptr_token(), *k)).collect::<Vec<_>>()
+        );
+
+        let mut keyed: Vec<(&Tree<NatPoly>, usize)> =
+            pairs.iter().enumerate().map(|(i, (t, _))| (t, i)).collect();
+        let mut reference = keyed.clone();
+        sort_document(&mut keyed);
+        reference.sort_by(|(a, _), (b, _)| a.cmp_document(b));
+        prop_assert_eq!(
+            keyed.iter().map(|(_, i)| *i).collect::<Vec<_>>(),
+            reference.iter().map(|(_, i)| *i).collect::<Vec<_>>()
+        );
+    }
+
+    /// Folding a sorted gather gives the K-set's members, sums and
+    /// document order — zero contributions included.
+    #[test]
+    fn coalesce_document_matches_the_k_set(
+        pairs in proptest::collection::vec((arb_tied_tree(2), arb_annotation()), 0..12),
+        counts in proptest::collection::vec(0u64..3, 12),
+    ) {
+        let counted: Vec<(Tree<NatPoly>, NatPoly)> =
+            pairs.iter().zip(&counts).map(|((t, _), &n)| (t.clone(), NatPoly::from(n))).collect();
+        for gather in [pairs, counted] {
+            let summed = Forest::from_pairs(gather.clone());
+            let want: Vec<(&Tree<NatPoly>, &NatPoly)> = summed.iter_document();
+            let got = coalesce_document(gather.iter().map(|(t, k)| (t, k.clone())).collect());
+            prop_assert_eq!(got.iter().map(|(t, k)| (*t, k)).collect::<Vec<_>>(), want);
+        }
+    }
+}
+
+/// Trees over two labels and few shapes: most pairs tie on both the
+/// label and the size, so the sort's structural fallback decides.
+fn arb_tied_tree(depth: u32) -> BoxedStrategy<Tree<NatPoly>> {
+    const TIED: [&str; 2] = ["ta", "tb"];
+    if depth == 0 {
+        proptest::sample::select(&TIED[..])
+            .prop_map(Tree::leaf)
+            .boxed()
+    } else {
+        (
+            proptest::sample::select(&TIED[..]),
+            proptest::collection::vec((arb_tied_tree(depth - 1), arb_annotation()), 0..3),
+        )
+            .prop_map(|(l, kids)| Tree::new(l, Forest::from_pairs(kids)))
+            .boxed()
     }
 }

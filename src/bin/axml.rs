@@ -59,7 +59,8 @@ streaming:       --stream prints result pieces as they are produced
 stats:           --stats appends a stats line after the result (the global
                  pool's lane queues and execution counters, and the
                  engine's incremental counters: memo hits/misses and the
-                 memo_entries gauge; one JSON object with --format json);
+                 memo_entries gauge, and the interned label/variable
+                 counts; one JSON object with --format json);
                  `edit` accepts it too
 edit:            applies a line-based edit script (splice | relabel |
                  insert | delete | reannotate, child-index paths, one op
@@ -317,12 +318,16 @@ fn query_cmd(opts: &Opts, query: &str) -> Result<(), String> {
 
 /// `--stats`: the counters after the result — the global pool's lane
 /// queues and execution counters (all zero when the evaluation never
-/// touched the pool: sequential mode, tiny inputs) and the engine's
-/// incremental counters (all zero when nothing was edited). Separate
-/// from the result so its bytes stay identical with and without the
-/// flag: two text lines, or one JSON object.
+/// touched the pool: sequential mode, tiny inputs), the engine's
+/// incremental counters (all zero when nothing was edited) and the
+/// process's interned label/variable counts. Separate from the result
+/// so its bytes stay identical with and without the flag: three text
+/// lines, or one JSON object.
 fn print_stats(format: OutputFormat, incr: &IncrStats) {
     let s = axml::scheduler_stats();
+    // Process-wide intern-pool sizes (names are never freed).
+    let labels = axml_uxml::Label::interned_count();
+    let vars = axml_semiring::Var::interned_count();
     match format {
         OutputFormat::Text => {
             println!(
@@ -349,6 +354,7 @@ fn print_stats(format: OutputFormat, incr: &IncrStats) {
                 incr.memo_misses,
                 incr.memo_entries
             );
+            println!("interned: labels={labels} vars={vars}");
         }
         OutputFormat::Json => {
             let mut j = Json::new();
@@ -357,6 +363,10 @@ fn print_stats(format: OutputFormat, incr: &IncrStats) {
             axml::json::scheduler_json(&mut j, &s);
             j.key("incremental");
             axml::json::incremental_json(&mut j, incr);
+            j.key("interned_labels");
+            j.int(labels as u64);
+            j.key("interned_vars");
+            j.int(vars as u64);
             j.end_obj();
             println!("{}", j.finish());
         }

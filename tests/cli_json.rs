@@ -198,6 +198,8 @@ fn stats_flag_appends_a_scheduler_line() {
         "\"executed_stolen\":",
         "\"executed_injected\":",
         "\"max_queue_residency_ns\":",
+        "\"interned_labels\":",
+        "\"interned_vars\":",
     ] {
         assert!(stats.contains(needle), "missing {needle} in {stats}");
     }
@@ -213,6 +215,7 @@ fn stats_flag_appends_a_scheduler_line() {
         "$S/b",
     ]);
     assert!(out.contains("scheduler: workers="), "{out}");
+    assert!(out.contains("interned: labels="), "{out}");
 }
 
 #[test]
