@@ -202,6 +202,13 @@ impl AxmlError {
     }
 }
 
+/// A facade error stops a push like any evaluation error.
+impl From<AxmlError> for axml_uxml::StreamError<AxmlError> {
+    fn from(e: AxmlError) -> Self {
+        axml_uxml::StreamError::Eval(e)
+    }
+}
+
 impl From<axml_core::TypeError> for AxmlError {
     fn from(e: axml_core::TypeError) -> Self {
         AxmlError::Type { msg: e.msg }

@@ -105,7 +105,7 @@ use crate::engine::StoredDoc;
 use crate::error::{AxmlError, BudgetKind};
 use crate::options::SemiringKind;
 use axml_core::path::PathQuery;
-use axml_core::{eval_path_memo, MemoStop, PathMemo};
+use axml_core::{eval_path_memo, PathMemo};
 use axml_relational::{AddedFact, OwnedDelta, ShadowDoc, ShreddedView};
 use axml_semiring::{FnHom, NatPoly, Semiring};
 use axml_uxml::{Exec, Forest};
@@ -494,13 +494,9 @@ pub(crate) fn eval_path_memoized<S: EvalKind>(
         .get_or_insert_with(|| Arc::clone(counters))
         .reshare_memo_entries(*memo_entries, share);
     *memo_entries = share;
-    let stopped = |resource| AxmlError::Budget {
+    Some(out.map_err(|resource| AxmlError::Budget {
         resource,
         at: "memoized path evaluation".into(),
-    };
-    Some(out.map_err(|stop| match stop {
-        MemoStop::Deadline => stopped(BudgetKind::WallClock),
-        MemoStop::Budget => stopped(BudgetKind::Memory),
     }))
 }
 

@@ -16,7 +16,7 @@
 //!  query text ─▶ prepare ──────────▶│◀────────── EvalOptions
 //!   parse → elaborate → compile     │    SemiringKind × Route × EvalMode
 //!   (once, symbolically in ℕ[X])    ▼
-//!                          PreparedQuery::eval
+//!              PreparedQuery::eval_with / eval_each (one dispatcher)
 //!                   ┌───────────┼─────────────┬──────────────┐
 //!                   ▼           ▼             ▼              ▼
 //!                Direct      ViaNrc        Shredded      Differential
@@ -24,9 +24,9 @@
 //!              slot plan;   NRC_K + srt   Datalog →      compiled+interp,
 //!              K-UXML)      slot plan)    decode)        assert agreement)
 //!                   └───────────┴─────────────┴──────────────┘
-//!                                   │
+//!                                   │ pieces pushed, or a value whole
 //!                                   ▼
-//!                    AxmlResult (value in the chosen semiring)
+//!          collecting sink → AxmlResult  |  caller's sink ← each piece
 //! ```
 //!
 //! Two ways to reach a semiring (`EvalMode`): specialize inputs first
@@ -169,30 +169,28 @@
 //!
 //! ## Streaming and budgets
 //!
-//! [`PreparedQuery::eval_stream`] evaluates to an [`EvalCursor`]: a
-//! pull iterator over the top-level `(tree, annotation)` pieces of a
-//! set-shaped result (scalar results arrive as one item). On the
-//! incremental combinations — `InSemiring` mode on the `Direct` or
-//! `ViaNrc` route — a detached producer thread pushes pieces through a
-//! bounded channel ([`STREAM_BUFFER_PIECES`]) as the evaluation
-//! produces them: root shapes whose pieces are provably final on
-//! emission (self-axis filters, child steps over a singleton source,
-//! bare inputs) stream truly lazily, and the producer never runs more
-//! than one buffer ahead of the consumer; dropping the cursor cancels
-//! it. Every other combination materializes and then cursors, so
-//! collecting a stream is **always** equal to the one-shot
-//! [`PreparedQuery::eval`] — same pieces, same document order, same
-//! errors (property-tested across all 7 semirings × 4 routes × both
-//! modes). [`AxmlResult::pieces`] gives the same piece view of an
-//! already-materialized result without matching its 7 variants.
+//! [`PreparedQuery::eval_each`] is the push form of evaluation: it
+//! runs on the **calling** thread, on the caller's pool, and hands each
+//! final top-level `(tree, annotation)` piece of a set-shaped result to
+//! a callback as a borrowed [`ResultPieceRef`] — no thread, no channel,
+//! no copy. A callback returning [`SinkClosed`] stops the evaluation.
+//! [`PreparedQuery::eval_with`] is the same evaluation into a
+//! collecting sink: one dispatcher serves both, and each compiled plan
+//! has one entry point, so a materialized result is by construction
+//! what the push path produces, and the differential route's compiled
+//! legs check the code the HTTP server streams from.
+//! [`AxmlResult::pieces`] gives the piece view of a materialized
+//! result without matching its 7 variants.
 //!
-//! [`PreparedQuery::eval_each`] is the push form underneath: it runs
-//! the same evaluation on the **calling** thread, on the caller's pool,
-//! and hands each final piece to a callback as a borrowed
-//! [`ResultPieceRef`] — no thread, no channel, no copy. A callback
-//! returning [`SinkClosed`] stops the evaluation. The cursor's
-//! producer thread is `eval_each` with a channel-forwarding callback;
-//! the HTTP server calls it directly.
+//! [`PreparedQuery::eval_stream`] evaluates to an [`EvalCursor`]: a
+//! pull iterator over the same pieces (scalar results arrive as one
+//! item). On the incremental combinations — `InSemiring` mode on the
+//! `Direct` or `ViaNrc` route — a detached producer thread runs the
+//! push path through a bounded channel ([`STREAM_BUFFER_PIECES`]);
+//! dropping the cursor cancels it. Every other combination
+//! materializes and then cursors. Collecting a stream always equals
+//! the one-shot [`PreparedQuery::eval`] (property-tested against the
+//! differential route across all 7 semirings × 4 routes × both modes).
 //!
 //! Per-call limits live on [`EvalOptions`]: `deadline`/`timeout`
 //! (wall-clock) and [`EvalOptions::memory_budget`] (a cap on
@@ -201,15 +199,16 @@
 //! pool context, into one [`axml_uxml::Exec`] that every layer takes
 //! by reference; both are checked at plan-op and streamed-piece
 //! boundaries, memo closures and fixpoint rounds, and the deadline
-//! also at every route start. Tripping either is a typed
+//! also at every route start and before every piece `eval_each`
+//! pushes. Tripping either is a typed
 //! [`AxmlError::Budget`] whose [`BudgetKind`] distinguishes wall-clock
 //! from memory — never a panic and never a truncated-but-`Ok` result;
 //! on a live stream the trip arrives in-band as the cursor's final
 //! item. The HTTP server maps the two to 504 and 507, streams `/eval`
 //! pieces pushed by `eval_each` (first byte before the evaluation
 //! finishes), and windows the piece stream with `limit`/`offset`; the
-//! CLI's `query --stream` prints pieces as they surface,
-//! byte-identical to its one-shot `--format json` output.
+//! CLI's `query --stream` prints the pieces `eval_each` pushes as they
+//! surface, byte-identical to its one-shot `--format json` output.
 //!
 //! ## Incrementality under document churn
 //!

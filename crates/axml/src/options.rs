@@ -242,7 +242,9 @@ pub struct EvalOptions {
     ///   [`EvalOptions::memory_budget`] is charged;
     /// - every 1024 closures the subtree memo computes on an edited
     ///   document;
-    /// - once per semi-naive Datalog round on the shredded route.
+    /// - once per semi-naive Datalog round on the shredded route;
+    /// - before every piece `PreparedQuery::eval_each` pushes (so the
+    ///   cursor and the server too), whichever route produced it.
     ///
     /// It bounds scheduling unfairness, not individual instructions:
     /// the op or fixpoint round running when the deadline passes

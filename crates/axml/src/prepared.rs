@@ -28,7 +28,8 @@ use axml_core::{elaborate, parse_query};
 use axml_pool::ExecCtx;
 use axml_semiring::{Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Why};
 use axml_uxml::{
-    Exec, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree, Value,
+    CollectSink, Exec, Forest, NodeBudget, ResultSink, SinkClosed, StreamError, Streamed, Tree,
+    Value,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,27 +164,23 @@ impl PreparedQuery {
         self.eval_with(engine, opts, &[], None)
     }
 
-    /// The one evaluation path everything else wraps: evaluate with
-    /// query-variable → document-name `aliases` applied —
-    /// `("S", "inventory_v2")` binds `$S` to the document loaded as
-    /// `"inventory_v2"`; variables not aliased bind their own name —
-    /// and intra-query parallelism scheduled on `pool` (`None` = the
-    /// global pool).
+    /// Evaluate to a whole result, with query-variable → document-name
+    /// `aliases` applied — `("S", "inventory_v2")` binds `$S` to the
+    /// document loaded as `"inventory_v2"`; variables not aliased bind
+    /// their own name — and intra-query parallelism scheduled on
+    /// `pool` (`None` = the global pool; the batch APIs pass theirs).
+    ///
+    /// This is [`eval_each`](Self::eval_each)'s evaluation with a
+    /// collecting sink: one dispatcher, and on the `Direct` and
+    /// `ViaNrc` routes one plan entry point, serve both. Pieces a plan
+    /// pushes are collected into the result forest; a result that
+    /// arrives whole is kept as it is. `ProvenanceFirst` evaluates over
+    /// ℕ\[X\] this way and then specializes the result.
     ///
     /// Every limit in `opts` is armed here into one [`Exec`] — the
     /// wall-clock deadline and the [`EvalOptions::memory_budget`] (one
     /// fresh [`NodeBudget`] counter per call, shared across every leg
-    /// and fixpoint round of the chosen route) — and every route reads
-    /// its documents through the same binding/projection step, so
-    /// `eval`, the batch APIs and the streaming API cannot drift apart
-    /// in behavior.
-    ///
-    /// The batch APIs pass their scheduling pool through here, so an
-    /// entry's `EvalOptions::parallel(n)` fans out on the same pool
-    /// the batch runs on — a tenant pinned to a dedicated pool never
-    /// borrows global workers. Servers with their own worker pool
-    /// call this directly so per-request parallelism stays on their
-    /// pool.
+    /// and fixpoint round of the chosen route).
     pub fn eval_with(
         &self,
         engine: &Engine,
@@ -191,20 +188,11 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
         pool: Option<&axml_pool::Pool>,
     ) -> Result<AxmlResult, AxmlError> {
-        armed(&opts, pool, |x| match opts.mode {
-            EvalMode::ProvenanceFirst => {
-                let sym = self.value_in::<NatPoly>(engine, aliases, opts.route, x)?;
-                if opts.semiring == SemiringKind::NatPoly {
-                    return Ok(AxmlResult::NatPoly(sym));
-                }
-                Ok(with_kind!(opts.semiring, S => {
-                    S::wrap_value(S::specialize_value(&sym))
-                }))
-            }
-            EvalMode::InSemiring => with_kind!(opts.semiring, S => {
-                self.value_in::<S>(engine, aliases, opts.route, x)
+        armed(&opts, pool, |x| {
+            with_kind!(opts.semiring, S => {
+                collect(x, |sink| self.eval_in::<S>(engine, opts, aliases, x, sink))
                     .map(S::wrap_value)
-            }),
+            })
         })
     }
 
@@ -221,18 +209,16 @@ impl PreparedQuery {
     /// `Ok(Some(result))` for a scalar result — a bare label or a single
     /// unannotated tree — which has no pieces and never reaches `each`.
     ///
-    /// `InSemiring` evaluations on the `Direct` and `ViaNrc` routes run
-    /// the plans' streaming entry points, so the first piece reaches
-    /// `each` while later ones are still being computed — except on an
-    /// edited document, where the subtree-fingerprint memo serves the
-    /// query exactly when [`eval_with`](Self::eval_with)'s would (same
-    /// engagement decision, same limits) and its result's pieces are
-    /// pushed. The shredded and differential routes and
-    /// `ProvenanceFirst` mode only have whole-result semantics; they
-    /// run [`eval_with`](Self::eval_with) and then push its pieces.
-    /// Either way `each` sees the pieces of the materialized result, in
-    /// order. Errors — binding errors, tripped deadlines and memory
-    /// budgets — are returned, possibly after some pieces were pushed.
+    /// This is [`eval_with`](Self::eval_with)'s evaluation with `each`
+    /// as the sink. On the `Direct` and `ViaNrc` routes a streamable
+    /// root shape reaches `each` piece by piece as it is produced;
+    /// everything else (memo-served reads of edited documents, the
+    /// shredded and differential routes, `ProvenanceFirst`) arrives
+    /// whole and is then pushed in document order. Either way `each`
+    /// sees the pieces of the materialized result, in order, each after
+    /// a deadline check. Errors — binding errors, tripped deadlines and
+    /// memory budgets — are returned, possibly after some pieces were
+    /// pushed.
     pub fn eval_each(
         &self,
         engine: &Engine,
@@ -241,23 +227,12 @@ impl PreparedQuery {
         pool: Option<&axml_pool::Pool>,
         mut each: impl FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>,
     ) -> Result<Option<AxmlResult>, AxmlError> {
-        if !pushes_incrementally(&opts) {
-            let out = self.eval_with(engine, opts, aliases, pool)?;
-            return match out.pieces() {
-                Some(pieces) => {
-                    for p in pieces {
-                        if each(p).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(None)
-                }
-                None => Ok(Some(out)),
-            };
-        }
-        with_kind!(opts.semiring, S => {
-            let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
-            self.push_in::<S>(&inputs, opts, pool, engine.incr_counters(), &mut each)
+        armed(&opts, pool, |x| {
+            with_kind!(opts.semiring, S => {
+                let mut sink = EachSink(&mut each);
+                let out = self.eval_in::<S>(engine, opts, aliases, x, &mut sink);
+                pushed(emit_rest(x, out, &mut sink))
+            })
         })
     }
 
@@ -271,13 +246,9 @@ impl PreparedQuery {
     /// same pieces, same document order, same errors — so streaming is
     /// purely a latency choice. `InSemiring` evaluations on the
     /// `Direct` and `ViaNrc` routes run [`eval_each`](Self::eval_each)'s
-    /// push path on a detached producer thread and emit incrementally
-    /// (streamable root shapes emit each piece the moment it is final;
-    /// others — and memo-served reads of edited documents —
-    /// materialize inside the producer and then emit); the `Shredded`
-    /// and `Differential` routes and `ProvenanceFirst` mode — where a
-    /// result is only meaningful whole — materialize synchronously and
-    /// cursor over the result.
+    /// evaluation on a detached producer thread; the `Shredded` and
+    /// `Differential` routes and `ProvenanceFirst` mode materialize
+    /// synchronously and cursor over the result.
     ///
     /// Binding errors (unknown documents, parse-stage leftovers)
     /// surface synchronously from this call; evaluation errors —
@@ -294,13 +265,13 @@ impl PreparedQuery {
     /// **Pool note:** `pool` only schedules the *materializing*
     /// combinations (shredded, differential, `ProvenanceFirst`), which
     /// evaluate on the calling thread. The incremental combinations
-    /// run [`eval_each`](Self::eval_each)'s push path on a detached
+    /// run [`eval_each`](Self::eval_each)'s evaluation on a detached
     /// producer thread that cannot borrow a caller's pool, so their
     /// intra-query parallelism always fans out on the **global** pool.
     /// A caller that needs every evaluation on its own pool — a server
-    /// with a dedicated worker pool — should call
-    /// [`eval_each`](Self::eval_each) instead, which also saves the
-    /// per-call thread and the per-piece channel hand-off.
+    /// with a dedicated worker pool, or the CLI's `query --stream` —
+    /// should call [`eval_each`](Self::eval_each) instead, which also
+    /// saves the per-call thread and the per-piece channel hand-off.
     pub fn eval_stream_with(
         &self,
         engine: &Engine,
@@ -316,7 +287,7 @@ impl PreparedQuery {
     }
 
     /// Spawn the detached producer for an incremental stream in `S`:
-    /// the push path of [`eval_each`](Self::eval_each), forwarding each
+    /// [`eval_each`](Self::eval_each)'s evaluation, forwarding each
     /// piece into the cursor's bounded channel.
     fn stream_in<S: EvalKind>(
         &self,
@@ -339,13 +310,18 @@ impl PreparedQuery {
                 // `send` blocks while the channel is full (that *is*
                 // the backpressure) and fails once the cursor is
                 // dropped, which stops the evaluation.
-                let pushed = me.push_in::<S>(&inputs, opts, None, &counters, &mut |p| {
+                let mut forward = |p: ResultPieceRef<'_>| {
                     // Count before the (possibly blocking) send so the
                     // counter reflects what the producer has *reached*,
                     // not what the consumer has accepted.
                     counter.fetch_add(1, Ordering::Relaxed);
                     tx.send(Ok(StreamItem::Piece(p.to_piece())))
                         .map_err(|_| SinkClosed)
+                };
+                let pushed = armed(&opts, None, |x| {
+                    let mut sink = EachSink(&mut forward);
+                    let out = me.run::<S>(&inputs, opts.route, x, &counters, &mut sink);
+                    pushed(emit_rest(x, out, &mut sink))
                 });
                 let last = match pushed {
                     // A finished (or abandoned) set: dropping `tx`
@@ -361,87 +337,63 @@ impl PreparedQuery {
         Ok(EvalCursor::live(rx, produced, opts.semiring))
     }
 
-    /// The push path of an incremental combination. On an edited
-    /// document the subtree memo serves the query when it engages
-    /// ([`try_memoized`], the same decision [`eval_with`](Self::eval_with)
-    /// makes) and its result's pieces are pushed in document order;
-    /// otherwise the route's streaming plan entry runs on this thread,
-    /// handing each final piece to `each`. See
-    /// [`eval_each`](Self::eval_each) for the outcome.
-    fn push_in<S: EvalKind>(
-        &self,
-        inputs: &BoundInputs<S>,
-        opts: EvalOptions,
-        pool: Option<&axml_pool::Pool>,
-        counters: &Arc<IncrCounters>,
-        each: &mut dyn FnMut(ResultPieceRef<'_>) -> Result<(), SinkClosed>,
-    ) -> Result<Option<AxmlResult>, AxmlError> {
-        let arts = S::artifacts(&self.inner);
-        let mut sink = EachSink(each);
-        let outcome = armed(&opts, pool, |x| {
-            check_deadline(x).map_err(StreamError::Eval)?;
-            let key = &self.inner.source;
-            if let Some(memoized) = try_memoized(&self.inner.path, inputs, counters, x, key) {
-                let forest = memoized.map_err(StreamError::Eval)?;
-                for (t, k) in forest.iter_document() {
-                    ResultSink::<S>::piece(&mut sink, t, k)?;
-                }
-                return Ok(Streamed::Set);
-            }
-            match opts.route {
-                Route::Direct => {
-                    let bound: Vec<(&str, Value<S>)> = inputs
-                        .iter()
-                        .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
-                        .collect();
-                    arts.core_plan
-                        .eval_stream(&bound, x, &mut sink)
-                        .map_err(stream_err)
-                }
-                Route::ViaNrc => {
-                    let bound: Vec<(&str, &Forest<S>)> = inputs
-                        .iter()
-                        .map(|b| (b.name.as_str(), &*b.forest))
-                        .collect();
-                    arts.nrc_plan
-                        .eval_stream_with_forests(&bound, x, &mut sink)
-                        .map_err(stream_err)
-                }
-                Route::Shredded | Route::Differential => {
-                    unreachable!("only the incremental combinations push piece by piece")
-                }
-            }
-        });
-        match outcome {
-            // The set was pushed whole, or the consumer stopped
-            // listening — either way there is nothing more to say.
-            Ok(Streamed::Set) | Err(StreamError::Closed) => Ok(None),
-            Ok(Streamed::Scalar(v)) => Ok(Some(S::wrap_value(v))),
-            Err(StreamError::Eval(e)) => Err(e),
-        }
-    }
-
-    /// Evaluate to a `Value` natively in `S`, resolving artifacts and
-    /// documents through the kind's [`EvalKind`] hooks (specialized
-    /// and cached on first use for every kind but ℕ\[X\] itself).
-    fn value_in<S: EvalKind>(
+    /// One call's evaluation in `S`: bind the documents and [`run`]
+    /// the route into `sink`. `ProvenanceFirst` (in any kind but
+    /// ℕ\[X\] itself) runs the route over ℕ\[X\] into the collector
+    /// instead and returns the specialized result whole — piece-wise
+    /// specialization is unsound, because the homomorphism can merge
+    /// previously distinct trees.
+    ///
+    /// [`run`]: Self::run
+    fn eval_in<S: EvalKind>(
         &self,
         engine: &Engine,
+        opts: EvalOptions,
         aliases: &[(&str, &str)],
+        x: &Exec<'_>,
+        sink: &mut dyn ResultSink<S>,
+    ) -> Pushed<S> {
+        let counters = engine.incr_counters();
+        if opts.mode == EvalMode::ProvenanceFirst && S::KIND != SemiringKind::NatPoly {
+            let inputs = self.bind_inputs(engine, aliases, NatPoly::project_doc)?;
+            let sym = collect(x, |sym| self.run(&inputs, opts.route, x, counters, sym))?;
+            return Ok(Streamed::Whole(S::specialize_value(&sym)));
+        }
+        let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
+        self.run(&inputs, opts.route, x, counters, sink)
+    }
+
+    /// The one dispatcher every evaluation goes through: evaluate the
+    /// bound inputs along `route`, pushing what the route's plan
+    /// streams into `sink` and returning the rest.
+    ///
+    /// - `Direct` / `ViaNrc`: on an **edited** document a §7-fragment
+    ///   query is served from the subtree-fingerprint memo when it
+    ///   engages ([`try_memoized`]); otherwise the route's plan runs.
+    /// - `Shredded` reads through the document's retained views
+    ///   ([`crate::incr::eval_shredded_incr`]): shredded once per
+    ///   document, then a clone per repeat read and a delta per edit.
+    /// - `Differential` returns the agreed result of [`differential`].
+    fn run<S: EvalKind>(
+        &self,
+        inputs: &BoundInputs<S>,
         route: Route,
         x: &Exec<'_>,
-    ) -> Result<Value<S>, AxmlError> {
+        counters: &Arc<IncrCounters>,
+        sink: &mut dyn ResultSink<S>,
+    ) -> Pushed<S> {
         let arts = S::artifacts(&self.inner);
-        let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
-        eval_route(
-            arts,
-            &self.inner.path,
-            &inputs,
-            route,
-            x,
-            engine,
-            &self.inner.source,
-        )
+        let (path, key) = (&self.inner.path, self.inner.source.as_str());
+        check_deadline(x, ROUTE_START)?;
+        let whole = match route {
+            Route::Direct | Route::ViaNrc => match try_memoized(path, inputs, counters, x, key) {
+                Some(memoized) => memoized.map(Value::Set),
+                None => return plan(arts, route, inputs, x, sink),
+            },
+            Route::Shredded => eval_shredded(path, inputs, x, counters, key),
+            Route::Differential => differential(arts, path, inputs, x, counters, key),
+        };
+        Ok(Streamed::Whole(whole?))
     }
 
     /// Resolve every free variable to a document, applying aliases.
@@ -484,26 +436,35 @@ pub(crate) struct BoundInput<K: Semiring> {
 /// The bindings resolved for one evaluation.
 type BoundInputs<K> = Vec<BoundInput<K>>;
 
-/// A deadline check, placed at route starts (each differential leg is
-/// a route start). Past the start, the layers check `x` themselves:
-/// plan ops, memo closures and fixpoint rounds.
-fn check_deadline(x: &Exec<'_>) -> Result<(), AxmlError> {
+/// Where [`check_deadline`] runs at route starts (each differential
+/// leg is a route start). Past the start, the layers check `x`
+/// themselves: plan ops, memo closures and fixpoint rounds.
+const ROUTE_START: &str = "route start";
+
+/// Where the facade checks the pieces it pushes or collects itself
+/// ([`emit_rest`], [`collect`]).
+const EMISSION: &str = "result emission";
+
+/// A deadline check at boundary `at`: a route start, or a piece about
+/// to be pushed by [`emit_rest`].
+fn check_deadline(x: &Exec<'_>, at: &str) -> Result<(), AxmlError> {
     if x.past_deadline() {
         Err(AxmlError::Budget {
             resource: BudgetKind::WallClock,
-            at: "route start".into(),
+            at: at.into(),
         })
     } else {
         Ok(())
     }
 }
 
-/// Whether `opts` selects a combination that produces pieces
-/// incrementally: `InSemiring` on the `Direct` or `ViaNrc` route.
-/// Piece-wise specialization is unsound for `ProvenanceFirst` (the
-/// homomorphism can merge previously-distinct trees), and the
-/// shredded/differential routes only have whole-result semantics, so
-/// every other combination materializes first.
+/// Whether the cursor spawns a producer thread for `opts`: only
+/// `InSemiring` on the `Direct` or `ViaNrc` route produces pieces
+/// incrementally. Piece-wise specialization is unsound for
+/// `ProvenanceFirst` (the homomorphism can merge previously-distinct
+/// trees), and the shredded/differential routes only have
+/// whole-result semantics, so every other combination is
+/// materialized first and cursored.
 fn pushes_incrementally(opts: &EvalOptions) -> bool {
     opts.mode == EvalMode::InSemiring && matches!(opts.route, Route::Direct | Route::ViaNrc)
 }
@@ -555,8 +516,88 @@ impl<S: EvalKind> ResultSink<S> for EachSink<'_> {
     }
 }
 
+/// What a push into a sink concluded with (see [`Streamed`]), or why it
+/// stopped early.
+type Pushed<S> = Result<Streamed<S>, StreamError<AxmlError>>;
+
+/// The one emission boundary for results a route did not push itself:
+/// a set that arrived whole is pushed into `sink` in document order,
+/// each piece after a deadline check (its nodes were charged when it
+/// was built), and a single-root child step ([`Streamed::Children`])
+/// in its tree's cached document order, each piece charged (and so
+/// deadline-checked) as it is pushed, like the pieces the plans push
+/// themselves. So every pushed piece is checked. Returns the result
+/// when it is a scalar.
+fn emit_rest<S: Semiring>(
+    x: &Exec<'_>,
+    out: Pushed<S>,
+    sink: &mut dyn ResultSink<S>,
+) -> Result<Option<Value<S>>, StreamError<AxmlError>> {
+    match out? {
+        Streamed::Set => {}
+        Streamed::Whole(Value::Set(f)) => {
+            for (t, k) in f.iter_document() {
+                check_deadline(x, EMISSION)?;
+                sink.piece(t, k)?;
+            }
+        }
+        Streamed::Whole(scalar) => return Ok(Some(scalar)),
+        Streamed::Children {
+            parent,
+            scale,
+            label,
+        } => {
+            for (c, k) in parent.child_step(&scale, label) {
+                charge(x, c.size())?;
+                sink.piece(c, &k)?;
+            }
+        }
+    }
+    Ok(None)
+}
+
+/// Collect a push into its whole value ([`CollectSink::collect`]),
+/// charging a single-root child step once it is collected — its pieces
+/// were never pushed, so nothing charged them.
+fn collect<S: Semiring>(
+    x: &Exec<'_>,
+    run: impl FnOnce(&mut CollectSink<S>) -> Pushed<S>,
+) -> Result<Value<S>, AxmlError> {
+    let mut children = false;
+    let value = CollectSink::collect(|sink| {
+        let out = run(sink)?;
+        children = matches!(out, Streamed::Children { .. });
+        Ok(out)
+    })?;
+    if children {
+        charge(x, value.as_set().map_or(0, Forest::size))?;
+    }
+    Ok(value)
+}
+
+/// Charge `nodes` the facade produced itself against the budget, then
+/// check the deadline ([`Exec::charge`]).
+fn charge(x: &Exec<'_>, nodes: usize) -> Result<(), AxmlError> {
+    x.charge(nodes).map_err(|resource| AxmlError::Budget {
+        resource,
+        at: EMISSION.into(),
+    })
+}
+
+/// A push's outcome for the caller: the result for a scalar, `None`
+/// once a set was pushed whole or the consumer stopped listening.
+fn pushed<S: EvalKind>(
+    out: Result<Option<Value<S>>, StreamError<AxmlError>>,
+) -> Result<Option<AxmlResult>, AxmlError> {
+    match out {
+        Ok(scalar) => Ok(scalar.map(S::wrap_value)),
+        Err(StreamError::Closed) => Ok(None),
+        Err(StreamError::Eval(e)) => Err(e),
+    }
+}
+
 /// Map a plan-layer stream error into the facade error, preserving
-/// the closed-channel case.
+/// the closed-sink case.
 fn stream_err<E: Into<AxmlError>>(e: StreamError<E>) -> StreamError<AxmlError> {
     match e {
         StreamError::Eval(e) => StreamError::Eval(e.into()),
@@ -564,193 +605,140 @@ fn stream_err<E: Into<AxmlError>>(e: StreamError<E>) -> StreamError<AxmlError> {
     }
 }
 
-/// Evaluate prepared artifacts over bound inputs along one route.
-///
-/// `Direct` and `ViaNrc` run the slot-resolved **compiled plans**;
-/// the tree-walking interpreters survive as the differential
-/// reference: `Differential` evaluates compiled *and* interpreted on
-/// both routes (plus the relational route when the query is in the §7
-/// fragment) and asserts agreement.
-///
-/// On **edited** documents (version > 0) the §7-fragment routes
-/// engage the incremental layer: `Direct`/`ViaNrc` serve from the
-/// subtree-fingerprint memo ([`crate::incr::eval_path_memoized`]);
-/// `Differential` additionally runs the memoized evaluator as a sixth
-/// leg and asserts it agrees with the compiled direct plan.
-/// `Shredded` always reads through the document's retained views
-/// ([`crate::incr::eval_shredded_incr`]): the first read of a
-/// never-edited document shreds it once, later reads at that version
-/// clone the kept result, and edits propagate deltas through the
-/// retained Datalog fixpoint.
-fn eval_route<S: EvalKind>(
+/// The compiled plan of the `Direct` or `ViaNrc` route, run through
+/// its one entry point — by [`PreparedQuery::run`] and by the
+/// differential route's compiled legs alike.
+fn plan<S: Semiring>(
+    arts: &Artifacts<S>,
+    route: Route,
+    inputs: &BoundInputs<S>,
+    x: &Exec<'_>,
+    sink: &mut dyn ResultSink<S>,
+) -> Pushed<S> {
+    if route == Route::Direct {
+        // The plan needs owned Values; this clone is shallow — a
+        // Forest is a map over Arc'd trees, so only the top-level
+        // roots (usually one) and their annotations are copied, never
+        // the document body.
+        let bound: Vec<(&str, Value<S>)> = inputs
+            .iter()
+            .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
+            .collect();
+        arts.core_plan.eval(&bound, x, sink).map_err(stream_err)
+    } else {
+        let bound: Vec<(&str, &Forest<S>)> = inputs
+            .iter()
+            .map(|b| (b.name.as_str(), &*b.forest))
+            .collect();
+        arts.nrc_plan
+            .eval_with_forests(&bound, x, sink)
+            .map_err(stream_err)
+    }
+}
+
+/// The differential route: the compiled plans (collected from the same
+/// entry point the other routes stream from) *and* the tree-walking
+/// interpreters on both routes, plus the relational route when the
+/// query is in the §7 fragment, must all agree. On an edited document
+/// whose query engages the fingerprint memo, the memoized evaluator is
+/// a sixth leg that must agree with the compiled direct plan.
+fn differential<S: EvalKind>(
     arts: &Artifacts<S>,
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
-    route: Route,
     x: &Exec<'_>,
-    engine: &Engine,
+    counters: &Arc<IncrCounters>,
     key: &str,
 ) -> Result<Value<S>, AxmlError> {
     let kind = S::KIND;
-    check_deadline(x)?;
-    match route {
-        Route::Direct | Route::ViaNrc => {
-            if let Some(out) = try_memoized(path, inputs, engine.incr_counters(), x, key) {
-                return out.map(Value::Set);
-            }
-            if route == Route::Direct {
-                eval_direct(arts, inputs, x)
-            } else {
-                eval_nrc(arts, inputs, x)
+    // Up to five independent evaluation legs, each starting with a
+    // deadline check. With a non-sequential context they run
+    // concurrently on the pool (each leg also keeps its own inner
+    // parallelism); either way the legs and comparisons are checked in
+    // the same order, so outcomes — including which disagreement is
+    // reported first — are identical.
+    type Leg<'a, S> = Box<dyn Fn() -> Result<Value<S>, AxmlError> + Sync + 'a>;
+    let mut legs: Vec<Leg<S>> = vec![
+        Box::new(|| collect(x, |sink| plan(arts, Route::Direct, inputs, x, sink))),
+        Box::new(|| eval_direct_interpreted(arts, inputs)),
+        Box::new(|| collect(x, |sink| plan(arts, Route::ViaNrc, inputs, x, sink))),
+        Box::new(|| eval_nrc_interpreted(arts, inputs)),
+    ];
+    if path.is_ok() {
+        legs.push(Box::new(|| eval_shredded(path, inputs, x, counters, key)));
+    }
+    let run = |leg: &Leg<S>| check_deadline(x, ROUTE_START).and_then(|()| leg());
+    let mut done = Vec::with_capacity(legs.len());
+    match x.ctx {
+        Some(c) => {
+            let mut slots: Vec<Option<Result<Value<S>, AxmlError>>> =
+                legs.iter().map(|_| None).collect();
+            c.pool.scope(|s| {
+                for (slot, leg) in slots.iter_mut().zip(&legs) {
+                    s.spawn(move || *slot = Some(run(leg)));
+                }
+            });
+            for slot in slots {
+                done.push(slot.expect("leg ran")?);
             }
         }
-        Route::Shredded => eval_shredded(path, inputs, route, x, engine, key),
-        Route::Differential => {
-            // Up to five independent evaluation legs. With a
-            // non-sequential context they run concurrently on the
-            // pool (each leg also keeps its own inner parallelism);
-            // either way the legs and comparisons are checked in the
-            // same order, so outcomes — including which disagreement
-            // is reported first — are identical.
-            type Leg<S> = Option<Result<Value<S>, AxmlError>>;
-            type Legs<S> = (Leg<S>, Leg<S>, Leg<S>, Leg<S>, Leg<S>);
-            let (direct, direct_interp, nrc, nrc_interp, shredded) = match x.ctx {
-                Some(c) => {
-                    let (mut l1, mut l2, mut l3, mut l4, mut l5): Legs<S> =
-                        (None, None, None, None, None);
-                    let gate = || check_deadline(x);
-                    c.pool.scope(|s| {
-                        s.spawn(|| l1 = Some(gate().and_then(|()| eval_direct(arts, inputs, x))));
-                        s.spawn(|| {
-                            l2 = Some(gate().and_then(|()| eval_direct_interpreted(arts, inputs)))
-                        });
-                        s.spawn(|| l3 = Some(gate().and_then(|()| eval_nrc(arts, inputs, x))));
-                        s.spawn(|| {
-                            l4 = Some(gate().and_then(|()| eval_nrc_interpreted(arts, inputs)))
-                        });
-                        if path.is_ok() {
-                            s.spawn(|| {
-                                l5 = Some(eval_shredded(path, inputs, route, x, engine, key))
-                            });
-                        }
-                    });
-                    (
-                        l1.expect("leg ran")?,
-                        l2.expect("leg ran")?,
-                        l3.expect("leg ran")?,
-                        l4.expect("leg ran")?,
-                        l5.transpose()?,
-                    )
-                }
-                None => {
-                    let direct = eval_direct(arts, inputs, x)?;
-                    check_deadline(x)?;
-                    let direct_interp = eval_direct_interpreted(arts, inputs)?;
-                    check_deadline(x)?;
-                    let nrc = eval_nrc(arts, inputs, x)?;
-                    check_deadline(x)?;
-                    let nrc_interp = eval_nrc_interpreted(arts, inputs)?;
-                    let shredded = if path.is_ok() {
-                        Some(eval_shredded(path, inputs, route, x, engine, key)?)
-                    } else {
-                        None
-                    };
-                    (direct, direct_interp, nrc, nrc_interp, shredded)
-                }
-            };
-            if direct != direct_interp {
-                return Err(evaluator_disagreement(
-                    kind,
-                    Route::Direct,
-                    &direct,
-                    &direct_interp,
-                ));
+        None => {
+            for leg in &legs {
+                done.push(run(leg)?);
             }
-            if nrc != nrc_interp {
-                return Err(evaluator_disagreement(
-                    kind,
-                    Route::ViaNrc,
-                    &nrc,
-                    &nrc_interp,
-                ));
-            }
-            if direct != nrc {
-                return Err(disagreement(
-                    kind,
-                    Route::Direct,
-                    &direct,
-                    Route::ViaNrc,
-                    &nrc,
-                ));
-            }
-            if let Some(shredded) = shredded {
-                if direct != shredded {
-                    return Err(disagreement(
-                        kind,
-                        Route::Direct,
-                        &direct,
-                        Route::Shredded,
-                        &shredded,
-                    ));
-                }
-            }
-            // Sixth leg: when an edited document engages the
-            // fingerprint memo, re-derive the result through it and
-            // assert agreement with the compiled direct plan — the
-            // incremental evaluator is differentially checked like
-            // every other one.
-            if let Some(memoized) = try_memoized(path, inputs, engine.incr_counters(), x, key) {
-                let memoized = Value::Set(memoized?);
-                if direct != memoized {
-                    return Err(evaluator_disagreement(
-                        kind,
-                        Route::Direct,
-                        &direct,
-                        &memoized,
-                    ));
-                }
-            }
-            Ok(direct)
         }
     }
-}
-
-fn disagreement<K: Semiring>(
-    semiring: SemiringKind,
-    left_route: Route,
-    left: &Value<K>,
-    right_route: Route,
-    right: &Value<K>,
-) -> AxmlError {
-    AxmlError::RouteDisagreement {
-        semiring,
-        left_route,
-        left: left.to_string(),
-        right_route,
-        right: right.to_string(),
+    let mut done = done.into_iter();
+    let mut next = || done.next().expect("four legs always run");
+    let (direct, direct_interp, nrc, nrc_interp) = (next(), next(), next(), next());
+    let shredded = done.next();
+    // A compiled evaluator must match its reference, and every route
+    // the compiled direct plan.
+    let evaluators_agree = |route, compiled: &Value<S>, reference: &Value<S>| {
+        if compiled == reference {
+            return Ok(());
+        }
+        Err(AxmlError::EvaluatorDisagreement {
+            semiring: kind,
+            route,
+            compiled: compiled.to_string(),
+            interpreted: reference.to_string(),
+        })
+    };
+    let routes_agree = |right_route, right: &Value<S>| {
+        if direct == *right {
+            return Ok(());
+        }
+        Err(AxmlError::RouteDisagreement {
+            semiring: kind,
+            left_route: Route::Direct,
+            left: direct.to_string(),
+            right_route,
+            right: right.to_string(),
+        })
+    };
+    evaluators_agree(Route::Direct, &direct, &direct_interp)?;
+    evaluators_agree(Route::ViaNrc, &nrc, &nrc_interp)?;
+    routes_agree(Route::ViaNrc, &nrc)?;
+    if let Some(shredded) = &shredded {
+        routes_agree(Route::Shredded, shredded)?;
     }
-}
-
-fn evaluator_disagreement<K: Semiring>(
-    semiring: SemiringKind,
-    route: Route,
-    compiled: &Value<K>,
-    interpreted: &Value<K>,
-) -> AxmlError {
-    AxmlError::EvaluatorDisagreement {
-        semiring,
-        route,
-        compiled: compiled.to_string(),
-        interpreted: interpreted.to_string(),
+    // Sixth leg: when an edited document engages the fingerprint memo,
+    // re-derive the result through it and assert agreement with the
+    // compiled direct plan — the incremental evaluator is
+    // differentially checked like every other one.
+    if let Some(memoized) = try_memoized(path, inputs, counters, x, key) {
+        evaluators_agree(Route::Direct, &direct, &Value::Set(memoized?))?;
     }
+    Ok(direct)
 }
 
 /// Fingerprint-memoized evaluation for the direct/NRC routes, engaged
 /// only on §7-fragment queries over an **edited** document whose
 /// snapshot is current. `None` = not engaged; the caller runs its
 /// compiled plan (counted as a fallback when the document was edited).
-/// The one engagement decision of every entry point: `eval_with`, the
-/// differential route's memo leg and the push path all ask here.
+/// The one engagement decision of every entry point: [`PreparedQuery::run`]
+/// and the differential route's memo leg both ask here.
 fn try_memoized<S: EvalKind>(
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
@@ -770,24 +758,8 @@ fn try_memoized<S: EvalKind>(
     out
 }
 
-/// The direct route: the slot-resolved compiled plan.
-fn eval_direct<K: Semiring>(
-    arts: &Artifacts<K>,
-    inputs: &BoundInputs<K>,
-    x: &Exec<'_>,
-) -> Result<Value<K>, AxmlError> {
-    // The plan needs owned Values; this clone is shallow — a Forest is
-    // a map over Arc'd trees, so only the top-level roots (usually
-    // one) and their annotations are copied, never the document body.
-    let bound: Vec<(&str, Value<K>)> = inputs
-        .iter()
-        .map(|b| (b.name.as_str(), Value::Set((*b.forest).clone())))
-        .collect();
-    Ok(arts.core_plan.eval(&bound, x)?)
-}
-
 /// The direct route's tree-walking interpreter — the differential
-/// reference for [`eval_direct`].
+/// reference for the direct plan.
 fn eval_direct_interpreted<K: Semiring>(
     arts: &Artifacts<K>,
     inputs: &BoundInputs<K>,
@@ -800,26 +772,8 @@ fn eval_direct_interpreted<K: Semiring>(
     Ok(eval_core(&arts.core, &mut env)?)
 }
 
-/// The NRC route: the slot-resolved compiled plan (fused label
-/// tests/descendant sweeps, iterative `srt`).
-fn eval_nrc<K: Semiring>(
-    arts: &Artifacts<K>,
-    inputs: &BoundInputs<K>,
-    x: &Exec<'_>,
-) -> Result<Value<K>, AxmlError> {
-    let bound: Vec<(&str, &Forest<K>)> = inputs
-        .iter()
-        .map(|b| (b.name.as_str(), &*b.forest))
-        .collect();
-    let out = arts.nrc_plan.eval_with_forests(&bound, x)?;
-    out.to_uxml().ok_or_else(|| AxmlError::Nrc {
-        msg: "query produced a non-UXML complex value".into(),
-        at: arts.nrc.to_string(),
-    })
-}
-
 /// The NRC route's Fig 8 interpreter — the differential reference for
-/// [`eval_nrc`].
+/// the NRC plan.
 fn eval_nrc_interpreted<K: Semiring>(
     arts: &Artifacts<K>,
     inputs: &BoundInputs<K>,
@@ -836,20 +790,21 @@ fn eval_nrc_interpreted<K: Semiring>(
     })
 }
 
+/// The relational route (only called for §7-fragment queries by the
+/// differential route; `Route::Shredded` reports why others are not).
 fn eval_shredded<S: EvalKind>(
     path: &Result<(String, PathQuery), Ineligible>,
     inputs: &BoundInputs<S>,
-    route: Route,
     x: &Exec<'_>,
-    engine: &Engine,
+    counters: &Arc<IncrCounters>,
     key: &str,
 ) -> Result<Value<S>, AxmlError> {
-    check_deadline(x)?;
+    check_deadline(x, ROUTE_START)?;
     let (var, p) = match path {
         Ok(x) => x,
         Err(why) => {
             return Err(AxmlError::UnsupportedRoute {
-                route,
+                route: Route::Shredded,
                 construct: why.construct.clone(),
             })
         }
@@ -863,9 +818,9 @@ fn eval_shredded<S: EvalKind>(
     // Delta propagation: on a current snapshot, solve from the
     // retained view instead of re-shredding the document (a repeat
     // read at the same version is a clone of the kept result).
-    match crate::incr::eval_shredded_incr::<S>(&b.doc, p, key, x, engine.incr_counters()) {
+    match crate::incr::eval_shredded_incr::<S>(&b.doc, p, key, x, counters) {
         Some(out) => return out.map(Value::Set),
-        None => engine.incr_counters().note_fallback(),
+        None => counters.note_fallback(),
     }
     let out = axml_relational::eval_path_via_shredding(&b.forest, p, x)?;
     Ok(Value::Set(out))

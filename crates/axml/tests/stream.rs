@@ -2,9 +2,12 @@
 //!
 //! 1. **Parity** (property): for every query × semiring × route ×
 //!    mode × parallelism combination, collecting
-//!    `PreparedQuery::eval_stream` must equal `eval` —
-//!    same values (structural and rendered), same errors — so
-//!    streaming is purely a latency choice.
+//!    `PreparedQuery::eval_stream` must equal `eval_with` on
+//!    `Route::Differential` — same values (structural and rendered),
+//!    same errors — so streaming is purely a latency choice. The
+//!    reference is the differential route, where the compiled plans
+//!    are checked against the interpreters, not the route under test:
+//!    `eval` and the stream share one dispatcher.
 //! 2. **Byte identity**: the streamed pieces, rendered one at a time
 //!    through `axml::json`, concatenate to exactly the one-shot
 //!    `result_json` bytes in all 7 semirings.
@@ -17,9 +20,11 @@
 //!    every route, materialized and streamed, never a panic and never
 //!    a truncated-but-`Ok` result.
 //! 5. **Push parity**: `PreparedQuery::eval_each` hands its callback
-//!    exactly the materialized pieces (or returns the scalar, or the
-//!    error), stops as soon as the callback says so, and trips a
-//!    memory budget exactly when `eval_with` does.
+//!    exactly the pieces of the differential route's result (or
+//!    returns the scalar, or the error), stops as soon as the callback
+//!    says so, and trips a memory budget exactly when `eval_with`
+//!    does. Every pushed piece is preceded by a deadline check, also
+//!    for results that arrive whole.
 //! 6. **Shared grandchildren**: a child step over several roots whose
 //!    children repeat (the same leaf under many parents) sums them
 //!    without building a K-set; the pushed pieces are byte-identical
@@ -32,6 +37,7 @@ use axml::{
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
+use std::time::Duration;
 
 const QUERY_POOL: [&str; 5] = [
     "$S/*",                // streamable: child step over a single root
@@ -78,6 +84,24 @@ fn rendered(r: &Result<axml::AxmlResult, AxmlError>) -> String {
     }
 }
 
+/// The reference result for `opts`: `eval_with` on the differential
+/// route, with the same semiring, mode and parallelism.
+fn reference(q: &PreparedQuery, opts: EvalOptions) -> Result<axml::AxmlResult, AxmlError> {
+    q.eval_with(
+        &fixture().engine,
+        opts.route(Route::Differential),
+        &[],
+        None,
+    )
+}
+
+/// The one way a route may differ from the differential reference: the
+/// shredded route rejects a query outside the §7 fragment, which the
+/// differential route evaluates without its shredded leg.
+fn shredded_rejects(route: Route, err: &AxmlError) -> bool {
+    route == Route::Shredded && matches!(err, AxmlError::UnsupportedRoute { .. })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -101,11 +125,14 @@ proptest! {
         if par == 1 {
             opts = opts.parallel(4);
         }
-        let materialized = q.eval(&fix.engine, opts);
+        let materialized = reference(q, opts);
         let streamed = q
             .eval_stream(&fix.engine, opts)
             .and_then(EvalCursor::collect_result);
-        prop_assert_eq!(rendered(&materialized), rendered(&streamed));
+        match (&materialized, &streamed) {
+            (Ok(_), Err(e)) if shredded_rejects(ROUTES[ri], e) => {}
+            _ => prop_assert_eq!(rendered(&materialized), rendered(&streamed)),
+        }
         if let (Ok(m), Ok(s)) = (&materialized, &streamed) {
             prop_assert_eq!(m, s);
         }
@@ -241,9 +268,10 @@ fn streamed_budget_trips_end_the_stream_with_a_typed_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `eval_each` pushes exactly the materialized result's pieces, in
-    /// order — or returns its scalar, or its error — on every
-    /// combination, on the global pool and on a caller's pool alike.
+    /// `eval_each` pushes exactly the pieces of the differential
+    /// route's result, in order — or returns its scalar, or its error —
+    /// on every combination, on the global pool and on a caller's pool
+    /// alike.
     #[test]
     fn eval_each_pushes_the_materialized_pieces(
         qi in 0..QUERY_POOL.len(),
@@ -272,7 +300,7 @@ proptest! {
                 Some(POOL.get_or_init(|| Pool::new(2)))
             }
         };
-        let materialized = q.eval(&fix.engine, opts);
+        let materialized = reference(q, opts);
         let mut pushed = Vec::new();
         let each = q.eval_each(&fix.engine, opts, &[], pool, |p| {
             pushed.push(p.json());
@@ -288,6 +316,7 @@ proptest! {
                 prop_assert_eq!(m, &scalar);
             }
             (Err(e), Err(f)) => prop_assert_eq!(e.to_string(), f.to_string()),
+            (Ok(_), Err(f)) if shredded_rejects(ROUTES[ri], &f) => {}
             (m, each) => panic!("eval gave {}, eval_each gave {each:?}", rendered(m)),
         }
     }
@@ -450,5 +479,51 @@ fn shared_grandchildren_sum_like_the_materialized_k_set() {
                 }
             }
         }
+    }
+}
+
+/// Every piece `eval_each` pushes is preceded by a deadline check, also
+/// when the result arrives whole — from the shredded route, or from the
+/// subtree memo on an edited document — and not only where a plan
+/// streams it: a callback that outlives the deadline on the first piece
+/// stops the push with a typed wall-clock trip before the second.
+#[test]
+fn whole_results_check_the_deadline_before_each_pushed_piece() {
+    let engine = Engine::new();
+    engine
+        .load_document("S", "<a> b {x} c {y} d {z} </a>")
+        .unwrap();
+    engine.edit_document_text("S", "insert /0 e {w}").unwrap();
+    let q = engine.prepare("$S/*").unwrap();
+    for route in [Route::Shredded, Route::Direct] {
+        let served = engine.storage_stats().incr.incremental_evals;
+        let opts = EvalOptions::new()
+            .route(route)
+            .timeout(Duration::from_millis(200));
+        let mut seen = 0;
+        let out = q.eval_each(&engine, opts, &[], None, |_| {
+            seen += 1;
+            if seen == 1 {
+                std::thread::sleep(Duration::from_millis(400));
+            }
+            Ok(())
+        });
+        assert!(
+            matches!(
+                out,
+                Err(AxmlError::Budget {
+                    resource: BudgetKind::WallClock,
+                    ..
+                })
+            ),
+            "{route:?}: {out:?}"
+        );
+        assert_eq!(seen, 1, "{route:?}");
+        assert!(
+            engine.storage_stats().incr.incremental_evals > served,
+            "{route:?}: the edited document's read must be served incrementally"
+        );
+        let whole = q.eval(&engine, EvalOptions::new().route(route)).unwrap();
+        assert!(whole.pieces().unwrap().len() >= 2, "{route:?}");
     }
 }

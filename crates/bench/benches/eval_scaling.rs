@@ -8,7 +8,7 @@
 use axml_bench::balanced_tree;
 use axml_core::{elaborate, eval_core, parse_query, QueryEnv};
 use axml_semiring::{Clearance, Nat, NatPoly, Semiring};
-use axml_uxml::{Exec, Forest, Value};
+use axml_uxml::{CollectSink, Exec, Forest, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const QUERY: &str = "element out { $S//c }";
@@ -64,16 +64,18 @@ fn direct_vs_compiled(c: &mut Criterion) {
     });
     g.bench_function("direct_compiled", |b| {
         b.iter(|| {
-            core_plan
-                .eval(&[("S", Value::Set(forest.clone()))], &Exec::default())
-                .expect("evaluates")
+            CollectSink::collect(|sink| {
+                core_plan.eval(&[("S", Value::Set(forest.clone()))], &Exec::default(), sink)
+            })
+            .expect("evaluates")
         })
     });
     g.bench_function("via_nrc_srt", |b| {
         b.iter(|| {
-            nrc_plan
-                .eval_with_forests(&[("S", &forest)], &Exec::default())
-                .expect("evaluates")
+            CollectSink::collect(|sink| {
+                nrc_plan.eval_with_forests(&[("S", &forest)], &Exec::default(), sink)
+            })
+            .expect("evaluates")
         })
     });
     g.bench_function("via_nrc_interp", |b| {

@@ -371,13 +371,13 @@ impl Parser<'_> {
 
 /// Write the canonical pretty-printed array format of the checked-in
 /// `BENCH_*.json` files (string escaping via the shared no-serde
-/// writer, `axml_bench::json`).
+/// writer, `axml::json`).
 fn write_normalized(path: &str, recs: &[Rec]) {
     let mut out = String::from("[\n");
     for (i, r) in recs.iter().enumerate() {
         out.push_str(&format!(
             "  {{\n    \"id\": {},\n    \"mean_ns\": {:.1},\n    \"median_ns\": {:.1},\n    \"min_ns\": {:.1},\n    \"max_ns\": {:.1},\n    \"samples\": {}\n  }}{}\n",
-            axml_bench::json::string(&r.id),
+            axml::json::string(&r.id),
             r.mean_ns,
             r.median_ns,
             r.min_ns,

@@ -9,8 +9,6 @@ use axml_uxml::{parse_forest, Forest, Label, Tree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-pub mod json;
-
 /// The Fig 1 source value.
 pub fn fig1_source() -> Forest<NatPoly> {
     parse_forest("<a {z}> <b {x1}> d {y1} </b> <c {x2}> d {y2} e {y3} </c> </a>")

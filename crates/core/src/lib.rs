@@ -86,8 +86,7 @@ pub use compile::{compile, compile_step};
 pub use eval::{eval_core, eval_step, eval_step_ctx, EvalError, QueryEnv};
 pub use parse::{parse_query, ParseError};
 pub use path::{
-    eval_path, eval_path_memo, extract_path, Ineligible, MemoStop, PathMemo, PathQuery,
-    MEMO_MIN_NODES,
+    eval_path, eval_path_memo, extract_path, Ineligible, PathMemo, PathQuery, MEMO_MIN_NODES,
 };
 pub use plan::{CompiledQuery, PAR_FOR_MIN_BINDERS};
 pub use typecheck::{elaborate, elaborate_in, Context, TypeError};

@@ -30,7 +30,7 @@
 use crate::ast::{Axis, NodeTest, Query, QueryNode, Step};
 use crate::eval::eval_step;
 use axml_semiring::Semiring;
-use axml_uxml::{Exec, Forest, Label, Tree};
+use axml_uxml::{BudgetKind, Exec, Forest, Label, Tree};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -423,15 +423,6 @@ impl<K: Semiring> PathMemo<K> {
     }
 }
 
-/// Why a limited [`eval_path_memo`] stopped before finishing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoStop {
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The memory budget tripped.
-    Budget,
-}
-
 /// One memoized evaluation: the memo, the evaluated forest and the
 /// call's limits.
 struct MemoRun<'a, K: Semiring> {
@@ -450,9 +441,9 @@ impl<K: Semiring> MemoRun<'_, K> {
         t.size() >= MEMO_MIN_NODES || (seed && self.roots.contains(t))
     }
 
-    fn check_deadline(&self) -> Result<(), MemoStop> {
+    fn check_deadline(&self) -> Result<(), BudgetKind> {
         if self.x.past_deadline() {
-            Err(MemoStop::Deadline)
+            Err(BudgetKind::WallClock)
         } else {
             Ok(())
         }
@@ -460,7 +451,7 @@ impl<K: Semiring> MemoRun<'_, K> {
 
     /// Count one computed closure, checking the deadline every
     /// [`MEMO_DEADLINE_EVERY`] of them.
-    fn tick(&mut self) -> Result<(), MemoStop> {
+    fn tick(&mut self) -> Result<(), BudgetKind> {
         self.computed += 1;
         if self.computed.is_multiple_of(MEMO_DEADLINE_EVERY) {
             self.check_deadline()?;
@@ -469,9 +460,9 @@ impl<K: Semiring> MemoRun<'_, K> {
     }
 
     /// Charge a forest this evaluation built or cloned.
-    fn charge(&self, f: &Forest<K>) -> Result<(), MemoStop> {
+    fn charge(&self, f: &Forest<K>) -> Result<(), BudgetKind> {
         match self.x.budget {
-            Some(b) if b.charge(f.size()).is_err() => Err(MemoStop::Budget),
+            Some(b) if b.charge(f.size()).is_err() => Err(BudgetKind::Memory),
             _ => Ok(()),
         }
     }
@@ -485,7 +476,7 @@ impl<K: Semiring> MemoRun<'_, K> {
         t: &Tree<K>,
         test: NodeTest,
         seed: bool,
-    ) -> Result<Forest<K>, MemoStop> {
+    ) -> Result<Forest<K>, BudgetKind> {
         let stored = self.stores(t, seed);
         if stored {
             if let Some(f) = self.memo.desc[slot].get(t) {
@@ -514,7 +505,7 @@ impl<K: Semiring> MemoRun<'_, K> {
     }
 
     /// The qualifier's total annotation from match `m`.
-    fn qual_total(&mut self, slot: usize, qual: &MemoPath, m: &Tree<K>) -> Result<K, MemoStop> {
+    fn qual_total(&mut self, slot: usize, qual: &MemoPath, m: &Tree<K>) -> Result<K, BudgetKind> {
         let stored = self.stores(m, true);
         if stored {
             if let Some(v) = self.memo.qual[slot].get(m) {
@@ -531,7 +522,7 @@ impl<K: Semiring> MemoRun<'_, K> {
         Ok(v)
     }
 
-    fn eval_at(&mut self, p: &MemoPath, ctx: &Tree<K>) -> Result<Forest<K>, MemoStop> {
+    fn eval_at(&mut self, p: &MemoPath, ctx: &Tree<K>) -> Result<Forest<K>, BudgetKind> {
         Ok(match p {
             MemoPath::Root => Forest::unit(ctx.clone()),
             MemoPath::Empty => Forest::new(),
@@ -624,7 +615,8 @@ fn build_memo_path(p: &PathQuery, n_desc: &mut usize, n_qual: &mut usize) -> Mem
 /// The evaluation honours the limits in `x` (its pool context is not
 /// used): the deadline is checked on entry and every 1024 computed
 /// closures, and the budget is charged for every closure the
-/// evaluation builds or clones out of the memo, and for the result. A
+/// evaluation builds or clones out of the memo, and for the result; a
+/// trip returns the [`BudgetKind`] that stopped it. A
 /// stop leaves the memo consistent — entries are only stored once
 /// complete — and the memo is swept either way.
 pub fn eval_path_memo<K: Semiring>(
@@ -632,7 +624,7 @@ pub fn eval_path_memo<K: Semiring>(
     p: &PathQuery,
     memo: &mut PathMemo<K>,
     x: &Exec<'_>,
-) -> Result<Forest<K>, MemoStop> {
+) -> Result<Forest<K>, BudgetKind> {
     let (mut n_desc, mut n_qual) = (0usize, 0usize);
     let mp = build_memo_path(p, &mut n_desc, &mut n_qual);
     memo.ensure(n_desc, n_qual);
@@ -971,7 +963,7 @@ mod tests {
         };
         assert_eq!(
             eval_path_memo(&f, &path, &mut memo, &tight),
-            Err(MemoStop::Budget)
+            Err(BudgetKind::Memory)
         );
         let past = Exec {
             deadline: Some(Instant::now()),
@@ -979,7 +971,7 @@ mod tests {
         };
         assert_eq!(
             eval_path_memo(&f, &path, &mut memo, &past),
-            Err(MemoStop::Deadline)
+            Err(BudgetKind::WallClock)
         );
         assert_eq!(memo_eval(&f, &path, &mut memo), eval_path(&f, &path));
         let roomy = NodeBudget::new(1 << 20);

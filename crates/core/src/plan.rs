@@ -28,7 +28,7 @@ use std::fmt;
 
 /// A reusable execution plan for one elaborated core query. Build
 /// with [`CompiledQuery::compile`], evaluate with
-/// [`CompiledQuery::eval`]. Immutable and `Send + Sync`.
+/// [`CompiledQuery::eval`] (into a sink). Immutable and `Send + Sync`.
 #[derive(Clone, Debug)]
 pub struct CompiledQuery<K: Semiring> {
     /// Free variables in slot order: slot `i` binds `free[i]`.
@@ -91,47 +91,31 @@ impl<K: Semiring> CompiledQuery<K> {
         &self.free
     }
 
-    /// Evaluate with each free variable bound to a value. Unused
-    /// inputs are ignored; a missing input errors — lazily, only if
-    /// the variable is actually read — like the interpreter's
-    /// unbound-variable case (dead branches stay dead).
+    /// Evaluate with each free variable bound to a value — the plan's
+    /// one entry point; materialized evaluation runs it into a
+    /// [`axml_uxml::CollectSink`]. Unused inputs are ignored; a missing
+    /// input errors lazily, only if read, like the interpreter.
+    ///
+    /// Root shapes whose pieces are final as soon as they are produced
+    /// push them into `sink` in document order: a self-axis filter
+    /// scans its input that way, and a child step over several roots
+    /// gathers the scaled children, sorts them once and sums equal
+    /// neighbours ([`coalesce_document`]). A child step over a single
+    /// root tree (the `$S/*` paging shape) comes back as
+    /// [`Streamed::Children`], since that tree's child K-set and its
+    /// cached document order already exist, and every other root as
+    /// [`Streamed::Whole`].
     ///
     /// `x` carries the call's execution state. With a non-sequential
     /// context, big `for` loops and descendant sweeps over large
     /// documents are chunked onto the context's pool (see
-    /// [`crate::eval::eval_step_ctx`]). Every set-producing plan op
-    /// (`for` iterations, unions, path steps, element contents)
-    /// charges its output's logical node count against the budget and
-    /// then checks the deadline; a trip errors with
-    /// [`EvalError::budget`] naming that op. `Exec::default()` is the
-    /// sequential, unlimited path.
-    pub fn eval(&self, inputs: &[(&str, Value<K>)], x: &Exec<'_>) -> Result<Value<K>, EvalError> {
-        let mut env = self.seed_env(inputs);
-        eval_qop(&self.op, &mut env, x)
-    }
-
-    /// Evaluate with pieces of a set-shaped top-level result pushed
-    /// into `sink` **as they are produced**, in final document order.
-    ///
-    /// Root shapes whose per-piece finality is provable stream
-    /// incrementally — a self-axis filter over any set, or a child
-    /// step over a single root tree (the `$S/*` / `$S/entry` paging
-    /// shapes: one tree's children are distinct and already
-    /// document-sorted, so each filtered, scaled child is final the
-    /// moment it is scanned). A child step over several roots gathers
-    /// the scaled children, sorts them once into document order and
-    /// sums equal neighbours ([`coalesce_document`]) instead of
-    /// building the K-set and sorting it again. Every other root
-    /// shape evaluates to the full K-set first and then emits its
-    /// pieces. The sink sees identical pieces in identical order
-    /// either way (differentially tested); only the latency and the
-    /// work differ. Scalar results (a bare label, a top-level element
-    /// constructor) bypass the sink and come back whole as
-    /// [`Streamed::Scalar`]. Every node is charged against `x` exactly
-    /// once, as in [`CompiledQuery::eval`]: a piece is charged when it
-    /// is emitted only where no plan op charged it already, and every
-    /// emission checks the deadline.
-    pub fn eval_stream(
+    /// [`crate::eval::eval_step_ctx`]). Each set-producing plan op
+    /// charges its output's logical node count against the budget,
+    /// and each pushed piece its own where no op charged it, then
+    /// checks the deadline; a trip errors with [`EvalError::budget`]
+    /// naming that op. `Exec::default()` is the sequential, unlimited
+    /// path.
+    pub fn eval(
         &self,
         inputs: &[(&str, Value<K>)],
         x: &Exec<'_>,
@@ -156,26 +140,21 @@ impl<K: Semiring> CompiledQuery<K> {
             QOp::Path(inner, step) if step.axis == Axis::Child => {
                 let f = eval_qset(inner, &mut env, x).map_err(eval)?;
                 if f.len() == 1 {
-                    // One root tree: its children are a K-set (so
-                    // distinct) and `children_document` is sorted by
-                    // the same comparator `iter_document` uses, so
-                    // each filtered, scaled child is final as soon as
-                    // it is scanned (`k.times` matches the
-                    // `extend_scaled` convention of the materialized
-                    // step kernel; zero products are pruned exactly
-                    // like a K-set insert would).
+                    // One root tree: its child K-set and its cached
+                    // document order both exist already, so the step
+                    // comes back as it is, uncharged — the caller
+                    // pushes (and charges) the pieces in that order, or
+                    // clones (and charges) the K-set.
                     let (t, k) = f.iter().next().expect("len checked");
-                    for (c, kc) in t.children_document() {
-                        if !test_matches(step.test, c.label()) {
-                            continue;
-                        }
-                        let ann = k.times(kc);
-                        if ann.is_zero() {
-                            continue;
-                        }
-                        emit(x, &self.op, sink, c, &ann, c.size())?;
-                    }
-                    Ok(Streamed::Set)
+                    let label = match step.test {
+                        NodeTest::Wildcard => None,
+                        NodeTest::Label(l) => Some(l),
+                    };
+                    Ok(Streamed::Children {
+                        parent: t.clone(),
+                        scale: k.clone(),
+                        label,
+                    })
                 } else {
                     // Children of different roots can interleave and
                     // merge. Gather `(child, k·kc)` in the order the
@@ -199,19 +178,7 @@ impl<K: Semiring> CompiledQuery<K> {
                     Ok(Streamed::Set)
                 }
             }
-            op => {
-                // `eval_qop` charged the result already, so the pieces
-                // are emitted uncharged.
-                match eval_qop(op, &mut env, x).map_err(eval)? {
-                    Value::Set(f) => {
-                        for (t, k) in f.iter_document() {
-                            emit(x, op, sink, t, k, 0)?;
-                        }
-                        Ok(Streamed::Set)
-                    }
-                    scalar => Ok(Streamed::Scalar(scalar)),
-                }
-            }
+            op => Ok(Streamed::Whole(eval_qop(op, &mut env, x).map_err(eval)?)),
         }
     }
 
@@ -566,7 +533,15 @@ mod tests {
     use crate::parse::parse_query;
     use crate::typecheck::elaborate;
     use axml_semiring::{Nat, NatPoly};
-    use axml_uxml::parse_forest;
+    use axml_uxml::{parse_forest, CollectSink};
+
+    /// The plan's value, collected from its one entry point.
+    fn run<K: Semiring>(
+        p: &CompiledQuery<K>,
+        inputs: &[(&str, Value<K>)],
+    ) -> Result<Value<K>, EvalError> {
+        CollectSink::collect(|s| p.eval(inputs, &Exec::default(), s))
+    }
 
     fn plan(src: &str) -> CompiledQuery<NatPoly> {
         let s = parse_query::<NatPoly>(src).unwrap();
@@ -593,9 +568,11 @@ mod tests {
             let s = parse_query::<NatPoly>(qsrc).unwrap();
             let q = elaborate(&s).unwrap();
             let interpreted = eval_with(&q, &[("S", Value::Set(src.clone()))]).unwrap();
-            let compiled = CompiledQuery::compile(&q)
-                .eval(&[("S", Value::Set(src.clone()))], &Exec::default())
-                .unwrap();
+            let compiled = run(
+                &CompiledQuery::compile(&q),
+                &[("S", Value::Set(src.clone()))],
+            )
+            .unwrap();
             assert_eq!(interpreted, compiled, "disagree on {qsrc}");
         }
     }
@@ -609,7 +586,7 @@ mod tests {
     #[test]
     fn missing_input_errors_like_interpreter() {
         let p = plan("$missing_binding");
-        let ce = p.eval(&[], &Exec::default()).unwrap_err();
+        let ce = run(&p, &[]).unwrap_err();
         let s = parse_query::<NatPoly>("$missing_binding").unwrap();
         let q = elaborate(&s).unwrap();
         let ie = {
@@ -629,9 +606,7 @@ mod tests {
         let q = elaborate(&parse_query::<Nat>("for $x in $S return ($x)/b").unwrap()).unwrap();
         let bad = Value::Label(Label::new("oops"));
         let interpreted = eval_with(&q, &[("S", bad.clone())]).unwrap_err();
-        let compiled = CompiledQuery::compile(&q)
-            .eval(&[("S", bad)], &Exec::default())
-            .unwrap_err();
+        let compiled = run(&CompiledQuery::compile(&q), &[("S", bad)]).unwrap_err();
         assert_eq!(interpreted.msg, compiled.msg);
     }
 }

@@ -10,7 +10,7 @@
 use axml_core::{elaborate, parse_query, CompiledQuery, PAR_FOR_MIN_BINDERS};
 use axml_pool::{ExecCtx, Parallelism, Pool};
 use axml_semiring::NatPoly;
-use axml_uxml::{parse_forest, Exec, Forest, Value};
+use axml_uxml::{parse_forest, CollectSink, Exec, Forest, Value};
 use proptest::prelude::*;
 
 fn plan(src: &str) -> CompiledQuery<NatPoly> {
@@ -52,16 +52,19 @@ proptest! {
         let src = wide_forest(PAR_FOR_MIN_BINDERS + extra, seed);
         let p = plan(QUERIES[qi]);
         let inputs = [("S", Value::Set(src))];
-        let sequential = p.eval(&inputs, &Exec::default());
+        let sequential = CollectSink::collect(|sink| p.eval(&inputs, &Exec::default(), sink));
         let pool = Pool::new(workers);
         let ctx = ExecCtx::new(&pool, Parallelism::threads(workers + 1));
-        let parallel = p.eval(
-            &inputs,
-            &Exec {
-                ctx: Some(&ctx),
-                ..Exec::default()
-            },
-        );
+        let parallel = CollectSink::collect(|sink| {
+            p.eval(
+                &inputs,
+                &Exec {
+                    ctx: Some(&ctx),
+                    ..Exec::default()
+                },
+                sink,
+            )
+        });
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -75,17 +78,20 @@ proptest! {
         let src = wide_forest(PAR_FOR_MIN_BINDERS + 3, 1);
         let p = plan("for $t in $S return ($T)/b");
         let inputs = [("S", Value::Set(src))];
-        let sequential = p.eval(&inputs, &Exec::default());
+        let sequential = CollectSink::collect(|sink| p.eval(&inputs, &Exec::default(), sink));
         prop_assert!(sequential.is_err(), "fixture must actually error");
         let pool = Pool::new(workers);
         let ctx = ExecCtx::new(&pool, Parallelism::threads(workers + 1));
-        let parallel = p.eval(
-            &inputs,
-            &Exec {
-                ctx: Some(&ctx),
-                ..Exec::default()
-            },
-        );
+        let parallel = CollectSink::collect(|sink| {
+            p.eval(
+                &inputs,
+                &Exec {
+                    ctx: Some(&ctx),
+                    ..Exec::default()
+                },
+                sink,
+            )
+        });
         prop_assert_eq!(
             sequential.unwrap_err().msg,
             parallel.unwrap_err().msg

@@ -16,7 +16,7 @@
 use axml_core::ast::{Axis, ElementName, NodeTest, Step, SurfaceExpr};
 use axml_core::{elaborate, eval_core, parse_query, CompiledQuery, QueryEnv};
 use axml_semiring::{Nat, NatPoly, PosBool, Semiring, Var};
-use axml_uxml::{parse_forest, Exec, Label, ParseAnnotation, Value};
+use axml_uxml::{parse_forest, CollectSink, Exec, Label, ParseAnnotation, Value};
 use proptest::prelude::*;
 
 /// Variable pool overlaps binder names with free document names, so
@@ -126,7 +126,7 @@ fn assert_parity<K: Semiring + ParseAnnotation + std::fmt::Display>(
     // position) — those are rejected here, before either evaluator.
     let Ok(core) = elaborate(q) else { return };
     let plan = CompiledQuery::compile(&core);
-    let compiled = plan.eval(bindings, &Exec::default());
+    let compiled = CollectSink::collect(|sink| plan.eval(bindings, &Exec::default(), sink));
     let mut env =
         QueryEnv::from_bindings(bindings.iter().map(|(n, v)| ((*n).to_owned(), v.clone())));
     let interpreted = eval_core(&core, &mut env);
@@ -221,20 +221,23 @@ fn parallel_sweep_matches_sequential() {
     ] {
         let q = elaborate(&parse_query::<NatPoly>(src).unwrap()).unwrap();
         let plan = CompiledQuery::compile(&q);
-        let seq = plan
-            .eval(&[("S", Value::Set(forest.clone()))], &Exec::default())
-            .expect("sequential evaluates");
+        let seq = CollectSink::collect(|sink| {
+            plan.eval(&[("S", Value::Set(forest.clone()))], &Exec::default(), sink)
+        })
+        .expect("sequential evaluates");
         for degree in [2, 4, 16] {
             let ctx = ExecCtx::new(&pool, Parallelism::threads(degree));
-            let par = plan
-                .eval(
+            let par = CollectSink::collect(|sink| {
+                plan.eval(
                     &[("S", Value::Set(forest.clone()))],
                     &Exec {
                         ctx: Some(&ctx),
                         ..Exec::default()
                     },
+                    sink,
                 )
-                .expect("parallel evaluates");
+            })
+            .expect("parallel evaluates");
             assert_eq!(seq, par, "{src} with degree {degree}");
         }
     }

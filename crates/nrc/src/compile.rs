@@ -51,7 +51,8 @@ pub const PAR_SWEEP_MIN_NODES: usize = 1024;
 /// A reusable execution plan for one `NRC_K + srt` expression.
 ///
 /// Build with [`CompiledExpr::compile`]; evaluate with
-/// [`CompiledExpr::eval`] / [`CompiledExpr::eval_with_forests`]. The
+/// [`CompiledExpr::eval`] (complex values) or
+/// [`CompiledExpr::eval_with_forests`] (forests, into a sink). The
 /// plan is immutable and `Send + Sync` (share it freely across
 /// threads).
 #[derive(Clone, Debug)]
@@ -154,59 +155,59 @@ impl<K: Semiring> CompiledExpr<K> {
         eval_op(&self.op, &mut env, &Exec::default())
     }
 
-    /// Evaluate with each free variable bound to a `{tree}` value —
-    /// the common entry point for compiled UXQuery programs.
+    /// Evaluate with each free variable bound to a `{tree}` value — the
+    /// one entry point for compiled UXQuery programs; materialized
+    /// evaluation runs it into a [`axml_uxml::CollectSink`].
+    ///
+    /// Root plan shapes whose pieces are final as soon as they are
+    /// produced push them into `sink` in document order: a bare input
+    /// slot, a fused `filter-label` (a subset of its source with
+    /// annotations untouched), and a fused `kids-flat` over several
+    /// roots, which gathers the scaled children, sorts them once and
+    /// sums equal neighbours ([`coalesce_document`]). A `kids-flat`
+    /// over a single root tree comes back as [`Streamed::Children`],
+    /// and every other root as [`Streamed::Whole`], converted to its
+    /// K-UXML value (a pair errors).
     ///
     /// `x` carries the call's execution state. With a non-sequential
     /// context the fused descendant sweep over a large document is
     /// split into top-level subtree chunks, swept on the context's
-    /// pool, and merged in place — identical results. Every
+    /// pool, and merged in place — identical results. Each
     /// set-producing op charges its output's logical node count
-    /// against the budget and then checks the deadline; a trip errors
-    /// with [`EvalError::budget`] naming that op. `Exec::default()` is
-    /// the sequential, unlimited path.
+    /// against the budget, and each pushed piece its own where no op
+    /// charged it, then checks the deadline; a trip errors with
+    /// [`EvalError::budget`] naming that op. `Exec::default()` is the
+    /// sequential, unlimited path.
     pub fn eval_with_forests(
-        &self,
-        inputs: &[(&str, &Forest<K>)],
-        x: &Exec<'_>,
-    ) -> Result<CValue<K>, EvalError> {
-        let mut env = self.forest_env(inputs);
-        eval_op(&self.op, &mut env, x)
-    }
-
-    /// Evaluate with pieces of a set-shaped top-level result pushed
-    /// into `sink` **as they are produced**, in final document order.
-    ///
-    /// Root plan shapes whose per-piece finality is provable stream
-    /// incrementally — a bare input slot, a fused `filter-label` (a
-    /// subset of its source with annotations untouched), or a fused
-    /// `kids-flat` over a single root tree (one tree's children are
-    /// distinct and pre-sorted; each scaled child is final the moment
-    /// it is scanned). A `kids-flat` over several roots gathers the
-    /// scaled children, sorts them once and sums equal neighbours
-    /// ([`coalesce_document`]) instead of building the K-set. Every
-    /// other root shape materializes and then emits — the sink sees
-    /// identical pieces in identical order either way. Non-set results
-    /// come back whole as [`Streamed::Scalar`]. Every node is charged
-    /// against `x` exactly once, as in the materializing entry points:
-    /// a piece is charged when it is emitted only where no op charged
-    /// it already, and every emission checks the deadline.
-    pub fn eval_stream_with_forests(
         &self,
         inputs: &[(&str, &Forest<K>)],
         x: &Exec<'_>,
         sink: &mut dyn ResultSink<K>,
     ) -> Result<Streamed<K>, StreamError<EvalError>> {
-        let mut env = self.forest_env(inputs);
+        let mut env = self.seed_env(|name| {
+            inputs
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map(|(_, f)| CValue::from_forest(f))
+        });
         let eval = StreamError::Eval;
+        let whole = |v: &CValue<K>| match v.to_uxml() {
+            Some(v) => Ok(Streamed::Whole(v)),
+            None => err(&self.op, "top-level result is not a K-UXML value").map_err(eval),
+        };
         match &self.op {
             Op::Slot(i) => match &env[*i as usize] {
                 // An input is never charged: it was not produced.
-                SlotVal::Bound(CValue::Set(s)) => emit_cset(x, &self.op, sink, s),
-                SlotVal::Bound(v) => match v.to_uxml() {
-                    Some(scalar) => Ok(Streamed::Scalar(scalar)),
-                    None => err(&self.op, "top-level result is not a K-UXML value").map_err(eval),
-                },
+                SlotVal::Bound(CValue::Set(s)) => {
+                    for (t, k) in
+                        document_pairs(&self.op, s, "top-level set element is not a tree:")
+                            .map_err(eval)?
+                    {
+                        emit(x, &self.op, sink, t, k, 0)?;
+                    }
+                    Ok(Streamed::Set)
+                }
+                SlotVal::Bound(v) => whole(v),
                 SlotVal::Unbound(name) => {
                     err(&self.op, format!("unbound variable `{name}`")).map_err(eval)
                 }
@@ -218,21 +219,10 @@ impl<K: Semiring> CompiledExpr<K> {
                         .map_err(eval);
                 };
                 // A filter keeps a subset of its source with
-                // annotations untouched: sorting the source once by
-                // the document comparator and scanning emits exactly
-                // the materialized result's order.
-                let mut pairs: Vec<(&Tree<K>, &K)> = Vec::new();
-                for (v, k) in s.iter() {
-                    match v {
-                        CValue::Tree(t) => pairs.push((t, k)),
-                        other => {
-                            return err(&self.op, format!("tag of non-tree {other:?}"))
-                                .map_err(eval)
-                        }
-                    }
-                }
-                sort_document(&mut pairs);
-                for (t, k) in pairs {
+                // annotations untouched: scanning the source in
+                // document order emits exactly the materialized
+                // result's order.
+                for (t, k) in document_pairs(&self.op, &s, "tag of non-tree").map_err(eval)? {
                     if t.label() == *label {
                         emit(x, &self.op, sink, t, k, t.size())?;
                     }
@@ -246,24 +236,20 @@ impl<K: Semiring> CompiledExpr<K> {
                         .map_err(eval);
                 };
                 if s.support_len() == 1 {
-                    // One root tree: its children are a K-set (so
-                    // distinct) and `children_document` is pre-sorted
-                    // by the document comparator, so each scaled
-                    // child is final as soon as it is scanned (zero
-                    // products are pruned exactly like a K-set insert
-                    // would).
+                    // One root tree: its child K-set and its cached
+                    // document order both exist already, so the step
+                    // comes back as it is, uncharged — the caller
+                    // pushes (and charges) the pieces in that order, or
+                    // clones (and charges) the K-set.
                     let (v, k) = s.iter().next().expect("support checked");
                     let CValue::Tree(t) = v else {
                         return err(&self.op, format!("kids of non-tree {v:?}")).map_err(eval);
                     };
-                    for (c, kc) in t.children_document() {
-                        let ann = k.times(kc);
-                        if ann.is_zero() {
-                            continue;
-                        }
-                        emit(x, &self.op, sink, c, &ann, c.size())?;
-                    }
-                    Ok(Streamed::Set)
+                    Ok(Streamed::Children {
+                        parent: t.clone(),
+                        scale: k.clone(),
+                        label: None,
+                    })
                 } else {
                     // Children of different roots can interleave and
                     // merge. Gather `(child, k·kc)` in the order the
@@ -293,29 +279,8 @@ impl<K: Semiring> CompiledExpr<K> {
                     Ok(Streamed::Set)
                 }
             }
-            op => {
-                let v = eval_op(op, &mut env, x).map_err(eval)?;
-                match v {
-                    // `eval_op` charged the result already.
-                    CValue::Set(s) => emit_cset(x, op, sink, &s),
-                    scalar => match scalar.to_uxml() {
-                        Some(scalar) => Ok(Streamed::Scalar(scalar)),
-                        None => err(op, "top-level result is not a K-UXML value").map_err(eval),
-                    },
-                }
-            }
+            op => whole(&eval_op(op, &mut env, x).map_err(eval)?),
         }
-    }
-
-    /// The frame for the forest-bound entry points: each input forest
-    /// bound as a `{tree}` value.
-    fn forest_env(&self, inputs: &[(&str, &Forest<K>)]) -> Vec<SlotVal<K>> {
-        self.seed_env(|name| {
-            inputs
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, f)| CValue::from_forest(f))
-        })
     }
 
     fn seed_env(&self, mut get: impl FnMut(&str) -> Option<CValue<K>>) -> Vec<SlotVal<K>> {
@@ -660,34 +625,23 @@ fn emit<K: Semiring>(
     Ok(())
 }
 
-/// Emit a K-set of trees that is already charged (an input, or an
-/// op's result) piece by piece, in document order (the
-/// [`sort_document`] order `Forest::iter_document` uses too),
-/// checking the deadline before each piece.
-fn emit_cset<K: Semiring>(
-    x: &Exec<'_>,
+/// The trees of a K-set in document order (the [`sort_document`]
+/// order `Forest::iter_document` uses too); a non-tree element errors
+/// with `what`.
+fn document_pairs<'s, K: Semiring>(
     op: &Op<K>,
-    sink: &mut dyn ResultSink<K>,
-    s: &KSet<CValue<K>, K>,
-) -> Result<Streamed<K>, StreamError<EvalError>> {
+    s: &'s KSet<CValue<K>, K>,
+    what: &str,
+) -> Result<Vec<(&'s Tree<K>, &'s K)>, EvalError> {
     let mut pairs: Vec<(&Tree<K>, &K)> = Vec::with_capacity(s.support_len());
     for (v, k) in s.iter() {
         match v {
             CValue::Tree(t) => pairs.push((t, k)),
-            other => {
-                return err(
-                    op,
-                    format!("top-level set element is not a tree: {other:?}"),
-                )
-                .map_err(StreamError::Eval)
-            }
+            other => return err(op, format!("{what} {other:?}")),
         }
     }
     sort_document(&mut pairs);
-    for (t, k) in pairs {
-        emit(x, op, sink, t, k, 0)?;
-    }
-    Ok(Streamed::Set)
+    Ok(pairs)
 }
 
 fn eval_op<K: Semiring>(
@@ -989,7 +943,21 @@ mod tests {
     use crate::expr::{self as nx};
     use crate::types::Type;
     use axml_semiring::{Nat, NatPoly};
-    use axml_uxml::parse_forest;
+    use axml_uxml::{parse_forest, CollectSink, Value};
+
+    /// The plan's K-UXML value over forest inputs, collected from its
+    /// one entry point.
+    fn run<K: Semiring>(
+        plan: &CompiledExpr<K>,
+        inputs: &[(&str, &Forest<K>)],
+    ) -> Result<Value<K>, EvalError> {
+        CollectSink::collect(|s| plan.eval_with_forests(inputs, &Exec::default(), s))
+    }
+
+    /// The interpreter's value as K-UXML, for comparison with [`run`].
+    fn uxml<K: Semiring>(v: CValue<K>) -> Value<K> {
+        v.to_uxml().expect("a K-UXML value")
+    }
 
     /// Build the §6.3 descendant term by hand (same shape
     /// `axml_core::compile` emits, with explicit names).
@@ -1027,11 +995,9 @@ mod tests {
         let plan = CompiledExpr::compile(&e);
         assert_eq!(plan.free_vars(), ["R"]);
         let f = parse_forest::<Nat>("<a> b {2} </a>").unwrap();
-        let compiled = plan
-            .eval_with_forests(&[("R", &f)], &Exec::default())
-            .unwrap();
+        let compiled = run(&plan, &[("R", &f)]).unwrap();
         let mut env = Env::from_bindings([("R".into(), CValue::from_forest(&f))]);
-        assert_eq!(compiled, eval(&e, &mut env).unwrap());
+        assert_eq!(compiled, uxml(eval(&e, &mut env).unwrap()));
     }
 
     #[test]
@@ -1089,11 +1055,9 @@ mod tests {
             plan.plan_display()
         );
         let f = parse_forest::<NatPoly>("<a> <b {x1}> c {y1} </b> c {x2} </a>").unwrap();
-        let compiled = plan
-            .eval_with_forests(&[("S", &f)], &Exec::default())
-            .unwrap();
+        let compiled = run(&plan, &[("S", &f)]).unwrap();
         let mut env = Env::from_bindings([("S".into(), CValue::from_forest(&f))]);
-        let interpreted = eval(&e, &mut env).unwrap();
+        let interpreted = uxml(eval(&e, &mut env).unwrap());
         assert_eq!(compiled, interpreted);
     }
 
@@ -1158,10 +1122,8 @@ mod tests {
         let e: Expr<Nat> = nx::bigunion("x", nx::var("S"), descendant_term(nx::var("x")));
         let plan = CompiledExpr::compile(&e);
         let f = Forest::unit(t);
-        let out = plan
-            .eval_with_forests(&[("S", &f)], &Exec::default())
-            .unwrap();
-        assert_eq!(out.as_set().unwrap().support_len(), 40_001);
+        let out = run(&plan, &[("S", &f)]).unwrap();
+        assert_eq!(out.as_set().unwrap().len(), 40_001);
         std::mem::forget(out);
 
         // Generic srt too (no fusion): mark every node seen.

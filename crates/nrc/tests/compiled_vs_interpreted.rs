@@ -22,7 +22,7 @@ use axml_nrc::types::Type;
 use axml_nrc::{eval, hom, CValue, Env};
 use axml_semiring::trio::collapse::natpoly_to_posbool;
 use axml_semiring::{FnHom, KSet, Nat, NatPoly, PosBool, Semiring, Valuation};
-use axml_uxml::{parse_forest, Exec};
+use axml_uxml::{parse_forest, CollectSink, Exec};
 use proptest::prelude::*;
 
 /// Binder pool deliberately tiny so shadowing happens constantly —
@@ -239,7 +239,7 @@ fn nested_srt_parity() {
 }
 
 /// The chunked parallel descendant sweep inside the compiled plan
-/// (`eval_with_forests` with a pool) is bit-identical to the
+/// (`eval_with_forests` with a pool, collected) is bit-identical to the
 /// sequential plan and the interpreter on a document large enough to
 /// clear the parallel threshold.
 #[test]
@@ -268,21 +268,24 @@ fn parallel_descendants_parity() {
         "query must lower to the fused sweep: {}",
         plan.plan_display()
     );
-    let seq = plan
-        .eval_with_forests(&[("S", &forest)], &Exec::default())
-        .unwrap();
+    let seq = CollectSink::collect(|sink| {
+        plan.eval_with_forests(&[("S", &forest)], &Exec::default(), sink)
+    })
+    .unwrap();
     let pool = Pool::new(4);
     for degree in [2, 4, 16] {
         let ctx = ExecCtx::new(&pool, Parallelism::threads(degree));
-        let par = plan
-            .eval_with_forests(
+        let par = CollectSink::collect(|sink| {
+            plan.eval_with_forests(
                 &[("S", &forest)],
                 &Exec {
                     ctx: Some(&ctx),
                     ..Exec::default()
                 },
+                sink,
             )
-            .unwrap();
+        })
+        .unwrap();
         assert_eq!(seq, par, "degree {degree}");
     }
 }

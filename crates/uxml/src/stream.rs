@@ -6,12 +6,11 @@
 //! *final* — no later step of the computation can change its
 //! annotation, drop it, or produce a piece that sorts before it in
 //! document order — hands it to the sink immediately instead of
-//! accumulating the whole K-set. The compiled plans in `axml-core`
-//! and `axml-nrc` stream the root shapes where finality is provable
-//! (see their `eval_stream*` entry points) and fall back to
-//! materialize-then-emit everywhere else, so a sink always observes
-//! the same pieces in the same (document) order as the materialized
-//! K-set — only the latency differs.
+//! accumulating the whole K-set. Each compiled plan in `axml-core`
+//! and `axml-nrc` has one entry point taking a sink; what it does not
+//! push it returns ([`Streamed`]), so a set a plan already has is
+//! never re-sorted or rebuilt on the way out. [`CollectSink`] is the
+//! materializing consumer.
 //!
 //! [`NodeBudget`] is the accounting half: a shared monotone counter of
 //! logical tree nodes produced by an evaluation. Evaluators charge it
@@ -26,7 +25,8 @@
 //! entry point taking `&Exec`; `Exec::default()` is the sequential,
 //! unlimited path.
 
-use crate::tree::{Tree, Value};
+use crate::label::Label;
+use crate::tree::{Forest, Tree, Value};
 use axml_pool::ExecCtx;
 use axml_semiring::Semiring;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,12 +48,43 @@ pub trait ResultSink<K: Semiring> {
     fn piece(&mut self, tree: &Tree<K>, ann: &K) -> Result<(), SinkClosed>;
 }
 
-/// A sink that rebuilds the forest — the identity consumer, used by
-/// differential tests to check streamed ≡ materialized.
-#[derive(Debug, Default)]
+/// The collecting sink: materialized evaluation is a streaming
+/// evaluation into this sink ([`CollectSink::collect`]).
+#[derive(Debug)]
 pub struct CollectSink<K: Semiring> {
-    /// The pieces received so far, in arrival order.
-    pub pieces: Vec<(Tree<K>, K)>,
+    pieces: Vec<(Tree<K>, K)>,
+}
+
+impl<K: Semiring> CollectSink<K> {
+    /// Run one streaming evaluation into a fresh collector and return
+    /// its value: the pushed pieces bulk-built into a forest (they are
+    /// distinct), a whole value as it is, or a child step's K-set
+    /// cloned from the tree (not charged here: see
+    /// [`Streamed::Children`]).
+    pub fn collect<E>(
+        run: impl FnOnce(&mut Self) -> Result<Streamed<K>, StreamError<E>>,
+    ) -> Result<Value<K>, E> {
+        let mut sink = CollectSink { pieces: Vec::new() };
+        match run(&mut sink) {
+            Ok(Streamed::Set) => Ok(Value::Set(Forest::from_distinct_pairs(sink.pieces))),
+            Ok(Streamed::Whole(v)) => Ok(v),
+            Ok(Streamed::Children {
+                parent,
+                scale,
+                label,
+            }) => {
+                let kids = match label {
+                    Some(l) => parent.children().filter_label(|x| x == l),
+                    None => parent.children().clone(),
+                };
+                let mut out = Forest::new();
+                out.extend_scaled(kids, &scale);
+                Ok(Value::Set(out))
+            }
+            Err(StreamError::Eval(e)) => Err(e),
+            Err(StreamError::Closed) => unreachable!("a collecting sink never closes"),
+        }
+    }
 }
 
 impl<K: Semiring> ResultSink<K> for CollectSink<K> {
@@ -63,16 +94,31 @@ impl<K: Semiring> ResultSink<K> for CollectSink<K> {
     }
 }
 
-/// How a streaming evaluation concluded: either the top-level result
-/// was a K-set and every piece went through the sink, or it was a
-/// scalar (a bare label, or a single tree from a top-level element
-/// constructor) that does not decompose into pieces.
+/// How a streaming evaluation concluded: every piece went through the
+/// sink, or the evaluator returns the result for its caller to emit or
+/// keep.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Streamed<K: Semiring> {
     /// The result was a set; the sink received every piece.
     Set,
-    /// The result was not a set; here it is whole.
-    Scalar(Value<K>),
+    /// The result, whole: a set the evaluator materialized anyway, or
+    /// a scalar (a bare label, or a tree from a top-level element
+    /// constructor), which has no pieces.
+    Whole(Value<K>),
+    /// The result is [`Tree::child_step`] of `parent`, whose pieces
+    /// (the tree's cached document order) and K-set (its children)
+    /// both exist already: a pushing consumer walks the one, a
+    /// collecting one clones the other. Not charged against any budget
+    /// yet: the consumer charges each piece it pushes, or the whole
+    /// step when it collects it.
+    Children {
+        /// The one tree the step starts from.
+        parent: Tree<K>,
+        /// Its annotation, which scales every child.
+        scale: K,
+        /// The step's label test, if any.
+        label: Option<Label>,
+    },
 }
 
 /// Why a streaming evaluation stopped early: an evaluation error of

@@ -209,6 +209,25 @@ impl<K: Semiring> Tree<K> {
         })
     }
 
+    /// A child step from this tree alone, in document order: the
+    /// children labelled `label` (every child, without one), each
+    /// scaled by `scale`, with zero products dropped — the pieces of
+    /// the K-set `scale · children` a materializing step builds, read
+    /// off the cached [`Tree::children_document`] slice.
+    pub fn child_step<'a>(
+        &'a self,
+        scale: &'a K,
+        label: Option<Label>,
+    ) -> impl Iterator<Item = (&'a Tree<K>, K)> + 'a {
+        self.children_document()
+            .iter()
+            .filter(move |(c, _)| label.is_none_or(|l| c.label() == l))
+            .filter_map(move |(c, kc)| {
+                let ann = scale.times(kc);
+                (!ann.is_zero()).then_some((c, ann))
+            })
+    }
+
     /// Height of the tree (a leaf has depth 1).
     pub fn depth(&self) -> usize {
         1 + self

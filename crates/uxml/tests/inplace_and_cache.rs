@@ -9,10 +9,16 @@
 //! - structurally equal trees built separately share fingerprints;
 //! - the keyed `sort_document` gives the comparator sort's order, and
 //!   `coalesce_document` the K-set's sums, on inputs heavy with label
-//!   and size ties.
+//!   and size ties;
+//! - a single tree's `child_step` is the child step's K-set in
+//!   document order, and the collecting sink turns a
+//!   `Streamed::Children` outcome into exactly that K-set.
 
 use axml_semiring::{NatPoly, Semiring};
-use axml_uxml::{coalesce_document, sort_document, Forest, Tree};
+use axml_uxml::{
+    coalesce_document, sort_document, CollectSink, Forest, Label, StreamError, Streamed, Tree,
+    Value,
+};
 use proptest::prelude::*;
 
 const LABELS: [&str; 4] = ["ia", "ib", "ic", "id"];
@@ -159,6 +165,36 @@ proptest! {
             let got = coalesce_document(gather.iter().map(|(t, k)| (t, k.clone())).collect());
             prop_assert_eq!(got.iter().map(|(t, k)| (*t, k)).collect::<Vec<_>>(), want);
         }
+    }
+}
+
+proptest! {
+    /// A child step from one tree, read off its cached document order,
+    /// gives the members, annotations and document order of the K-set
+    /// the step kernel builds (`bind` over the children, then the label
+    /// test) — zero scales included — and collecting the step gives
+    /// that K-set itself.
+    #[test]
+    fn child_step_is_the_scaled_child_k_set(
+        t in arb_tied_tree(3),
+        scale in prop_oneof![4 => arb_annotation(), 1 => Just(NatPoly::zero())],
+        li in 0usize..3,
+    ) {
+        let label = [None, Some(Label::new("ta")), Some(Label::new("tb"))][li];
+        let step = Forest::singleton(t.clone(), scale.clone()).bind(|p| p.children().clone());
+        let want = match label {
+            Some(l) => step.filter_label(|x| x == l),
+            None => step,
+        };
+        let got: Vec<(&Tree<NatPoly>, NatPoly)> = t.child_step(&scale, label).collect();
+        prop_assert_eq!(
+            got.iter().map(|(c, k)| (*c, k)).collect::<Vec<_>>(),
+            want.iter_document()
+        );
+        let collected = CollectSink::collect(|_| {
+            Ok::<_, StreamError<()>>(Streamed::Children { parent: t.clone(), scale, label })
+        });
+        prop_assert_eq!(collected, Ok(Value::Set(want)));
     }
 }
 

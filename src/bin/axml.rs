@@ -503,14 +503,14 @@ fn edit_query(opts: &Opts, engine: &Engine, query: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `query --stream`: pull the result through
-/// [`axml::PreparedQuery::eval_stream`] and print each top-level piece
-/// the moment it is produced, flushing as we go — on the incremental
-/// route/mode combinations the first piece appears before the
-/// evaluation has finished. The concatenated output is byte-identical
-/// to the one-shot `--format json` rendering; a mid-stream error
-/// (tripped deadline or memory budget) leaves the JSON unterminated
-/// and exits nonzero, so truncation is always detectable.
+/// `query --stream`: evaluate with [`axml::PreparedQuery::eval_each`]
+/// on this thread and print each top-level piece the moment it is
+/// pushed, flushing as we go — where the plan streams its root shape
+/// the first piece appears before the evaluation has finished. The
+/// concatenated output is byte-identical to the one-shot
+/// `--format json` rendering; a mid-stream error (tripped deadline or
+/// memory budget) leaves the JSON unterminated and exits nonzero, so
+/// truncation is always detectable.
 fn stream_query(
     engine: &Engine,
     query: &str,
@@ -522,42 +522,37 @@ fn stream_query(
         return Err("--stream requires --format json (text output is one-shot)".into());
     }
     let prepared = engine.prepare(query).map_err(|e| e.to_string())?;
-    let cursor = prepared
-        .eval_stream(engine, eval_opts)
-        .map_err(|e| e.to_string())?;
     let stdout = std::io::stdout();
     let mut w = stdout.lock();
-    let emit = |w: &mut std::io::StdoutLock<'_>, s: &str| {
+    let mut emit = |s: &str| {
         w.write_all(s.as_bytes())
             .and_then(|()| w.flush())
             .map_err(|e| format!("cannot write to stdout: {e}"))
     };
-    emit(&mut w, &axml::json::result_header(query, &eval_opts))?;
+    emit(&axml::json::result_header(query, &eval_opts))?;
     let mut open_set = false;
-    let mut scalar = false;
-    for item in cursor {
-        match item.map_err(|e| e.to_string())? {
-            axml::StreamItem::Piece(p) => {
-                emit(&mut w, if open_set { "," } else { "[" })?;
-                open_set = true;
-                emit(&mut w, &p.json())?;
-            }
-            axml::StreamItem::Scalar(out) => {
-                scalar = true;
-                let mut j = Json::new();
-                axml::json::result_value_json(&mut j, &out);
-                emit(&mut w, &j.finish())?;
-            }
+    let mut failed = None;
+    let pushed = prepared.eval_each(engine, eval_opts, &[], None, |p| {
+        let sep = if open_set { "," } else { "[" };
+        open_set = true;
+        emit(sep).and_then(|()| emit(&p.json())).map_err(|e| {
+            failed = Some(e);
+            axml::SinkClosed
+        })
+    });
+    if let Some(e) = failed {
+        return Err(e);
+    }
+    match pushed.map_err(|e| e.to_string())? {
+        Some(scalar) => {
+            let mut j = Json::new();
+            axml::json::result_value_json(&mut j, &scalar);
+            emit(&j.finish())?;
         }
+        // A set with no pieces pushes nothing at all, so it prints `[]`.
+        None => emit(if open_set { "]" } else { "[]" })?,
     }
-    if open_set {
-        emit(&mut w, "]")?;
-    } else if !scalar {
-        // A set with no pieces yields no items at all (a scalar always
-        // yields exactly one), so an exhausted-but-empty cursor is `[]`.
-        emit(&mut w, "[]")?;
-    }
-    emit(&mut w, "}\n")
+    emit("}\n")
 }
 
 /// Run the HTTP server (see `axml-server`): bind, optionally preload

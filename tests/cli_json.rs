@@ -271,3 +271,50 @@ fn edit_applies_scripts_and_reports_stats() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// `query --stream` pushes the pieces straight to stdout as the
+/// evaluation produces them; the bytes must equal the one-shot
+/// `--format json` output for a set, a scalar (element constructor) and
+/// an empty set, on the direct, via-NRC and shredded routes. Where a
+/// route rejects the query (the shredded route and an element
+/// constructor), both forms fail with the same error.
+#[test]
+fn stream_output_is_byte_identical_to_one_shot_json() {
+    let doc = "<a {z}> <b {x1}> d {y1} </b> <c {x2}> d {y2} e {y3} </c> </a>";
+    for query in ["$S/*", "element p { $S/*/* }", "$S/zzz"] {
+        for route in ["direct", "via-nrc", "shredded"] {
+            let args = |stream: bool| {
+                let mut a = vec!["query", "--format", "json", "--route", route, "--text", doc];
+                if stream {
+                    a.push("--stream");
+                }
+                a.push(query);
+                Command::new(env!("CARGO_BIN_EXE_axml"))
+                    .args(a)
+                    .output()
+                    .expect("axml binary runs")
+            };
+            let (one_shot, streamed) = (args(false), args(true));
+            let at = format!("{query} via {route}");
+            if route == "shredded" && query.starts_with("element") {
+                assert!(
+                    !one_shot.status.success() && !streamed.status.success(),
+                    "{at}"
+                );
+                assert_eq!(one_shot.stderr, streamed.stderr, "{at}");
+                continue;
+            }
+            assert!(
+                one_shot.status.success() && streamed.status.success(),
+                "{at}"
+            );
+            let text = String::from_utf8(streamed.stdout.clone()).expect("utf-8 output");
+            assert_well_formed_json(&text);
+            assert_eq!(
+                String::from_utf8_lossy(&one_shot.stdout),
+                text,
+                "{at}: --stream differs from one-shot json"
+            );
+        }
+    }
+}
