@@ -16,12 +16,19 @@
 //! [`tree_json`] (through `ResultPieceRef::write_json`), then `}`, and
 //! because both compose the same pieces the bytes are identical either
 //! way.
+//!
+//! [`tree_json`] is the per-piece hot path, so it bypasses the
+//! builder's comma bookkeeping: one walk over the tree writes constant
+//! literals, escaped label names and the cached document-order
+//! children straight into the output bytes, and each annotation is
+//! rendered by its own `Display`, escaped fragment by fragment as it
+//! is written.
 
 use crate::options::EvalOptions;
 use crate::result::AxmlResult;
 use axml_semiring::Semiring;
 use axml_uxml::{Forest, Tree, Value};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::Write as _;
 
 /// Escape `s` per JSON string rules (quotes, backslashes, control
@@ -160,8 +167,6 @@ pub struct Json {
     /// Whether the next emission at the current nesting level needs a
     /// leading comma (one flag per open container).
     need_comma: Vec<bool>,
-    /// Reused rendering space for [`display`](Json::display).
-    scratch: String,
 }
 
 impl Json {
@@ -229,17 +234,6 @@ impl Json {
         self.quoted(s);
     }
 
-    /// Emit `v`'s `Display` rendering as a string value, formatted
-    /// through a scratch buffer the builder reuses across calls.
-    pub fn display(&mut self, v: &dyn std::fmt::Display) {
-        self.pre_value();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let _ = write!(scratch, "{v}");
-        self.quoted(&scratch);
-        self.scratch = scratch;
-    }
-
     /// Emit a numeric value (finite; NaN/∞ become `null`, which JSON
     /// requires).
     pub fn num(&mut self, n: f64) {
@@ -266,9 +260,8 @@ impl Json {
 
     /// Render one complete value through `f` onto the end of `out`
     /// (typically a response's pending buffer), reusing this builder's
-    /// nesting stack and scratch space so a caller rendering many
-    /// values allocates nothing per value. The builder must hold no
-    /// open container.
+    /// nesting stack so a caller rendering many values allocates
+    /// nothing per value. The builder must hold no open container.
     pub fn append_to(&mut self, out: &mut Vec<u8>, f: impl FnOnce(&mut Json)) {
         debug_assert!(
             self.need_comma.is_empty(),
@@ -288,7 +281,7 @@ impl Json {
 /// A value rendered as a JSON tree: annotations as strings in the
 /// semiring's syntax (omitted when `1`), children in the byte-stable
 /// document order the text printer uses.
-pub fn value_json<K: Semiring + std::fmt::Display>(j: &mut Json, v: &Value<K>) {
+pub fn value_json<K: Semiring + fmt::Display>(j: &mut Json, v: &Value<K>) {
     match v {
         Value::Label(l) => {
             j.begin_obj();
@@ -302,7 +295,7 @@ pub fn value_json<K: Semiring + std::fmt::Display>(j: &mut Json, v: &Value<K>) {
 }
 
 /// A forest as a JSON array of trees (document order).
-pub fn forest_json<K: Semiring + std::fmt::Display>(j: &mut Json, f: &Forest<K>) {
+pub fn forest_json<K: Semiring + fmt::Display>(j: &mut Json, f: &Forest<K>) {
     j.begin_arr();
     for (t, k) in f.iter_document() {
         tree_json(j, t, Some(k));
@@ -312,25 +305,45 @@ pub fn forest_json<K: Semiring + std::fmt::Display>(j: &mut Json, f: &Forest<K>)
 
 /// One tree as a JSON object; `ann` is its annotation in the parent
 /// (omitted from the output when it is the semiring's `1`).
-pub fn tree_json<K: Semiring + std::fmt::Display>(j: &mut Json, t: &Tree<K>, ann: Option<&K>) {
-    j.begin_obj();
-    j.key("label");
-    j.str(t.label().name());
-    if let Some(k) = ann {
-        if !k.is_one() {
-            j.key("annotation");
-            j.display(k);
-        }
+pub fn tree_json<K: Semiring + fmt::Display>(j: &mut Json, t: &Tree<K>, ann: Option<&K>) {
+    j.pre_value();
+    write_tree(&mut j.buf, t, ann);
+}
+
+/// [`tree_json`]'s walk: the object's bytes appended to `out`, with no
+/// builder state — children are separated by literal commas.
+fn write_tree<K: Semiring + fmt::Display>(out: &mut Vec<u8>, t: &Tree<K>, ann: Option<&K>) {
+    out.extend_from_slice(b"{\"label\":\"");
+    escape_into(out, t.label().name());
+    out.push(b'"');
+    if let Some(k) = ann.filter(|k| !k.is_one()) {
+        out.extend_from_slice(b",\"annotation\":\"");
+        let _ = write!(Escaped(out), "{k}");
+        out.push(b'"');
     }
     if !t.is_leaf() {
-        j.key("children");
-        j.begin_arr();
-        for (c, k) in t.children_document() {
-            tree_json(j, c, Some(k));
+        out.extend_from_slice(b",\"children\":[");
+        for (i, (c, k)) in t.children_document().iter().enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            write_tree(out, c, Some(k));
         }
-        j.end_arr();
+        out.push(b']');
     }
-    j.end_obj();
+    out.push(b'}');
+}
+
+/// A `fmt::Write` that escapes every fragment onto a byte buffer as it
+/// is written, so a `Display` rendering becomes a JSON string body in
+/// one pass.
+struct Escaped<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
 }
 
 /// The `result` value of one [`AxmlResult`], dispatched over its
@@ -420,6 +433,8 @@ pub fn result_json(query: &str, opts: &EvalOptions, out: &AxmlResult) -> String 
 mod tests {
     use super::*;
     use crate::{Engine, EvalOptions, SemiringKind};
+    use axml_semiring::{Monomial, NatPoly, Var};
+    use axml_uxml::Label;
     use proptest::prelude::*;
 
     #[test]
@@ -446,7 +461,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// The in-place escaper emits exactly the bytes of the
-        /// reference `escape`, for strings, keys and `display`.
+        /// reference `escape`, for strings, keys and `Display` output
+        /// escaped as it is written.
         #[test]
         fn str_key_and_display_match_the_reference_escape(s in text()) {
             let quoted = format!("\"{}\"", escape(&s));
@@ -456,10 +472,146 @@ mod tests {
             let mut j = Json::new();
             j.begin_obj();
             j.key(&s);
-            j.display(&s);
+            j.str(&s);
             j.end_obj();
             prop_assert_eq!(j.finish(), format!("{{{quoted}:{quoted}}}"));
+            // Two `write_str` calls, as a nested `Display` makes them.
+            let mut buf = Vec::new();
+            let _ = write!(Escaped(&mut buf), "{s}{s}");
+            prop_assert_eq!(String::from_utf8(buf).unwrap(), escape(&s).repeat(2));
         }
+
+        /// The direct byte walk renders every tree exactly as the
+        /// builder-based renderer it replaced, whatever the label and
+        /// variable names hold.
+        #[test]
+        fn tree_json_matches_the_builder_rendering(
+            t in arb_tree(),
+            k in arb_poly(),
+        ) {
+            for ann in [None, Some(&k)] {
+                let mut want = Json::new();
+                builder_tree_json(&mut want, &t, ann);
+                let mut got = Json::new();
+                tree_json(&mut got, &t, ann);
+                prop_assert_eq!(got.finish(), want.finish());
+            }
+            // Inside a container, where the builder places the commas.
+            let mut want = Json::new();
+            let mut got = Json::new();
+            for j in [&mut want, &mut got] {
+                j.begin_arr();
+                j.int(0);
+            }
+            builder_tree_json(&mut want, &t, Some(&k));
+            tree_json(&mut got, &t, Some(&k));
+            for j in [&mut want, &mut got] {
+                j.end_arr();
+            }
+            prop_assert_eq!(got.finish(), want.finish());
+        }
+    }
+
+    /// The renderer [`tree_json`] replaced, kept as its reference: every
+    /// node through the builder, each annotation formatted whole and
+    /// then escaped.
+    fn builder_tree_json<K: Semiring + fmt::Display>(j: &mut Json, t: &Tree<K>, ann: Option<&K>) {
+        j.begin_obj();
+        j.key("label");
+        j.str(t.label().name());
+        if let Some(k) = ann {
+            if !k.is_one() {
+                j.key("annotation");
+                j.str(&k.to_string());
+            }
+        }
+        if !t.is_leaf() {
+            j.key("children");
+            j.begin_arr();
+            for (c, k) in t.children_document() {
+                builder_tree_json(j, c, Some(k));
+            }
+            j.end_arr();
+        }
+        j.end_obj();
+    }
+
+    /// ℕ\[X\] annotations over variables named by [`text`], with
+    /// coefficients, exponents and the constant `1` (which is elided).
+    fn arb_poly() -> impl Strategy<Value = NatPoly> {
+        let term = (proptest::collection::vec((text(), 1u32..3), 0..3), 1u64..3);
+        proptest::collection::vec(term, 0..3).prop_map(|terms| {
+            NatPoly::sum(terms.into_iter().map(|(vars, c)| {
+                let m = Monomial::from_pairs(vars.iter().map(|(v, e)| (Var::new(v), *e)));
+                NatPoly::term(m, c)
+            }))
+        })
+    }
+
+    /// Trees up to depth 3 with labels named by [`text`].
+    fn arb_tree() -> impl Strategy<Value = Tree<NatPoly>> {
+        type Kids = Vec<(Tree<NatPoly>, NatPoly)>;
+        let node = |kid: BoxedStrategy<Tree<NatPoly>>| {
+            (text(), proptest::collection::vec((kid, arb_poly()), 0..4))
+                .prop_map(|(l, kids): (String, Kids)| {
+                    Tree::new(Label::new(&l), Forest::from_pairs(kids))
+                })
+                .boxed()
+        };
+        let leaf = text()
+            .prop_map(|l: String| Tree::leaf(Label::new(&l)))
+            .boxed();
+        node(node(leaf))
+    }
+
+    /// The queries behind `testdata/result_json.golden`: the paper's
+    /// Fig 1 and Fig 6 results (trees) and a descendant set over each
+    /// document (top-level annotated pieces).
+    const GOLDEN_QUERIES: [(&str, &str); 4] = [
+        ("fig1", "element p { for $t in $S return for $x in ($t)/child::* return ($x)/child::* }"),
+        ("fig1_desc", "$S//*"),
+        ("fig6", "let $r := $d/R/*, $rAB := for $t in $r return <t> { $t/A, $t/B } </t>, $rBC := for $t in $r return <t> { $t/B, $t/C } </t>, $s := $d/S/* return <Q> { for $x in $rAB, $y in ($rBC, $s) where $x/B = $y/B return <t> { $x/A, $y/C } </t> } </Q>"),
+        ("fig6_desc", "$d//t"),
+    ];
+
+    /// Every golden line is `name<TAB>semiring<TAB>result_json`, as the
+    /// renderer produced it before its single-pass rewrite.
+    #[test]
+    fn result_json_matches_the_golden_renderings() {
+        let engine = Engine::new();
+        engine
+            .load_document(
+                "S",
+                "<a {z}> <b {x1}> d {y1} </b> <c {x2}> d {y2} e {y3} </c> </a>",
+            )
+            .unwrap();
+        engine
+            .load_document(
+                "d",
+                "<D> <R {w1}> \
+                   <t {x1}> <A {y1}> a </A> <B {y2}> b {z1} </B> <C {y3}> c </C> </t> \
+                   <t {x2}> <A {y1}> d </A> <B {y2}> b {z2} </B> <C {y3}> e {z3} </C> </t> \
+                   <t {x3}> <A {y1}> f </A> <B {y2}> g {z4} </B> <C {y3}> e {z5} </C> </t> \
+                 </R> <S> \
+                   <t {x4}> <B {y5}> b {z6} </B> <C {y6}> c </C> </t> \
+                   <t {x5}> <B {y5}> g {z7} </B> <C {y6}> c </C> </t> \
+                 </S> </D>",
+            )
+            .unwrap();
+        let golden = include_str!("../testdata/result_json.golden");
+        let mut lines = golden.lines();
+        for (name, query) in GOLDEN_QUERIES {
+            for kind in SemiringKind::ALL {
+                let line = lines.next().expect("a golden line per query and kind");
+                let want = line
+                    .strip_prefix(&format!("{name}\t{kind}\t"))
+                    .unwrap_or_else(|| panic!("golden order: {name} {kind}, got {line}"));
+                let opts = EvalOptions::new().semiring(kind);
+                let out = engine.run(query, opts).unwrap();
+                assert_eq!(result_json(query, &opts, &out), want, "{name} in {kind}");
+            }
+        }
+        assert_eq!(lines.next(), None, "no stale golden lines");
     }
 
     #[test]

@@ -549,7 +549,7 @@ fn emit_rest<S: Semiring>(
         } => {
             for (c, k) in parent.child_step(&scale, label) {
                 charge(x, c.size())?;
-                sink.piece(c, &k)?;
+                sink.piece(c, &*k)?;
             }
         }
     }

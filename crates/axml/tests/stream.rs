@@ -28,7 +28,8 @@
 //! 6. **Shared grandchildren**: a child step over several roots whose
 //!    children repeat (the same leaf under many parents) sums them
 //!    without building a K-set; the pushed pieces are byte-identical
-//!    to `eval_with`'s and budgets trip after the same pieces.
+//!    to `eval_with`'s and budgets trip after the same pieces. Over
+//!    1000 parents the one-pass sums equal the K-set path's.
 
 use axml::json::{result_header, result_json};
 use axml::{
@@ -479,6 +480,50 @@ fn shared_grandchildren_sum_like_the_materialized_k_set() {
                 }
             }
         }
+    }
+}
+
+/// A run of 1000 equal pieces — one `d` leaf under each of 1000
+/// distinct parents — sums in one pass (`Semiring::sum`; ℕ\[X\]
+/// sorts the 1000 terms once) to exactly what the interpreters' K-set
+/// inserts give: the differential route (which checks the compiled
+/// plans against them) and the pushed pieces agree with the direct
+/// route's result bit for bit, rendered and structurally, in all 7
+/// semirings.
+#[test]
+fn a_thousand_parents_sharing_a_child_sum_like_the_k_set() {
+    let parents: String = (0..1000)
+        .map(|i| {
+            format!(
+                "<p{i} {{x{i}}}> d {{y{i}}} e{} {{{}}} </p{i}> ",
+                i % 7,
+                i % 3 + 1
+            )
+        })
+        .collect();
+    let engine = Engine::new();
+    engine
+        .load_document("W", &format!("<w {{z}}> {parents} </w>"))
+        .unwrap();
+    let q = engine.prepare("$W/*/*").unwrap();
+    for kind in SemiringKind::ALL {
+        let opts = EvalOptions::new().semiring(kind);
+        let direct = q.eval_with(&engine, opts, &[], None).unwrap();
+        let kset = q
+            .eval_with(&engine, opts.route(Route::Differential), &[], None)
+            .unwrap();
+        assert_eq!(direct, kset, "{kind}");
+        let want = result_json("$W/*/*", &opts, &direct);
+        assert_eq!(result_json("$W/*/*", &opts, &kset), want, "{kind}");
+        let pieces: Vec<String> = direct.pieces().unwrap().iter().map(|p| p.json()).collect();
+        assert_eq!(pieces.len(), 8, "d and e0..e6 in {kind}");
+        let mut pushed = Vec::new();
+        q.eval_each(&engine, opts, &[], None, |p| {
+            pushed.push(p.json());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(pushed, pieces, "{kind}");
     }
 }
 

@@ -274,7 +274,8 @@ fn churn(c: &mut Criterion) {
 /// over `materialized` is the channel + producer-thread tax), and
 /// `first_piece` is the latency win the cursor exists for — time until
 /// the first `(tree, annotation)` pair is in hand, dropping the cursor
-/// (and cancelling the producer) immediately after.
+/// (and cancelling the producer) immediately after. `wide2000/encode_*`
+/// time push-mode evaluation plus the JSON encode of every piece.
 fn eval_stream(c: &mut Criterion) {
     let engine = Engine::new();
     // Distinct labels: identical trees would merge into one K-set piece.
@@ -307,6 +308,41 @@ fn eval_stream(c: &mut Criterion) {
                 .expect("ok")
         })
     });
+
+    // The per-piece encode layer on its own: `eval_each` over the
+    // 2000 pieces of `$W2000/*` (the wide document of the server
+    // benchmark), each rendered into one buffer as the server's
+    // response sink renders it — no socket, no HTTP framing.
+    let body: String = (0..2000)
+        .map(|i| {
+            let l = if i % 2 == 0 { "b" } else { "c" };
+            format!("<{l} {{x{i}}}> k{i} {{y{i}}} </{l}> ")
+        })
+        .collect();
+    engine
+        .load_document("W2000", &format!("<w> {body} </w>"))
+        .expect("loads the wide document");
+    let q = engine.prepare("$W2000/*").expect("prepares");
+    for (name, kind) in [
+        ("wide2000/encode_nat", SemiringKind::Nat),
+        ("wide2000/encode_natpoly", SemiringKind::NatPoly),
+    ] {
+        let opts = EvalOptions::new().semiring(kind);
+        let mut json = axml::json::Json::new();
+        let mut buf = Vec::new();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                buf.clear();
+                q.eval_each(&engine, opts, &[], None, |p| {
+                    buf.push(b',');
+                    json.append_to(&mut buf, |j| p.write_json(j));
+                    Ok(())
+                })
+                .expect("evaluates");
+                buf.len()
+            })
+        });
+    }
     g.finish();
 }
 

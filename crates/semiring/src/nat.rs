@@ -97,7 +97,7 @@ impl fmt::Debug for Nat {
 
 impl fmt::Display for Nat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        fmt::Display::fmt(&self.0, f)
     }
 }
 

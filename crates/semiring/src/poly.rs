@@ -131,18 +131,16 @@ impl fmt::Debug for Monomial {
 impl fmt::Display for Monomial {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.exps.is_empty() {
-            return write!(f, "1");
+            return f.write_str("1");
         }
-        let mut first = true;
-        for (v, e) in &self.exps {
-            if !first {
-                write!(f, "*")?;
+        for (i, (v, e)) in self.exps.iter().enumerate() {
+            if i > 0 {
+                f.write_str("*")?;
             }
-            first = false;
-            if *e == 1 {
-                write!(f, "{v}")?;
-            } else {
-                write!(f, "{v}^{e}")?;
+            fmt::Display::fmt(v, f)?;
+            if *e != 1 {
+                f.write_str("^")?;
+                fmt::Display::fmt(e, f)?;
             }
         }
         Ok(())
@@ -426,6 +424,23 @@ impl Semiring for NatPoly {
         }
     }
 
+    /// All terms concatenated and canonicalized once: `O(t log t)` in
+    /// the total term count `t`, where a left fold of two-run merges
+    /// re-copies the growing accumulator at every step.
+    fn sum<I: IntoIterator<Item = Self>>(iter: I) -> Self {
+        let mut terms = Vec::new();
+        for p in iter {
+            if terms.is_empty() {
+                terms = p.terms;
+            } else {
+                terms.extend(p.terms);
+            }
+        }
+        NatPoly {
+            terms: NatPoly::canonicalize(terms),
+        }
+    }
+
     fn is_zero(&self) -> bool {
         self.terms.is_empty()
     }
@@ -456,22 +471,22 @@ impl fmt::Debug for NatPoly {
 impl fmt::Display for NatPoly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.terms.is_empty() {
-            return write!(f, "0");
+            return f.write_str("0");
         }
         // Print in descending monomial order so constants come last,
         // matching the paper's style (e.g. "x1^2 + x1*x4", "2*w1 + 3").
-        let mut first = true;
-        for (m, c) in self.terms.iter().rev() {
-            if !first {
-                write!(f, " + ")?;
+        for (i, (m, c)) in self.terms.iter().rev().enumerate() {
+            if i > 0 {
+                f.write_str(" + ")?;
             }
-            first = false;
             if m.is_unit() {
-                write!(f, "{c}")?;
-            } else if c.is_one() {
-                write!(f, "{m}")?;
+                fmt::Display::fmt(c, f)?;
             } else {
-                write!(f, "{c}*{m}")?;
+                if !c.is_one() {
+                    fmt::Display::fmt(c, f)?;
+                    f.write_str("*")?;
+                }
+                fmt::Display::fmt(m, f)?;
             }
         }
         Ok(())

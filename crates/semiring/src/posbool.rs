@@ -199,24 +199,20 @@ impl fmt::Debug for PosBool {
 impl fmt::Display for PosBool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.clauses.is_empty() {
-            return write!(f, "false");
+            return f.write_str("false");
         }
         if self.is_one() {
-            return write!(f, "true");
+            return f.write_str("true");
         }
-        let mut first_clause = true;
-        for c in &self.clauses {
-            if !first_clause {
-                write!(f, " | ")?;
+        for (i, c) in self.clauses.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" | ")?;
             }
-            first_clause = false;
-            let mut first_var = true;
-            for v in c {
-                if !first_var {
-                    write!(f, "&")?;
+            for (j, v) in c.iter().enumerate() {
+                if j > 0 {
+                    f.write_str("&")?;
                 }
-                first_var = false;
-                write!(f, "{v}")?;
+                fmt::Display::fmt(v, f)?;
             }
         }
         Ok(())

@@ -114,7 +114,9 @@ impl<T: Ord + Clone, K: Semiring> KSet<T, K> {
                 e.insert(k);
             }
             Entry::Occupied(mut e) => {
-                let merged = e.get().plus(&k);
+                // Consuming `add`: the held annotation is moved into the
+                // sum, not cloned.
+                let merged = std::mem::replace(e.get_mut(), K::zero()).add(k);
                 if merged.is_zero() {
                     // Unreachable for the semirings in this crate (none
                     // has additive inverses) but required to keep the

@@ -45,9 +45,13 @@ pub trait Semiring: Clone + Eq + Ord + Hash + Debug + Send + Sync + 'static {
         *self == Self::one()
     }
 
-    /// `Σ` of an iterator of elements (0 for the empty iterator).
+    /// `Σ` of an iterator of elements (0 for the empty iterator): a
+    /// left fold with the consuming [`Semiring::add`], in iteration
+    /// order.
     fn sum<I: IntoIterator<Item = Self>>(iter: I) -> Self {
-        iter.into_iter().fold(Self::zero(), |acc, k| acc.plus(&k))
+        iter.into_iter()
+            .reduce(|acc, k| acc.add(k))
+            .unwrap_or_else(Self::zero)
     }
 
     /// `Π` of an iterator of elements (1 for the empty iterator).

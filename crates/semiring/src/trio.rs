@@ -29,6 +29,7 @@ use crate::nat::Nat;
 use crate::poly::{Monomial, NatPoly};
 use crate::semiring::Semiring;
 use crate::var::Var;
+use crate::why::write_token_set;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -105,6 +106,14 @@ impl Semiring for Trio {
     fn is_zero(&self) -> bool {
         self.bags.is_empty()
     }
+
+    fn is_one(&self) -> bool {
+        self.bags.len() == 1
+            && self
+                .bags
+                .first_key_value()
+                .is_some_and(|(w, n)| w.is_empty() && n.is_one())
+    }
 }
 
 impl fmt::Debug for Trio {
@@ -117,27 +126,17 @@ impl fmt::Debug for Trio {
 impl fmt::Display for Trio {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.bags.is_empty() {
-            return write!(f, "0");
+            return f.write_str("0");
         }
-        let mut first = true;
-        for (w, n) in &self.bags {
-            if !first {
-                write!(f, " + ")?;
+        for (i, (w, n)) in self.bags.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" + ")?;
             }
-            first = false;
             if !n.is_one() {
-                write!(f, "{n}·")?;
+                fmt::Display::fmt(n, f)?;
+                f.write_str("·")?;
             }
-            write!(f, "{{")?;
-            let mut fv = true;
-            for v in w {
-                if !fv {
-                    write!(f, ",")?;
-                }
-                fv = false;
-                write!(f, "{v}")?;
-            }
-            write!(f, "}}")?;
+            write_token_set(f, w)?;
         }
         Ok(())
     }
@@ -199,6 +198,10 @@ impl Semiring for BoolPoly {
     fn is_zero(&self) -> bool {
         self.monomials.is_empty()
     }
+
+    fn is_one(&self) -> bool {
+        self.monomials.len() == 1 && self.monomials.first().is_some_and(Monomial::is_unit)
+    }
 }
 
 impl fmt::Debug for BoolPoly {
@@ -210,15 +213,13 @@ impl fmt::Debug for BoolPoly {
 impl fmt::Display for BoolPoly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.monomials.is_empty() {
-            return write!(f, "0");
+            return f.write_str("0");
         }
-        let mut first = true;
-        for m in &self.monomials {
-            if !first {
-                write!(f, " + ")?;
+        for (i, m) in self.monomials.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" + ")?;
             }
-            first = false;
-            write!(f, "{m}")?;
+            fmt::Display::fmt(m, f)?;
         }
         Ok(())
     }

@@ -94,6 +94,10 @@ impl Semiring for Why {
     fn is_zero(&self) -> bool {
         self.witnesses.is_empty()
     }
+
+    fn is_one(&self) -> bool {
+        self.witnesses.len() == 1 && self.witnesses.first().is_some_and(BTreeSet::is_empty)
+    }
 }
 
 impl fmt::Debug for Why {
@@ -104,26 +108,28 @@ impl fmt::Debug for Why {
 
 impl fmt::Display for Why {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        for w in &self.witnesses {
-            if !first {
-                write!(f, ", ")?;
+        f.write_str("{")?;
+        for (i, w) in self.witnesses.iter().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
             }
-            first = false;
-            write!(f, "{{")?;
-            let mut fv = true;
-            for v in w {
-                if !fv {
-                    write!(f, ",")?;
-                }
-                fv = false;
-                write!(f, "{v}")?;
-            }
-            write!(f, "}}")?;
+            write_token_set(f, w)?;
         }
-        write!(f, "}}")
+        f.write_str("}")
     }
+}
+
+/// A token set as `{a,b,c}` — a witness of [`Why`] and [`crate::Trio`],
+/// or a [`Lineage`].
+pub(crate) fn write_token_set(f: &mut fmt::Formatter<'_>, s: &BTreeSet<Var>) -> fmt::Result {
+    f.write_str("{")?;
+    for (i, v) in s.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        fmt::Display::fmt(v, f)?;
+    }
+    f.write_str("}")
 }
 
 /// The lineage semiring `Lin(X)`: the set of all tokens that contributed
@@ -196,6 +202,10 @@ impl Semiring for Lineage {
     fn is_zero(&self) -> bool {
         self.tokens.is_none()
     }
+
+    fn is_one(&self) -> bool {
+        self.tokens.as_ref().is_some_and(BTreeSet::is_empty)
+    }
 }
 
 impl fmt::Debug for Lineage {
@@ -207,19 +217,8 @@ impl fmt::Debug for Lineage {
 impl fmt::Display for Lineage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.tokens {
-            None => write!(f, "⊥"),
-            Some(s) => {
-                write!(f, "{{")?;
-                let mut first = true;
-                for v in s {
-                    if !first {
-                        write!(f, ",")?;
-                    }
-                    first = false;
-                    write!(f, "{v}")?;
-                }
-                write!(f, "}}")
-            }
+            None => f.write_str("⊥"),
+            Some(s) => write_token_set(f, s),
         }
     }
 }

@@ -9,7 +9,9 @@
 //! - `KSet::extend_scaled`     ≡ `union ∘ scalar_mul`
 //! - `KSet::bind_into`         ≡ `union ∘ bind`
 //! - flat `Monomial::times`    ≡ the map-based reference product
-//! - `NatPoly`'s consuming `Semiring::add` ≡ `Semiring::plus`
+//! - `NatPoly`'s consuming `Semiring::add` ≡ `Semiring::plus`, and its
+//!   one-sort `Semiring::sum` ≡ the `plus` fold
+//! - every semiring's `is_one` ≡ `== one()`
 
 use axml_semiring::{KSet, Monomial, Nat, NatPoly, PosBool, Semiring, Tropical, Var};
 use proptest::prelude::*;
@@ -181,5 +183,48 @@ proptest! {
         let mut ba = sb;
         ba.union_with(sa);
         prop_assert_eq!(ab, ba);
+    }
+}
+
+/// Every kind: polynomials of [`arb_poly`] (and `1` itself, often)
+/// pushed through the collapses of the provenance hierarchy.
+fn arb_unitish_poly() -> impl Strategy<Value = NatPoly> {
+    prop_oneof![2 => Just(NatPoly::one()), 3 => arb_poly()]
+}
+
+/// `is_one` against the definition, `k == K::one()`.
+fn check_is_one<K: Semiring>(k: &K) {
+    assert_eq!(k.is_one(), *k == K::one(), "{k:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every semiring's `is_one` — the structural ones included — is
+    /// exactly `== one()`.
+    #[test]
+    fn is_one_is_equality_with_one(p in arb_unitish_poly(), n in 0u64..3, c in 0u64..3, f in 0u8..3) {
+        use axml_semiring::trio::collapse::*;
+        use axml_semiring::{Lineage, Prob, Why};
+        check_is_one(&p);
+        check_is_one(&natpoly_to_boolpoly(&p));
+        check_is_one(&natpoly_to_trio(&p));
+        check_is_one(&natpoly_to_why(&p));
+        check_is_one(&natpoly_to_posbool(&p));
+        check_is_one(&natpoly_to_lineage(&p));
+        check_is_one::<Why>(&Why::one());
+        check_is_one::<Lineage>(&Lineage::one());
+        check_is_one(&Nat::from(n));
+        check_is_one(&Tropical::cost(c));
+        check_is_one(&Tropical::zero());
+        check_is_one(&Prob::new(f64::from(f) / 2.0));
+        check_is_one(&(n == 1));
+    }
+
+    /// ℕ\[X\]'s one-sort `sum` ≡ the left fold of `plus`.
+    #[test]
+    fn natpoly_sum_matches_the_plus_fold(ps in proptest::collection::vec(arb_poly(), 0..8)) {
+        let fold = ps.iter().fold(NatPoly::zero(), |acc, p| acc.plus(p));
+        prop_assert_eq!(NatPoly::sum(ps), fold);
     }
 }

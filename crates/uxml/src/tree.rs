@@ -2,6 +2,7 @@
 
 use crate::label::Label;
 use axml_semiring::{KSet, Semiring};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -213,17 +214,25 @@ impl<K: Semiring> Tree<K> {
     /// children labelled `label` (every child, without one), each
     /// scaled by `scale`, with zero products dropped — the pieces of
     /// the K-set `scale · children` a materializing step builds, read
-    /// off the cached [`Tree::children_document`] slice.
+    /// off the cached [`Tree::children_document`] slice. When `scale`
+    /// is `1` (a step from an unannotated root, such as `$doc/*`) each
+    /// annotation is borrowed from that slice, not recomputed as
+    /// `1 · k`.
     pub fn child_step<'a>(
         &'a self,
         scale: &'a K,
         label: Option<Label>,
-    ) -> impl Iterator<Item = (&'a Tree<K>, K)> + 'a {
+    ) -> impl Iterator<Item = (&'a Tree<K>, Cow<'a, K>)> + 'a {
+        let unit = scale.is_one();
         self.children_document()
             .iter()
             .filter(move |(c, _)| label.is_none_or(|l| c.label() == l))
             .filter_map(move |(c, kc)| {
-                let ann = scale.times(kc);
+                let ann = if unit {
+                    Cow::Borrowed(kc)
+                } else {
+                    Cow::Owned(scale.times(kc))
+                };
                 (!ann.is_zero()).then_some((c, ann))
             })
     }
@@ -383,29 +392,29 @@ pub fn sort_document<K: Semiring, A>(pairs: &mut Vec<(&Tree<K>, A)>) {
 /// `pairs` must be in the order a K-set would have absorbed them
 /// (for a multi-root child step: roots in K-set order, each root's
 /// children after it). The stable [`sort_document`] keeps equal trees
-/// in that order, and each run is folded left to right with the
-/// K-set's insert rule — zero contributions skipped, `acc ⊕ k` per
-/// step, an entry dropped if its sum reaches zero — so every
-/// annotation is the same value, bit for bit (floating-point sums
-/// included), that the K-set would hold. (A K-set union may merge into
-/// the larger side, which only swaps `⊕`'s operands; that is exact.)
+/// in that order, zero contributions are skipped, and each run of
+/// equal trees is summed once with [`Semiring::sum`] — a left fold in
+/// input order by default, so every annotation is the same value, bit
+/// for bit (floating-point sums included), that the K-set's inserts
+/// would hold (a K-set union may merge into the larger side, which
+/// only swaps `⊕`'s operands; that is exact), while ℕ\[X\] sums a
+/// run of `n` terms in one sort instead of `n` merges. A run whose sum
+/// is zero is dropped; none of the semirings here has additive
+/// inverses, so no partial sum of nonzero terms is zero.
 pub fn coalesce_document<K: Semiring>(mut pairs: Vec<(&Tree<K>, K)>) -> Vec<(&Tree<K>, K)> {
+    pairs.retain(|(_, k)| !k.is_zero());
     sort_document(&mut pairs);
     let mut out: Vec<(&Tree<K>, K)> = Vec::with_capacity(pairs.len());
-    for (t, k) in pairs {
-        if k.is_zero() {
-            continue;
-        }
-        match out.last_mut() {
-            Some((last, acc)) if *last == t => {
-                let sum = acc.plus(&k);
-                if sum.is_zero() {
-                    out.pop();
-                } else {
-                    *acc = sum;
-                }
-            }
-            _ => out.push((t, k)),
+    let mut pairs = pairs.into_iter().peekable();
+    while let Some((t, k)) = pairs.next() {
+        let k = if pairs.peek().is_some_and(|(next, _)| *next == t) {
+            let run = std::iter::from_fn(|| pairs.next_if(|(next, _)| *next == t));
+            K::sum(std::iter::once(k).chain(run.map(|(_, k)| k)))
+        } else {
+            k
+        };
+        if !k.is_zero() {
+            out.push((t, k));
         }
     }
     out

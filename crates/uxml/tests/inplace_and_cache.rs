@@ -172,12 +172,16 @@ proptest! {
     /// A child step from one tree, read off its cached document order,
     /// gives the members, annotations and document order of the K-set
     /// the step kernel builds (`bind` over the children, then the label
-    /// test) — zero scales included — and collecting the step gives
-    /// that K-set itself.
+    /// test) — zero and unit (borrowed) scales included — and
+    /// collecting the step gives that K-set itself.
     #[test]
     fn child_step_is_the_scaled_child_k_set(
         t in arb_tied_tree(3),
-        scale in prop_oneof![4 => arb_annotation(), 1 => Just(NatPoly::zero())],
+        scale in prop_oneof![
+            4 => arb_annotation(),
+            1 => Just(NatPoly::zero()),
+            1 => Just(NatPoly::one()),
+        ],
         li in 0usize..3,
     ) {
         let label = [None, Some(Label::new("ta")), Some(Label::new("tb"))][li];
@@ -186,7 +190,10 @@ proptest! {
             Some(l) => step.filter_label(|x| x == l),
             None => step,
         };
-        let got: Vec<(&Tree<NatPoly>, NatPoly)> = t.child_step(&scale, label).collect();
+        let got: Vec<(&Tree<NatPoly>, NatPoly)> = t
+            .child_step(&scale, label)
+            .map(|(c, k)| (c, k.into_owned()))
+            .collect();
         prop_assert_eq!(
             got.iter().map(|(c, k)| (*c, k)).collect::<Vec<_>>(),
             want.iter_document()
