@@ -66,9 +66,9 @@
 //! construction: an edited subtree is a different value and simply
 //! misses. Memoized evaluation is pure caching of
 //! `axml_core::eval_path`, which the differential route's sixth leg
-//! re-verifies against the compiled direct plan on demand. Every entry
-//! point — `eval_with`, `eval_each` and the streaming cursor — serves
-//! §7-fragment reads of an edited, current snapshot from the memo.
+//! re-verifies against the compiled direct plan on demand. Both entry
+//! points — `eval_with` and `eval_each` (which the cursor records) —
+//! serve §7-fragment reads of an edited, current snapshot from the memo.
 //!
 //! # Bounds
 //!

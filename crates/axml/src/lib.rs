@@ -184,31 +184,32 @@
 //!
 //! [`PreparedQuery::eval_stream`] evaluates to an [`EvalCursor`]: a
 //! pull iterator over the same pieces (scalar results arrive as one
-//! item). On the incremental combinations — `InSemiring` mode on the
-//! `Direct` or `ViaNrc` route — a detached producer thread runs the
-//! push path through a bounded channel ([`STREAM_BUFFER_PIECES`]);
-//! dropping the cursor cancels it. Every other combination
-//! materializes and then cursors. Collecting a stream always equals
-//! the one-shot [`PreparedQuery::eval`] (property-tested against the
-//! differential route across all 7 semirings × 4 routes × both modes).
+//! item), recorded from what `eval_each` pushes on the calling thread
+//! and the caller's pool. It is an adapter for callers that want to
+//! pull: the evaluation has finished when the cursor is returned.
+//! Collecting a cursor always equals the one-shot
+//! [`PreparedQuery::eval`] (property-tested against the differential
+//! route across all 7 semirings × 4 routes × both modes).
 //!
 //! Per-call limits live on [`EvalOptions`]: `deadline`/`timeout`
 //! (wall-clock) and [`EvalOptions::memory_budget`] (a cap on
-//! evaluation-allocated tree nodes, one shared counter across parallel
-//! legs and streaming producers). Each call arms them once, with its
-//! pool context, into one [`axml_uxml::Exec`] that every layer takes
-//! by reference; both are checked at plan-op and streamed-piece
-//! boundaries, memo closures and fixpoint rounds, and the deadline
-//! also at every route start and before every piece `eval_each`
-//! pushes. Tripping either is a typed
+//! evaluation-allocated tree nodes, one counter per call, shared by
+//! its parallel legs and fixpoint rounds). Each call arms them once,
+//! with its pool context, into one [`axml_uxml::Exec`] that every
+//! layer takes by reference; both are checked at plan-op and
+//! streamed-piece boundaries, memo closures and fixpoint rounds, and
+//! the deadline also at every route start and before every piece
+//! `eval_each` pushes. Tripping either is a typed
 //! [`AxmlError::Budget`] whose [`BudgetKind`] distinguishes wall-clock
-//! from memory — never a panic and never a truncated-but-`Ok` result;
-//! on a live stream the trip arrives in-band as the cursor's final
-//! item. The HTTP server maps the two to 504 and 507, streams `/eval`
-//! pieces pushed by `eval_each` (first byte before the evaluation
-//! finishes), and windows the piece stream with `limit`/`offset`; the
-//! CLI's `query --stream` prints the pieces `eval_each` pushes as they
-//! surface, byte-identical to its one-shot `--format json` output.
+//! from memory — never a panic and never a truncated-but-`Ok` result:
+//! `eval_each` returns the trip after the pieces it pushed, and a
+//! cursor ends with it as its last item (or `eval_stream` returns it
+//! when no piece came first). The HTTP server maps the two to 504 and
+//! 507, streams `/eval` pieces pushed by `eval_each` (first byte
+//! before the evaluation finishes), and windows the piece stream with
+//! `limit`/`offset`; the CLI's `query --stream` prints the pieces
+//! `eval_each` pushes as they surface, byte-identical to its one-shot
+//! `--format json` output.
 //!
 //! ## Incrementality under document churn
 //!
@@ -229,10 +230,12 @@
 //!   never resurrect a retired id) and the ψ translation of
 //!   filter-free queries retains every body variable in each head, so
 //!   the pruned IDB *is* the fixpoint of the program over the pruned
-//!   EDB. The decoded result forest is maintained alongside the
-//!   fixpoint (`axml_relational::ResultCache`), patched by the same
-//!   ±Δ id sets — so past the fixed per-call costs an edit pays O(Δ),
-//!   not another gc + decode over the whole result encoding.
+//!   EDB. Each `(document × query × semiring)` keeps one
+//!   [`axml_relational::ShreddedView`]: the edge relation, the
+//!   retained fixpoint and the decoded result forest, interned over
+//!   the view's own term table and patched by the same ±Δ id sets —
+//!   so past the fixed per-call costs an edit pays O(Δ), not another
+//!   gc + decode over the whole result encoding.
 //!   Queries **with filters** skip the IDB resume (a filter head
 //!   drops variables, so pruning is not exact) but still reuse the
 //!   incrementally-maintained edge relation, skipping the re-shred.
@@ -245,9 +248,9 @@
 //!   the same value identity the arena hash-conses on. A memo entry
 //!   keys on the subtree **value**, never its position, so entries
 //!   stay valid across arbitrary edits with no invalidation protocol:
-//!   after an edit only the fresh spine misses. `eval_with`,
-//!   `eval_each` (the server's push path) and the streaming cursor
-//!   all take the memo. Its tables are bounded by the live document:
+//!   after an edit only the fresh spine misses. `eval_with` and
+//!   `eval_each` (the server's push path, which the cursor records)
+//!   both take the memo. Its tables are bounded by the live document:
 //!   subtrees under 16 nodes are not stored, and a sweep drops the
 //!   values of edited-away spines once the tables double.
 //!
@@ -295,7 +298,7 @@ mod result;
 
 pub use axml_pool::{global_stats as scheduler_stats, Lane, Pool, PoolStats};
 pub use axml_uxml::SinkClosed;
-pub use cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
+pub use cursor::{EvalCursor, StreamItem};
 pub use edit::{EditOp, EditScript};
 pub use engine::{EditStats, Engine, StorageStats, STORE_SHARDS};
 pub use error::{AxmlError, BudgetKind, SourceSpan};

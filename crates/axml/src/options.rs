@@ -243,8 +243,9 @@ pub struct EvalOptions {
     /// - every 1024 closures the subtree memo computes on an edited
     ///   document;
     /// - once per semi-naive Datalog round on the shredded route;
-    /// - before every piece `PreparedQuery::eval_each` pushes (so the
-    ///   cursor and the server too), whichever route produced it.
+    /// - before every piece `PreparedQuery::eval_each` pushes (so every
+    ///   piece the server streams and the cursor records), whichever
+    ///   route produced it.
     ///
     /// It bounds scheduling unfairness, not individual instructions:
     /// the op or fixpoint round running when the deadline passes

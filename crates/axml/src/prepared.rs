@@ -14,7 +14,7 @@
 //! plans, and `Route::Differential` additionally replays the
 //! tree-walking interpreters and asserts agreement.
 
-use crate::cursor::{EvalCursor, StreamItem, STREAM_BUFFER_PIECES};
+use crate::cursor::{EvalCursor, StreamItem};
 use crate::dispatch::{Artifacts, EvalKind, KindCaches};
 use crate::engine::{Engine, StoredDoc};
 use crate::error::{AxmlError, BudgetKind};
@@ -32,8 +32,6 @@ use axml_uxml::{
     Value,
 };
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 
 pub(crate) struct PreparedInner {
@@ -236,42 +234,28 @@ impl PreparedQuery {
         })
     }
 
-    /// Evaluate to a streaming cursor: top-level pieces of a
-    /// set-shaped result become available **as they are produced**,
-    /// before the evaluation has finished. See [`EvalCursor`] for the
-    /// consumption model.
+    /// Evaluate to a pull cursor over the result ([`EvalCursor`]):
+    /// [`eval_each`](Self::eval_each)'s evaluation, with every pushed
+    /// piece recorded as an owned [`StreamItem::Piece`] and a scalar
+    /// result as the one [`StreamItem::Scalar`]. The evaluation runs to
+    /// its end before this returns; a caller that wants each piece as
+    /// soon as it is final calls `eval_each` itself.
     ///
     /// Collecting the cursor ([`EvalCursor::collect_result`]) gives a
     /// result equal to [`eval`](Self::eval) with the same options —
-    /// same pieces, same document order, same errors — so streaming is
-    /// purely a latency choice. `InSemiring` evaluations on the
-    /// `Direct` and `ViaNrc` routes run [`eval_each`](Self::eval_each)'s
-    /// evaluation on a detached producer thread; the `Shredded` and
-    /// `Differential` routes and `ProvenanceFirst` mode materialize
-    /// synchronously and cursor over the result.
-    ///
-    /// Binding errors (unknown documents, parse-stage leftovers)
-    /// surface synchronously from this call; evaluation errors —
-    /// including tripped deadlines and memory budgets — arrive
-    /// in-band as the cursor's final item.
+    /// same pieces, same document order, same errors — on every route
+    /// and mode. One error rule holds everywhere: an error raised
+    /// before any piece was pushed (an unknown document, a budget or
+    /// deadline tripped early) is returned from this call, and one
+    /// raised after some pieces is the cursor's last item.
     pub fn eval_stream(&self, engine: &Engine, opts: EvalOptions) -> Result<EvalCursor, AxmlError> {
         self.eval_stream_with(engine, opts, &[], None)
     }
 
     /// [`eval_stream`](Self::eval_stream) with query-variable →
-    /// document-name aliases and an explicit scheduling pool (the
-    /// streaming analogue of [`eval_with`](Self::eval_with)).
-    ///
-    /// **Pool note:** `pool` only schedules the *materializing*
-    /// combinations (shredded, differential, `ProvenanceFirst`), which
-    /// evaluate on the calling thread. The incremental combinations
-    /// run [`eval_each`](Self::eval_each)'s evaluation on a detached
-    /// producer thread that cannot borrow a caller's pool, so their
-    /// intra-query parallelism always fans out on the **global** pool.
-    /// A caller that needs every evaluation on its own pool — a server
-    /// with a dedicated worker pool, or the CLI's `query --stream` —
-    /// should call [`eval_each`](Self::eval_each) instead, which also
-    /// saves the per-call thread and the per-piece channel hand-off.
+    /// document-name aliases and intra-query parallelism scheduled on
+    /// `pool` (`None` = the global pool), exactly as for
+    /// [`eval_each`](Self::eval_each).
     pub fn eval_stream_with(
         &self,
         engine: &Engine,
@@ -279,62 +263,18 @@ impl PreparedQuery {
         aliases: &[(&str, &str)],
         pool: Option<&axml_pool::Pool>,
     ) -> Result<EvalCursor, AxmlError> {
-        if !pushes_incrementally(&opts) {
-            let out = self.eval_with(engine, opts, aliases, pool)?;
-            return Ok(EvalCursor::ready(out));
+        let mut items = Vec::new();
+        let out = self.eval_each(engine, opts, aliases, pool, |p| {
+            items.push(Ok(StreamItem::Piece(p.to_piece())));
+            Ok(())
+        });
+        match out {
+            Ok(None) => {}
+            Ok(Some(scalar)) => items.push(Ok(StreamItem::Scalar(scalar))),
+            Err(e) if items.is_empty() => return Err(e),
+            Err(e) => items.push(Err(e)),
         }
-        with_kind!(opts.semiring, S => self.stream_in::<S>(engine, opts, aliases))
-    }
-
-    /// Spawn the detached producer for an incremental stream in `S`:
-    /// [`eval_each`](Self::eval_each)'s evaluation, forwarding each
-    /// piece into the cursor's bounded channel.
-    fn stream_in<S: EvalKind>(
-        &self,
-        engine: &Engine,
-        opts: EvalOptions,
-        aliases: &[(&str, &str)],
-    ) -> Result<EvalCursor, AxmlError> {
-        // Bind before spawning: unknown-document errors stay
-        // synchronous (a caller maps them to an error *before* it
-        // consumes anything).
-        let inputs = self.bind_inputs(engine, aliases, S::project_doc)?;
-        let me = self.clone();
-        let counters = Arc::clone(engine.incr_counters());
-        let (tx, rx) = sync_channel(STREAM_BUFFER_PIECES);
-        let produced = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&produced);
-        std::thread::Builder::new()
-            .name("axml-eval-stream".into())
-            .spawn(move || {
-                // `send` blocks while the channel is full (that *is*
-                // the backpressure) and fails once the cursor is
-                // dropped, which stops the evaluation.
-                let mut forward = |p: ResultPieceRef<'_>| {
-                    // Count before the (possibly blocking) send so the
-                    // counter reflects what the producer has *reached*,
-                    // not what the consumer has accepted.
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    tx.send(Ok(StreamItem::Piece(p.to_piece())))
-                        .map_err(|_| SinkClosed)
-                };
-                let pushed = armed(&opts, None, |x| {
-                    let mut sink = EachSink(&mut forward);
-                    let out = me.run::<S>(&inputs, opts.route, x, &counters, &mut sink);
-                    pushed(emit_rest(x, out, &mut sink))
-                });
-                let last = match pushed {
-                    // A finished (or abandoned) set: dropping `tx`
-                    // closes the channel, which the cursor reads as
-                    // end-of-stream.
-                    Ok(None) => return,
-                    Ok(Some(scalar)) => Ok(StreamItem::Scalar(scalar)),
-                    Err(e) => Err(e),
-                };
-                let _ = tx.send(last);
-            })
-            .expect("spawn streaming producer thread");
-        Ok(EvalCursor::live(rx, produced, opts.semiring))
+        Ok(EvalCursor::new(items, opts.semiring))
     }
 
     /// One call's evaluation in `S`: bind the documents and [`run`]
@@ -456,17 +396,6 @@ fn check_deadline(x: &Exec<'_>, at: &str) -> Result<(), AxmlError> {
     } else {
         Ok(())
     }
-}
-
-/// Whether the cursor spawns a producer thread for `opts`: only
-/// `InSemiring` on the `Direct` or `ViaNrc` route produces pieces
-/// incrementally. Piece-wise specialization is unsound for
-/// `ProvenanceFirst` (the homomorphism can merge previously-distinct
-/// trees), and the shredded/differential routes only have
-/// whole-result semantics, so every other combination is
-/// materialized first and cursored.
-fn pushes_incrementally(opts: &EvalOptions) -> bool {
-    opts.mode == EvalMode::InSemiring && matches!(opts.route, Route::Direct | Route::ViaNrc)
 }
 
 /// Arm one call's [`Exec`] once — the pool context for intra-query

@@ -106,10 +106,10 @@ impl AxmlResult {
     /// by hand. `None` when the result is a scalar (a bare label or a
     /// single tree) that does not decompose into pieces.
     ///
-    /// These are exactly the pieces a streaming evaluation
-    /// ([`crate::PreparedQuery::eval_stream`]) yields, in the same
-    /// order; `crate::json` renders both from the same accessors, so
-    /// streamed and one-shot output are byte-identical.
+    /// These are exactly the pieces a push evaluation
+    /// ([`crate::PreparedQuery::eval_each`]) hands its callback, in the
+    /// same order; `crate::json` renders both from the same accessors,
+    /// so streamed and one-shot output are byte-identical.
     pub fn pieces(&self) -> Option<Vec<ResultPieceRef<'_>>> {
         macro_rules! arms {
             ($($variant:ident),*) => {
@@ -202,7 +202,8 @@ impl ResultPieceRef<'_> {
         j.finish()
     }
 
-    /// An owned copy of this piece (for handing across threads).
+    /// An owned copy of this piece, to keep past the callback that
+    /// borrowed it (the cursor records pieces this way).
     // The macro instantiates over every semiring; the `Copy` ones
     // trip clone_on_copy even though the clone is required for the
     // non-`Copy` ones.
@@ -213,7 +214,7 @@ impl ResultPieceRef<'_> {
 }
 
 /// An owned top-level `(tree, annotation)` piece, kind-tagged like
-/// [`AxmlResult`] — the element type of [`crate::EvalCursor`].
+/// [`AxmlResult`] — what a [`crate::StreamItem::Piece`] holds.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ResultPiece {
     /// A piece of a `Nat` result.

@@ -1,4 +1,4 @@
-//! Streaming cursor contract tests.
+//! Streaming contract tests: the pull cursor and the push path.
 //!
 //! 1. **Parity** (property): for every query × semiring × route ×
 //!    mode × parallelism combination, collecting
@@ -11,14 +11,15 @@
 //! 2. **Byte identity**: the streamed pieces, rendered one at a time
 //!    through `axml::json`, concatenate to exactly the one-shot
 //!    `result_json` bytes in all 7 semirings.
-//! 3. **Laziness** (deterministic, no timing): on a streamable root
-//!    shape, after pulling one piece the producer has emitted at most
-//!    buffer + 1 pieces — the evaluation provably has not run ahead
-//!    to completion.
-//! 4. **Memory budgets**: a tripped `EvalOptions::memory_budget`
-//!    surfaces as typed `AxmlError::Budget { resource: Memory }` on
-//!    every route, materialized and streamed, never a panic and never
-//!    a truncated-but-`Ok` result.
+//! 3. **One error rule**: on every route, an error raised before any
+//!    piece is returned from `eval_stream`, and one raised after some
+//!    pieces is the cursor's last item. A tripped
+//!    `EvalOptions::memory_budget` surfaces as typed
+//!    `AxmlError::Budget { resource: Memory }` on every route,
+//!    materialized and streamed, never a panic and never a
+//!    truncated-but-`Ok` result.
+//! 4. **The caller's pool**: `eval_stream_with` and `eval_each` fan a
+//!    parallel evaluation out on the pool they are given.
 //! 5. **Push parity**: `PreparedQuery::eval_each` hands its callback
 //!    exactly the pieces of the differential route's result (or
 //!    returns the scalar, or the error), stops as soon as the callback
@@ -34,7 +35,7 @@
 use axml::json::{result_header, result_json};
 use axml::{
     AxmlError, BudgetKind, Engine, EvalCursor, EvalOptions, Pool, PreparedQuery, ResultPieceRef,
-    Route, SemiringKind, SinkClosed, StreamItem, STREAM_BUFFER_PIECES,
+    Route, SemiringKind, SinkClosed, StreamItem,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -174,39 +175,6 @@ fn streamed_json_is_byte_identical_to_one_shot() {
     }
 }
 
-/// Deterministic laziness: pulling one piece of a 500-piece streamable
-/// result leaves the producer at most one buffer ahead — it provably
-/// has not materialized the whole result. No sleeps, no timing: the
-/// bounded channel *is* the synchronization.
-#[test]
-fn streaming_is_lazy_on_streamable_shapes() {
-    let engine = Engine::new();
-    // Distinct labels: identical trees would merge into one K-set
-    // piece and defeat the point of the test.
-    let body: String = (0..500).map(|i| format!("b{i} {{x{i}}} ")).collect();
-    engine
-        .load_document("S", &format!("<a> {body} </a>"))
-        .unwrap();
-    let q = engine.prepare("$S/*").unwrap();
-    for route in [Route::Direct, Route::ViaNrc] {
-        let mut cursor = q
-            .eval_stream(&engine, EvalOptions::new().route(route))
-            .unwrap();
-        let first = cursor.next().expect("500 pieces").unwrap();
-        assert!(matches!(first, StreamItem::Piece(_)));
-        // The producer can be at most: buffer (in channel) + 1 (the
-        // piece we pulled) + 1 (blocked mid-send) pieces in.
-        let produced = cursor.produced_so_far();
-        assert!(
-            produced <= STREAM_BUFFER_PIECES + 2,
-            "{route:?}: producer ran {produced} pieces ahead (buffer is {STREAM_BUFFER_PIECES})"
-        );
-        // Dropping the cursor mid-stream cancels cleanly (the producer
-        // sees a closed channel at its next emission).
-        drop(cursor);
-    }
-}
-
 /// A tripped memory budget is a typed error on every route and mode —
 /// and with a generous budget the result is identical to no budget.
 #[test]
@@ -264,6 +232,99 @@ fn streamed_budget_trips_end_the_stream_with_a_typed_error() {
             Err(AxmlError::Budget { .. })
         ));
     }
+}
+
+/// One error rule on every route, in ℕ and ℕ\[X\]: a tripped memory
+/// budget or an unknown document is either returned from
+/// `eval_stream` or ends a cursor of pieces as its last item — never
+/// an `Ok` stream with a truncated result.
+#[test]
+fn stream_errors_follow_one_rule_on_every_route() {
+    let fix = fixture();
+    let budgeted = fix.engine.prepare("$S/*/*").unwrap();
+    let missing = fix.engine.prepare("$MISSING/b").unwrap();
+    for route in ROUTES {
+        for kind in [SemiringKind::Nat, SemiringKind::NatPoly] {
+            let opts = EvalOptions::new().semiring(kind).route(route);
+            let cases = [
+                (&budgeted, opts.memory_budget(1), true),
+                (&missing, opts, false),
+            ];
+            for (q, opts, budget) in cases {
+                let at = format!("{} in {kind} via {route:?}", q.source());
+                let expected = |e: &AxmlError| {
+                    if budget {
+                        matches!(
+                            e,
+                            AxmlError::Budget {
+                                resource: BudgetKind::Memory,
+                                ..
+                            }
+                        )
+                    } else {
+                        matches!(e, AxmlError::UnknownDocument { .. })
+                    }
+                };
+                match q.eval_stream(&fix.engine, opts) {
+                    Err(e) => assert!(expected(&e), "{at}: {e:?}"),
+                    Ok(cursor) => {
+                        let items: Vec<_> = cursor.collect();
+                        let Some((last, pieces)) = items.split_last() else {
+                            panic!("{at}: an empty Ok stream");
+                        };
+                        assert!(
+                            !pieces.is_empty()
+                                && pieces.iter().all(|i| matches!(i, Ok(StreamItem::Piece(_)))),
+                            "{at}: an error in the cursor follows one or more pieces"
+                        );
+                        match last {
+                            Err(e) => assert!(expected(e), "{at}: {e:?}"),
+                            other => panic!("{at}: expected an error last, got {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `eval_stream_with` evaluates on the pool it is given, like
+/// `eval_each`: a parallel descendant step over 1801 nodes of distinct
+/// subtrees runs tasks on the caller's pool, and the cursor still
+/// collects to `eval`'s result.
+#[test]
+fn streams_fan_out_on_the_callers_pool() {
+    let engine = Engine::new();
+    let body: String = (0..600)
+        .map(|i| format!("<b{i} {{x{i}}}> c {{y{i}}} d{i} </b{i}> "))
+        .collect();
+    engine
+        .load_document("S", &format!("<a> {body} </a>"))
+        .unwrap();
+    let q = engine.prepare("$S//c").unwrap();
+    let opts = EvalOptions::new().semiring(SemiringKind::Nat).parallel(2);
+    let pool = Pool::new(2);
+    let tasks = |p: &Pool| {
+        let s = p.stats();
+        s.owned + s.helped + s.stolen + s.injected
+    };
+    let before = tasks(&pool);
+    let streamed = q
+        .eval_stream_with(&engine, opts, &[], Some(&pool))
+        .and_then(EvalCursor::collect_result)
+        .unwrap();
+    let after = tasks(&pool);
+    assert!(
+        after > before,
+        "the cursor ran no task on the caller's pool"
+    );
+    assert_eq!(streamed, q.eval(&engine, opts).unwrap());
+    q.eval_each(&engine, opts, &[], Some(&pool), |_| Ok(()))
+        .unwrap();
+    assert!(
+        tasks(&pool) > after,
+        "eval_each ran no task on the caller's pool"
+    );
 }
 
 proptest! {

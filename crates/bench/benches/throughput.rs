@@ -268,14 +268,15 @@ fn churn(c: &mut Criterion) {
     }
 }
 
-/// The streaming cursor against one-shot materialization, on a wide
-/// result (512 distinct top-level pieces, `Nat`, direct route):
-/// `collect` is the full-drain cost of `eval_stream` (its overhead
-/// over `materialized` is the channel + producer-thread tax), and
-/// `first_piece` is the latency win the cursor exists for — time until
-/// the first `(tree, annotation)` pair is in hand, dropping the cursor
-/// (and cancelling the producer) immediately after. `wide2000/encode_*`
-/// time push-mode evaluation plus the JSON encode of every piece.
+/// The pull cursor against one-shot materialization, on a wide result
+/// (512 distinct top-level pieces, `Nat`, direct route): `collect` is
+/// the full-drain cost of `eval_stream` (its overhead over
+/// `materialized` is recording an owned copy of every pushed piece and
+/// rebuilding the forest from them), and `first_piece` is the time
+/// until the first `(tree, annotation)` pair is in hand — the whole
+/// recorded evaluation, since the cursor is returned after it ends.
+/// `wide2000/encode_*` time push-mode evaluation plus the JSON encode
+/// of every piece.
 fn eval_stream(c: &mut Criterion) {
     let engine = Engine::new();
     // Distinct labels: identical trees would merge into one K-set piece.

@@ -32,9 +32,9 @@ use axml_semiring::Semiring;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// The consumer of a streaming evaluation vanished (e.g. the cursor
-/// was dropped after a `limit`). Not an error: the producer should
-/// stop quietly and discard any remaining work.
+/// The consumer of a streaming evaluation has seen enough (e.g. the
+/// server's `limit` is reached, or its client hung up). Not an error:
+/// the producer should stop quietly and discard any remaining work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkClosed;
 
