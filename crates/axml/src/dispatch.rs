@@ -17,7 +17,7 @@ use axml_core::{compile_optimized, CompiledQuery, Query};
 use axml_nrc::CompiledExpr;
 use axml_semiring::trio::collapse::{natpoly_to_posbool, natpoly_to_trio, natpoly_to_why};
 use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Valuation, Why};
-use axml_uxml::arena::{intern_forest_mapped, ImageMemo};
+use axml_uxml::arena::{compact_mapped, intern_forest_mapped, ImageMemo};
 use axml_uxml::{hom::map_value, Forest, Tree, TreeArena, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -84,8 +84,8 @@ pub(crate) struct KindCaches {
 
 /// One specialized kind's share of [`KindArenas`]: the kind's
 /// hash-consing arena plus its **image memo**, which maps every
-/// ℕ\[X\] subtree ever specialized into this kind to the id of its
-/// image in `arena`.
+/// ℕ\[X\] subtree specialized into this kind since the last
+/// compaction, or kept by it, to the id of its image in `arena`.
 pub(crate) struct KindArena<S: Semiring> {
     pub arena: TreeArena<S>,
     pub images: ImageMemo<NatPoly>,
@@ -142,19 +142,20 @@ impl<S: EvalKind> KindArena<S> {
 ///
 /// The `Mutex` is held while loading, editing or specializing a
 /// document; evaluation never touches an arena (it runs on the
-/// canonical handles).
+/// canonical handles). Locks are taken in the order `poly` → store
+/// shard → specialized kinds.
 ///
-/// **Arenas only grow, and so do the image memos** — removing a
-/// document does not un-intern its subtrees (they stay available for
-/// future sharing), so [`StorageStats`](crate::StorageStats)'
-/// `distinct_subtrees` and `child_edges` rise monotonically and
-/// long-lived processes with heavy load/remove churn over disjoint
-/// content accumulate arena memory proportional to everything ever
-/// loaded. Reference-counted or epoch-based compaction is an open
-/// ROADMAP item; it must compact each image memo with its arenas —
-/// drop the entries whose source subtrees died, and remap the ids of
-/// the rest — or the memo would keep dead sources alive and point at
-/// moved rows.
+/// **Compaction.** Every document write (load, replace, edit, remove)
+/// runs with `poly` locked through its publish, then asks
+/// [`TreeArena::compaction_due`]. When it is due, the engine compacts
+/// `poly` down to the rows the stored documents reach, and then
+/// [`KindArenas::compact_images`] compacts each kind: memo entries
+/// whose ℕ\[X\] source row was dropped go (releasing the source trees
+/// they kept alive), the kind's arena keeps only the images of the
+/// entries left, and those entries' ids are remapped. Liveness comes
+/// from the published documents alone, and reads never compact, so
+/// where compactions happen depends only on the sequence of writes.
+/// In-flight snapshots stay valid: they own their `Arc` handles.
 #[derive(Debug, Default)]
 pub(crate) struct KindArenas {
     pub poly: Mutex<TreeArena<NatPoly>>,
@@ -164,6 +165,41 @@ pub(crate) struct KindArenas {
     pub why: Mutex<KindArena<Why>>,
     pub trio: Mutex<KindArena<Trio>>,
     pub prob: Mutex<KindArena<Prob>>,
+}
+
+impl KindArenas {
+    /// Compact every specialized kind against the just-compacted
+    /// ℕ\[X\] arena (see the type docs). Takes each kind's lock in
+    /// turn; the caller holds `poly`.
+    pub fn compact_images(&self, poly: &TreeArena<NatPoly>) {
+        fn compact<S: Semiring>(slot: &Mutex<KindArena<S>>, poly: &TreeArena<NatPoly>) {
+            let mut kind = slot.lock().unwrap_or_else(|e| e.into_inner());
+            let KindArena { arena, images } = &mut *kind;
+            compact_mapped(arena, images, |source| poly.handle_id(source).is_some());
+        }
+        compact(&self.nat, poly);
+        compact(&self.posbool, poly);
+        compact(&self.tropical, poly);
+        compact(&self.why, poly);
+        compact(&self.trio, poly);
+        compact(&self.prob, poly);
+    }
+
+    /// Image-memo entries per specialized kind.
+    pub fn image_memo_entries(&self) -> [(SemiringKind, usize); 6] {
+        fn entries<S: EvalKind>(slot: &Mutex<KindArena<S>>) -> (SemiringKind, usize) {
+            let kind = slot.lock().unwrap_or_else(|e| e.into_inner());
+            (S::KIND, kind.images.len())
+        }
+        [
+            entries(&self.nat),
+            entries(&self.posbool),
+            entries(&self.tropical),
+            entries(&self.why),
+            entries(&self.trio),
+            entries(&self.prob),
+        ]
+    }
 }
 
 /// A runtime-selectable semiring: the hooks one kind needs to take

@@ -3,9 +3,9 @@
 //!
 //! Documents are parsed **once**, into ℕ\[X\] — the universal
 //! annotation semiring — and shared via `Arc`. When a query asks for
-//! a different [`SemiringKind`](crate::SemiringKind), the engine
-//! pushes the document through the canonical homomorphism into that
-//! kind's hash-consing arena.
+//! a different [`SemiringKind`], the engine pushes the document
+//! through the canonical homomorphism into that kind's hash-consing
+//! arena.
 //! The arena is the only specialization cache: its image memo
 //! remembers the image of every ℕ\[X\] subtree it has seen, so a
 //! document is mapped whole only on its first read in a kind, an
@@ -25,6 +25,11 @@
 //! kind also takes that kind's arena lock, for the root lookups in the
 //! image memo; evaluation itself holds no lock.
 //!
+//! Every document write holds the ℕ\[X\] arena lock from interning
+//! through its publish, and compacts the arenas when they have grown
+//! enough (see [`KindArenas`]): rows no stored document reaches are
+//! freed, so memory follows the live documents, not the edit history.
+//!
 //! [`Engine::eval_batch`] and [`Engine::eval_many_docs`] schedule
 //! independent evaluations onto an [`axml_pool::Pool`] — the
 //! throughput face of the paper's Prop. 2 observation that annotated
@@ -34,16 +39,17 @@ use crate::dispatch::KindArenas;
 use crate::edit::EditScript;
 use crate::error::AxmlError;
 use crate::incr::{DocIncr, IncrCounters, IncrStats};
-use crate::options::EvalOptions;
+use crate::options::{EvalOptions, SemiringKind};
 use crate::prepared::PreparedQuery;
 use crate::result::AxmlResult;
 use axml_pool::PoolStats;
 use axml_semiring::NatPoly;
-use axml_uxml::{parse_forest, Forest};
+use axml_uxml::{parse_forest, Forest, NodeId, TreeArena};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::time::Instant;
 
 /// Number of independently-locked document-store shards. A fixed
 /// power of two: enough that 8–16 threads hammering different
@@ -108,6 +114,8 @@ pub struct Engine {
     /// Monotonic counters of the incremental layer (edits, ±Δ facts,
     /// memo hits/misses) — surfaced via [`Engine::storage_stats`].
     counters: Arc<IncrCounters>,
+    /// Wall time of the most recent arena compaction, in µs.
+    last_compaction_us: AtomicU64,
 }
 
 /// Storage statistics of an engine's document store: how many nodes
@@ -121,8 +129,10 @@ pub struct StorageStats {
     /// Total node count of all loaded documents, counted by value
     /// occurrences (the sum of the documents' `|v|`).
     pub logical_nodes: usize,
-    /// Distinct subtrees interned in the symbolic ℕ\[X\] arena over
-    /// the whole lifetime of the engine (arenas never shrink).
+    /// Rows stored in the symbolic ℕ\[X\] arena: the distinct
+    /// subtrees of the loaded documents, plus the rows appended since
+    /// the last compaction that no document reaches any more. It falls
+    /// when a compaction runs; see [`CompactionStats`].
     pub distinct_subtrees: usize,
     /// Stored child edges in the arena's DAG (the columnar footprint).
     pub child_edges: usize,
@@ -138,6 +148,8 @@ pub struct StorageStats {
     /// Distinct provenance variables the process has interned; never
     /// freed either. Process-wide, not per engine.
     pub interned_vars: usize,
+    /// Liveness and compaction gauges of the engine's arenas.
+    pub compaction: CompactionStats,
     /// Scheduling counters of the **global** worker pool (queue depths
     /// per lane class, owned/helped/stolen/injected executions, max
     /// queue residency). All-zero until some evaluation has actually
@@ -145,6 +157,28 @@ pub struct StorageStats {
     /// running evaluations on their own pool report that pool's
     /// counters on `GET /stats` instead.
     pub scheduler: PoolStats,
+}
+
+/// Liveness and compaction gauges of an engine's arenas (part of
+/// [`StorageStats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CompactionStats {
+    /// Rows of the ℕ\[X\] arena reachable from the stored documents:
+    /// `distinct_subtrees` minus this is what the next compaction
+    /// would free.
+    pub live_subtrees: usize,
+    /// ℕ\[X\] arena rows freed by compactions over the engine's
+    /// lifetime.
+    pub subtrees_dropped: u64,
+    /// Compactions run (each covers the ℕ\[X\] arena and every
+    /// specialized kind's arena and image memo).
+    pub compactions: u64,
+    /// Wall time of the most recent compaction, in µs (0 before the
+    /// first).
+    pub last_pause_us: u64,
+    /// Image-memo entries of each specialized kind (every kind but
+    /// ℕ\[X\]), in [`SemiringKind::ALL`] order.
+    pub image_memo_entries: [(SemiringKind, usize); 6],
 }
 
 /// What one [`Engine::edit_document`] call did: the published
@@ -160,7 +194,7 @@ pub struct EditStats {
     pub ops_applied: usize,
     /// New nodes interned into the symbolic arena by this edit — the
     /// spine cost; every other subtree of the edited document was
-    /// re-shared.
+    /// re-shared. Counted before any compaction the edit triggers.
     pub spine_nodes_interned: usize,
     /// Edge facts retired from φ(doc) by this edit.
     pub facts_retired: u64,
@@ -174,6 +208,7 @@ impl Default for Engine {
             shards: std::array::from_fn(|_| RwLock::new(DocMap::new())),
             arenas: KindArenas::default(),
             counters: Arc::default(),
+            last_compaction_us: AtomicU64::new(0),
         }
     }
 }
@@ -208,11 +243,9 @@ impl Engine {
     /// once), and the document the evaluators see is the canonical,
     /// maximally `Arc`-shared form of the same value.
     pub fn insert_forest(&self, name: &str, forest: Forest<NatPoly>) {
-        let canonical = {
-            let mut arena = self.arenas.poly.lock().unwrap_or_else(|e| e.into_inner());
-            let roots = arena.intern_forest(&forest);
-            arena.canonical_forest(&roots)
-        };
+        let mut arena = self.poly_arena();
+        let roots = arena.intern_forest(&forest);
+        let canonical = arena.canonical_forest(&roots);
         // The store holds only fully-constructed `Arc`s, so a panic
         // while holding a shard lock cannot leave it in a torn state —
         // recover from poisoning instead of propagating the panic.
@@ -220,24 +253,57 @@ impl Engine {
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .insert(name.to_owned(), StoredDoc::new(canonical));
+        self.compact_if_due(&mut arena);
+    }
+
+    /// The ℕ\[X\] arena, locked. Every document write holds it through
+    /// its publish, so a compaction (which runs under it) sees every
+    /// interned forest already stored.
+    fn poly_arena(&self) -> MutexGuard<'_, TreeArena<NatPoly>> {
+        self.arenas.poly.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The arena ids of every stored document's roots, plus the
+    /// documents' total logical size.
+    fn stored_roots(&self, arena: &TreeArena<NatPoly>) -> (Vec<NodeId>, usize) {
+        let (mut roots, mut logical) = (Vec::new(), 0);
+        for shard in &self.shards {
+            for doc in shard.read().unwrap_or_else(|e| e.into_inner()).values() {
+                logical += doc.poly.size();
+                roots.extend(doc.poly.trees().filter_map(|t| {
+                    let id = arena.handle_id(t);
+                    debug_assert!(id.is_some(), "stored roots are canonical handles");
+                    id
+                }));
+            }
+        }
+        (roots, logical)
+    }
+
+    /// Compact every arena down to what the stored documents reach, if
+    /// the ℕ\[X\] arena has grown enough since the last compaction (see
+    /// [`KindArenas`]). Runs after each write's publish, with `arena`
+    /// still locked.
+    fn compact_if_due(&self, arena: &mut TreeArena<NatPoly>) {
+        if !arena.compaction_due() {
+            return;
+        }
+        let start = Instant::now();
+        let (roots, _) = self.stored_roots(arena);
+        arena.compact(roots);
+        self.arenas.compact_images(arena);
+        self.last_compaction_us.store(
+            u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
     }
 
     /// Storage statistics: logical node count of the loaded documents
-    /// versus distinct subtrees in the symbolic arena (see
-    /// [`StorageStats`]).
+    /// versus distinct subtrees in the symbolic arena, and the arenas'
+    /// liveness and compaction gauges (see [`StorageStats`]).
     pub fn storage_stats(&self) -> StorageStats {
-        let logical_nodes = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .values()
-                    .map(|d| d.poly.size())
-                    .collect::<Vec<_>>()
-            })
-            .sum();
-        let arena = self.arenas.poly.lock().unwrap_or_else(|e| e.into_inner());
+        let arena = self.poly_arena();
+        let (roots, logical_nodes) = self.stored_roots(&arena);
         StorageStats {
             logical_nodes,
             distinct_subtrees: arena.len(),
@@ -245,6 +311,13 @@ impl Engine {
             incr: self.counters.snapshot(),
             interned_labels: axml_uxml::Label::interned_count(),
             interned_vars: axml_semiring::Var::interned_count(),
+            compaction: CompactionStats {
+                live_subtrees: arena.live_count(roots),
+                subtrees_dropped: arena.rows_dropped(),
+                compactions: arena.compactions(),
+                last_pause_us: self.last_compaction_us.load(Ordering::Relaxed),
+                image_memo_entries: self.arenas.image_memo_entries(),
+            },
             scheduler: axml_pool::global_stats(),
         }
     }
@@ -291,13 +364,13 @@ impl Engine {
                 name: name.to_owned(),
                 msg,
             })?;
-        let (canonical, spine_nodes_interned) = {
-            let mut arena = self.arenas.poly.lock().unwrap_or_else(|e| e.into_inner());
-            let before = arena.len();
-            let roots = arena.intern_forest(&edited);
-            let canonical = Arc::new(arena.canonical_forest(&roots));
-            (canonical, arena.len() - before)
-        };
+        // The arena stays locked until the new version is published: a
+        // compaction in between would free its not-yet-stored rows.
+        let mut arena = self.poly_arena();
+        let before = arena.len();
+        let roots = arena.intern_forest(&edited);
+        let canonical = Arc::new(arena.canonical_forest(&roots));
+        let spine_nodes_interned = arena.len() - before;
         let (facts_retired, facts_added) = incr.apply_edit(&snapshot.poly, &canonical);
         let version = incr.version;
         let new_doc = Arc::new(StoredDoc {
@@ -321,6 +394,8 @@ impl Engine {
                 }
             }
         }
+        self.compact_if_due(&mut arena);
+        drop(arena);
         self.counters.edits_applied.fetch_add(1, Ordering::Relaxed);
         self.counters
             .spine_nodes_interned
@@ -354,11 +429,15 @@ impl Engine {
 
     /// Remove a document; returns whether it was present.
     pub fn remove_document(&self, name: &str) -> bool {
-        self.shard(name)
+        let mut arena = self.poly_arena();
+        let removed = self
+            .shard(name)
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .remove(name)
-            .is_some()
+            .is_some();
+        self.compact_if_due(&mut arena);
+        removed
     }
 
     /// The stored symbolic document, if loaded.
@@ -564,6 +643,44 @@ mod tests {
             read();
             assert_eq!(memo_len(), after, "edit {i}: a repeat read maps nothing");
         }
+    }
+
+    /// Where compactions happen depends on the writes alone: an engine
+    /// that reads in every kind between writes reports the same edit
+    /// stats and arena gauges as one that never reads.
+    #[test]
+    fn compaction_points_depend_only_on_writes() {
+        let (reader, writer) = (Engine::new(), Engine::new());
+        for e in [&reader, &writer] {
+            e.load_document("S", "<a> <b> c </b> </a>").unwrap();
+        }
+        for i in 0..120 {
+            let script = format!("splice /0/0 <b{i}> c {{x{i}}} <d{i}> c </d{i}> </b{i}>");
+            let side = format!("<t{i}> u{i} </t{i}>");
+            let read = reader.edit_document_text("S", &script).unwrap();
+            reader.load_document("T", &side).unwrap();
+            for kind in SemiringKind::ALL {
+                let opts = EvalOptions::new().semiring(kind);
+                reader.run("($S//c, $T/*)", opts).unwrap();
+            }
+            assert_eq!(read, writer.edit_document_text("S", &script).unwrap());
+            writer.load_document("T", &side).unwrap();
+        }
+        let (a, b) = (reader.storage_stats(), writer.storage_stats());
+        assert!(a.compaction.compactions > 3, "{:?}", a.compaction);
+        assert_eq!(
+            (
+                a.distinct_subtrees,
+                a.child_edges,
+                a.compaction.subtrees_dropped
+            ),
+            (
+                b.distinct_subtrees,
+                b.child_edges,
+                b.compaction.subtrees_dropped
+            )
+        );
+        assert_eq!(a.compaction.compactions, b.compaction.compactions);
     }
 
     /// Every kind's specialization equals the plain recursive hom

@@ -142,6 +142,29 @@ pub fn incremental_json(j: &mut Json, s: &crate::IncrStats) {
     j.end_obj();
 }
 
+/// Append the compaction object for one [`crate::CompactionStats`]
+/// snapshot: the single source of the `compaction` stats shape that
+/// the server's `GET /stats` and the CLI's `--stats` line both emit.
+pub fn compaction_json(j: &mut Json, s: &crate::CompactionStats) {
+    j.begin_obj();
+    j.key("live_subtrees");
+    j.int(s.live_subtrees as u64);
+    j.key("subtrees_dropped");
+    j.int(s.subtrees_dropped);
+    j.key("compactions");
+    j.int(s.compactions);
+    j.key("last_pause_us");
+    j.int(s.last_pause_us);
+    j.key("image_memo_entries");
+    j.begin_obj();
+    for (kind, n) in s.image_memo_entries {
+        j.key(kind.name());
+        j.int(n as u64);
+    }
+    j.end_obj();
+    j.end_obj();
+}
+
 /// An incremental builder for one JSON value — objects, arrays and
 /// scalars, with commas managed automatically. No reflection, no
 /// intermediate DOM: values stream into one byte buffer, strings are

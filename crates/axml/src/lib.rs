@@ -274,7 +274,10 @@
 //! is the only specialization cache: the first read in a kind maps
 //! the whole document, the first read after an edit maps only the
 //! new spine, and a repeat read costs a root lookup under the arena's
-//! lock. Evaluation itself holds no lock.
+//! lock. Evaluation itself holds no lock. A document write compacts
+//! the arenas and image memos once they have grown enough since the
+//! last compaction, so their size follows the stored documents, not
+//! the edit history ([`CompactionStats`] reports it).
 //!
 //! The statically-generic layers stay public (`axml-core`,
 //! `axml-nrc`, `axml-relational`, …) for compile-time-`K` callers;
@@ -300,7 +303,7 @@ pub use axml_pool::{global_stats as scheduler_stats, Lane, Pool, PoolStats};
 pub use axml_uxml::SinkClosed;
 pub use cursor::{EvalCursor, StreamItem};
 pub use edit::{EditOp, EditScript};
-pub use engine::{EditStats, Engine, StorageStats, STORE_SHARDS};
+pub use engine::{CompactionStats, EditStats, Engine, StorageStats, STORE_SHARDS};
 pub use error::{AxmlError, BudgetKind, SourceSpan};
 pub use incr::IncrStats;
 pub use options::{EvalMode, EvalOptions, Parallelism, Route, SemiringKind};

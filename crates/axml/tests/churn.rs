@@ -22,9 +22,14 @@
 //!   same outcome on both, and they hold inside the memo evaluation.
 //! - **Memo bound**: a long splice/re-annotation soak keeps the
 //!   `memo_entries` gauge proportional to the live document.
+//! - **Compaction**: the parity property runs across several arena
+//!   compactions, and a soak of a few thousand writes keeps the arena
+//!   within twice its live rows while every read stays byte-identical
+//!   to a fresh engine's.
 
 use axml::{AxmlError, BudgetKind, EditScript, Engine, EvalMode, EvalOptions, Route, SemiringKind};
 use axml_semiring::{NatPoly, Semiring};
+use axml_uxml::print::to_document_string;
 use axml_uxml::{Forest, Label, Tree};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -178,26 +183,54 @@ fn outcome(engine: &Engine, q: &axml::PreparedQuery, opts: EvalOptions) -> Strin
     }
 }
 
-#[test]
-fn random_edits_match_from_scratch_engine_everywhere() {
-    let mut rng = Rng(0x9e3779b97f4a7c15);
+/// A side document of 25 nodes whose 17 inner rows are new to any
+/// arena: fresh labels at every parent and under every `c`.
+fn fresh_side(n: usize) -> String {
+    let parents: String = (0..8)
+        .map(|i| format!("<q{n}_{i}> c {{t{n}}} u{n}_{i} </q{n}_{i}> "))
+        .collect();
+    format!("<p{n}> {parents}</p{n}>")
+}
+
+/// The churn property: `rounds` random edit scripts on `S`, each
+/// followed by every query in every kind, route and mode on the edited
+/// engine and on a from-scratch engine holding the same documents.
+/// With `side_churn`, each round also replaces (or every fourth round
+/// deletes) a side document `T` of fresh content that the queries read
+/// too, so the arenas keep growing and the rounds cross compactions.
+fn check_edit_parity(seed: u64, rounds: u64, side_churn: bool) -> Engine {
+    let queries: Vec<&str> = QUERIES
+        .iter()
+        .copied()
+        .chain(side_churn.then_some("($T//c, $S//c)"))
+        .collect();
+    let mut rng = Rng(seed);
     let inc = Engine::new();
     inc.load_document("S", BASE).unwrap();
-    let inc_queries: Vec<_> = QUERIES.iter().map(|q| inc.prepare(q).unwrap()).collect();
+    let inc_queries: Vec<_> = queries.iter().map(|q| inc.prepare(q).unwrap()).collect();
 
-    for round in 0..12 {
+    for round in 0..rounds {
         let doc = inc.document("S").unwrap();
         let script = random_script(&mut rng, &doc);
         let stats = inc.edit_document("S", &script).unwrap();
         assert_eq!(stats.version, round + 1);
         assert_eq!(stats.ops_applied, script.ops.len());
+        if side_churn {
+            if round % 4 == 3 {
+                inc.remove_document("T");
+            } else {
+                inc.load_document("T", &fresh_side(round as usize)).unwrap();
+            }
+        }
 
-        // A from-scratch engine holding the identical final document.
+        // A from-scratch engine holding the identical final documents.
         let fresh = Engine::new();
-        fresh.insert_forest("S", (*inc.document("S").unwrap()).clone());
-        let fresh_queries: Vec<_> = QUERIES.iter().map(|q| fresh.prepare(q).unwrap()).collect();
+        for name in inc.document_names() {
+            fresh.insert_forest(&name, (*inc.document(&name).unwrap()).clone());
+        }
+        let fresh_queries: Vec<_> = queries.iter().map(|q| fresh.prepare(q).unwrap()).collect();
 
-        for (qi, src) in QUERIES.iter().enumerate() {
+        for (qi, src) in queries.iter().enumerate() {
             for kind in SemiringKind::ALL {
                 for route in ROUTES {
                     for mode in MODES {
@@ -214,6 +247,12 @@ fn random_edits_match_from_scratch_engine_everywhere() {
             }
         }
     }
+    inc
+}
+
+#[test]
+fn random_edits_match_from_scratch_engine_everywhere() {
+    let inc = check_edit_parity(0x9e3779b97f4a7c15, 12, false);
     let stats = inc.storage_stats();
     assert_eq!(stats.incr.edits_applied, 12);
     assert!(
@@ -224,6 +263,30 @@ fn random_edits_match_from_scratch_engine_everywhere() {
     assert!(
         stats.incr.memo_hits > 0,
         "fingerprint memo never hit across 12 rounds: {:?}",
+        stats.incr
+    );
+}
+
+/// The churn property across several arena compactions: dropping rows
+/// and image-memo entries, and remapping the rest, changes no result
+/// in any kind, route or mode.
+#[test]
+fn compaction_random_edits_match_from_scratch_engine_everywhere() {
+    let inc = check_edit_parity(0x243f_6a88_85a3_08d3, 20, true);
+    let stats = inc.storage_stats();
+    assert!(
+        stats.compaction.compactions >= 3,
+        "only {} compactions in 20 rounds",
+        stats.compaction.compactions
+    );
+    assert!(
+        stats.compaction.subtrees_dropped > 0,
+        "{:?}",
+        stats.compaction
+    );
+    assert!(
+        stats.incr.incremental_evals > 0,
+        "incremental paths never engaged: {:?}",
         stats.incr
     );
 }
@@ -584,6 +647,126 @@ fn the_memo_stays_bounded_under_a_long_edit_soak() {
     // Replacing the document frees its memos from the gauge.
     engine.insert_forest("S", balanced_tree(1, 2, true));
     assert_eq!(engine.storage_stats().incr.memo_entries, 0);
+}
+
+/// A document of four groups of three height-1 parents over the
+/// leaves `c l1 l2` (53 nodes); `compaction_soak` splices its
+/// height-1 parents.
+fn height1_doc() -> String {
+    let groups: String = (0..4)
+        .map(|g| {
+            let parents: String = (0..3)
+                .map(|h| format!("<h{g}_{h} {{x{g}}}> c l1 l2 </h{g}_{h}> "))
+                .collect();
+            format!("<b{g}> {parents}</b{g}> ")
+        })
+        .collect();
+    format!("<a> {groups}</a>")
+}
+
+/// Soak of the arena compaction: 2000 writes — height-1 splices under
+/// fresh labels, re-annotations with fresh variables, and a PUT/DELETE
+/// loop of side documents — each followed by reads of `S` in ℕ and
+/// ℕ\[X\] on the direct and shredded routes and a read of the side
+/// document. Every read is byte-identical to a fresh engine loaded with
+/// the current document texts; the ℕ\[X\] arena's live rows are
+/// exactly the distinct subtrees of the stored documents, and its rows
+/// stay within twice those plus a constant.
+#[test]
+fn compaction_soak_keeps_the_arena_bounded_and_reads_exact() {
+    /// The side documents alive at once (2 × 7 nodes) can die between
+    /// two compactions; with the trigger's floor of 64 rows this bounds
+    /// `distinct_subtrees - 2 × live`.
+    const SLACK: usize = 64 + 2 * 14;
+    let mut rng = Rng(0x50a4_50a4);
+    let engine = Engine::new();
+    engine.load_document("S", &height1_doc()).unwrap();
+    let s_query = "$S//c";
+    let kinds = [SemiringKind::Nat, SemiringKind::NatPoly];
+    let routes = [Route::Direct, Route::Shredded];
+    let mut max_pause = 0;
+    for op in 0..2000usize {
+        let line = match op % 4 {
+            0 | 2 => {
+                let at = format!("/0/{}/{}", rng.pick(4), rng.pick(3));
+                format!("splice {at} <v{op} {{x{}}}> c l1 l2 </v{op}>", rng.pick(4))
+            }
+            _ => {
+                let doc = engine.document("S").unwrap();
+                let paths = all_paths(&doc);
+                let at = &paths[rng.pick(paths.len())];
+                format!("reannotate {} e{op}", fmt_path(at))
+            }
+        };
+        engine.edit_document_text("S", &line).unwrap();
+        let side = format!("side{}", op % 3);
+        if op % 2 == 0 {
+            engine
+                .load_document(
+                    &side,
+                    &format!("<s{op}> <t> c {{w{op}}} d </t> c e </s{op}>"),
+                )
+                .unwrap();
+        } else {
+            engine.remove_document(&side);
+        }
+
+        let fresh = Engine::new();
+        for name in engine.document_names() {
+            let text = to_document_string(&engine.document(&name).unwrap());
+            fresh.load_document(&name, &text).unwrap();
+        }
+        let mut reads: Vec<(String, EvalOptions)> = Vec::new();
+        for kind in kinds {
+            for route in routes {
+                reads.push((
+                    s_query.to_owned(),
+                    EvalOptions::new().semiring(kind).route(route),
+                ));
+            }
+        }
+        if op % 2 == 0 {
+            let kind = SemiringKind::ALL[op / 2 % 7];
+            reads.push((format!("${side}//c"), EvalOptions::new().semiring(kind)));
+        }
+        for (src, o) in &reads {
+            let got = outcome(&engine, &engine.prepare(src).unwrap(), *o);
+            let want = outcome(&fresh, &fresh.prepare(src).unwrap(), *o);
+            assert_eq!(got, want, "op {op} ({line}): {src} {o:?} diverged");
+        }
+
+        let stats = engine.storage_stats();
+        let docs: Vec<_> = engine
+            .document_names()
+            .iter()
+            .map(|n| engine.document(n).unwrap())
+            .collect();
+        let mut seen: HashSet<&Tree<NatPoly>> = HashSet::new();
+        let mut stack: Vec<&Tree<NatPoly>> = docs.iter().flat_map(|d| d.trees()).collect();
+        while let Some(t) = stack.pop() {
+            if seen.insert(t) {
+                stack.extend(t.children().trees());
+            }
+        }
+        let live = seen.len();
+        assert_eq!(stats.compaction.live_subtrees, live, "op {op}");
+        assert!(
+            stats.distinct_subtrees <= 2 * live + SLACK,
+            "op {op}: {} rows for {live} live subtrees",
+            stats.distinct_subtrees
+        );
+        max_pause = max_pause.max(stats.compaction.last_pause_us);
+    }
+    let stats = engine.storage_stats();
+    assert!(stats.compaction.compactions > 10, "{:?}", stats.compaction);
+    println!(
+        "compaction soak: {} compactions, {} rows dropped, max pause {max_pause} µs, \
+         {} rows for {} live at the end",
+        stats.compaction.compactions,
+        stats.compaction.subtrees_dropped,
+        stats.distinct_subtrees,
+        stats.compaction.live_subtrees
+    );
 }
 
 /// A filtered query's shredded read at an unchanged version is served

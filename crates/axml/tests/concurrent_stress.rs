@@ -12,7 +12,9 @@
 //! Every specialized read goes through the kind arena's image memo,
 //! so its lock and the specialize path are continuously exercised
 //! under contention; batch threads additionally evaluate with
-//! intra-query parallelism on the shared global pool.
+//! intra-query parallelism on the shared global pool. A second test
+//! runs editor threads whose writes keep compacting the arenas while
+//! every kind is read.
 
 use axml::{Engine, EvalOptions, Parallelism, Pool, Route, SemiringKind};
 use std::sync::Arc;
@@ -210,4 +212,126 @@ fn eval_many_docs_concurrent() {
     for h in handles {
         h.join().expect("no thread panicked");
     }
+}
+
+/// The `step`-th edit of editor `t`'s document: a splice of a fresh
+/// subtree (new labels, a new variable) or a fresh re-annotation, so
+/// every edit appends rows and the arenas keep reaching the
+/// compaction trigger.
+fn editor_script(t: usize, step: usize) -> String {
+    match step % 3 {
+        0 | 1 => format!(
+            "splice /0/{} <v{t}x{step}> c {{e{t}x{step}}} <w{t}x{step}> c l </w{t}x{step}> </v{t}x{step}>",
+            step % 4
+        ),
+        _ => format!("reannotate /0/{} r{t}x{step}", (step + 1) % 4),
+    }
+}
+
+const EDITORS: usize = 4;
+const EDITS: usize = 30;
+const EDITOR_BASE: &str = "<a> <b0> c l </b0> <b1> c l </b1> <b2> c l </b2> <b3> c l </b3> </a>";
+
+/// Editor `t`'s read after edit `step`: its document in a kind that
+/// cycles through all seven, differentially.
+fn editor_read(engine: &Engine, t: usize, step: usize) -> String {
+    let kind = SemiringKind::ALL[(t + step) % 7];
+    let opts = EvalOptions::new().semiring(kind).route(Route::Differential);
+    engine
+        .run(&format!("$E{t}//c"), opts)
+        .unwrap_or_else(|e| panic!("E{t} step {step} in {kind}: {e}"))
+        .to_string()
+}
+
+/// Four editor threads each rewrite their own document with fresh
+/// content, compacting the shared arenas again and again, while four
+/// reader threads evaluate the stable documents in every kind.
+/// Every result is byte-identical to a single-threaded run: readers
+/// against [`reference_results`], editors against a sequential replay
+/// of their own edits.
+#[test]
+fn compaction_under_concurrent_edits_and_reads_is_byte_identical() {
+    let expected = Arc::new(reference_results());
+    let replay: Arc<Vec<Vec<String>>> = Arc::new(
+        (0..EDITORS)
+            .map(|t| {
+                let engine = Engine::new();
+                engine.load_document(&format!("E{t}"), EDITOR_BASE).unwrap();
+                (0..EDITS)
+                    .map(|step| {
+                        engine
+                            .edit_document_text(&format!("E{t}"), &editor_script(t, step))
+                            .unwrap();
+                        editor_read(&engine, t, step)
+                    })
+                    .collect()
+            })
+            .collect(),
+    );
+    let engine = Arc::new(Engine::new());
+    load_stable(&engine);
+    for t in 0..EDITORS {
+        engine.load_document(&format!("E{t}"), EDITOR_BASE).unwrap();
+    }
+    let prepared: Arc<Vec<_>> = Arc::new(
+        QUERIES
+            .iter()
+            .map(|src| engine.prepare(src).unwrap())
+            .collect(),
+    );
+    let mut handles = Vec::new();
+    for t in 0..EDITORS {
+        let engine = Arc::clone(&engine);
+        let replay = Arc::clone(&replay);
+        handles.push(thread::spawn(move || {
+            for step in 0..EDITS {
+                engine
+                    .edit_document_text(&format!("E{t}"), &editor_script(t, step))
+                    .unwrap();
+                assert_eq!(
+                    editor_read(&engine, t, step),
+                    replay[t][step],
+                    "E{t} step {step}"
+                );
+            }
+        }));
+    }
+    for t in 0..4 {
+        let engine = Arc::clone(&engine);
+        let prepared = Arc::clone(&prepared);
+        let expected = Arc::clone(&expected);
+        handles.push(thread::spawn(move || {
+            for round in 0..8 {
+                let offset = (t * 5 + round * 3) % expected.len();
+                for j in 0..expected.len() {
+                    let ((qi, kind), want) = &expected[(offset + j) % expected.len()];
+                    let opts = EvalOptions::new()
+                        .semiring(*kind)
+                        .route(Route::Differential);
+                    let got = prepared[*qi].eval(&engine, opts).unwrap();
+                    assert_eq!(got.to_string(), *want, "q{qi} in {kind} diverged");
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().expect("no stress thread panicked");
+    }
+    let stats = engine.storage_stats();
+    assert!(
+        stats.compaction.compactions >= 3,
+        "the edits compacted only {} times",
+        stats.compaction.compactions
+    );
+    assert_eq!(
+        stats.compaction.live_subtrees,
+        {
+            let quiet = Engine::new();
+            for name in engine.document_names() {
+                quiet.insert_forest(&name, (*engine.document(&name).unwrap()).clone());
+            }
+            quiet.storage_stats().distinct_subtrees
+        },
+        "the live rows are the stored documents' distinct subtrees"
+    );
 }

@@ -125,7 +125,8 @@ impl Request {
         }
     }
 
-    /// Decoded `key=value` pairs of the query string, in order.
+    /// Decoded `key=value` pairs of the query string, in order (a
+    /// repeated key keeps every pair; callers take the first).
     pub fn query_params(&self) -> Vec<(String, String)> {
         let Some((_, q)) = self.target.split_once('?') else {
             return Vec::new();
@@ -137,14 +138,6 @@ impl Request {
                 None => (percent_decode(kv), String::new()),
             })
             .collect()
-    }
-
-    /// First query parameter named `key`, decoded.
-    pub fn query_param(&self, key: &str) -> Option<String> {
-        self.query_params()
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
     }
 
     /// Whether the connection should stay open after this request

@@ -67,15 +67,17 @@
 //!
 //! ## Memory under document churn
 //!
-//! The engine's hash-consing arenas are append-only by design:
-//! `DELETE /documents/{name}` frees the document's forest but keeps
-//! its interned subtrees available for future sharing, so the
-//! `distinct_subtrees`/`child_edges` counters in `GET /stats` grow
-//! monotonically even as documents come and go. Long-running
-//! deployments with heavy `PUT`/`DELETE` churn over *disjoint*
-//! content should expect arena growth proportional to the distinct
-//! subtrees ever loaded (arena compaction is an open ROADMAP item);
-//! churn over similar content re-shares and costs nothing new.
+//! The engine's hash-consing arenas follow the live documents: every
+//! `PUT`, `PATCH` and `DELETE` compacts them once the rows appended
+//! since the last compaction reach the rows it kept (at least 64), so
+//! the rows of deleted documents and edited-away spines are freed, and
+//! each specialized kind's image memo with them. `distinct_subtrees`
+//! and `child_edges` in `GET /stats` are therefore gauges: they rise
+//! between compactions, to below twice the rows the last one kept
+//! plus 64, and fall at each one. The `compaction` object reports the live
+//! rows, the rows dropped, the compactions run, the last pause in µs
+//! and the image-memo entries per kind. Interned label and variable
+//! names are still never freed (`interned_labels`/`interned_vars`).
 //! The incremental state edits build is bounded by the live
 //! documents instead: each subtree-fingerprint memo sweeps the values
 //! of edited-away spines (the `memo_entries` gauge in `GET /stats`

@@ -386,6 +386,8 @@ fn respond<W: Write>(
             // running /eval fan-out), not the process-global pool.
             j.key("scheduler");
             axml::json::scheduler_json(&mut j, &state.pool.stats());
+            j.key("compaction");
+            axml::json::compaction_json(&mut j, &stats.compaction);
             j.end_obj();
             ok_json(w, j.finish(), keep_alive)
         }
@@ -571,13 +573,21 @@ fn eval_endpoint<W: Write>(
     req: &Request,
     keep_alive: bool,
 ) -> io::Result<()> {
-    let handle_param = req.query_param("handle");
+    // Decoded once; each option below looks its key up here.
+    let params = req.query_params();
+    let param = |key: &str| {
+        params
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    };
+    let handle_param = param("handle");
     let inline = !req.body.is_empty();
     // The registry handle this request resolves to (inline texts get
     // one too) — keys the per-query cost history behind lane
     // classification.
-    let mut cost_handle: Option<String> = handle_param.clone();
-    let prepared: PreparedQuery = match (&handle_param, inline) {
+    let mut cost_handle: Option<String> = handle_param.map(str::to_owned);
+    let prepared: PreparedQuery = match (handle_param, inline) {
         (Some(_), true) => {
             return bad_request(
                 w,
@@ -625,7 +635,7 @@ fn eval_endpoint<W: Write>(
     let mut opts = EvalOptions::new();
     macro_rules! parse_param {
         ($name:literal, $apply:expr) => {
-            if let Some(v) = req.query_param($name) {
+            if let Some(v) = param($name) {
                 match v.parse() {
                     Ok(parsed) => {
                         #[allow(clippy::redundant_closure_call)]
@@ -647,7 +657,7 @@ fn eval_endpoint<W: Write>(
     parse_param!("parallelism", |o: EvalOptions, v: usize| o.parallel(v));
     parse_param!("memory_budget", |o: EvalOptions, v: usize| o
         .memory_budget(v));
-    let deadline_ms = match req.query_param("deadline_ms") {
+    let deadline_ms = match param("deadline_ms") {
         Some(v) => match v.parse::<u64>() {
             Ok(ms) => Some(ms),
             Err(e) => return bad_request(w, &format!("bad deadline_ms: {e}"), keep_alive),
@@ -658,13 +668,13 @@ fn eval_endpoint<W: Write>(
         opts = opts.timeout(Duration::from_millis(ms));
     }
     let mut window = (0usize, None::<usize>); // (offset, limit) over set pieces
-    if let Some(v) = req.query_param("offset") {
+    if let Some(v) = param("offset") {
         match v.parse::<usize>() {
             Ok(n) => window.0 = n,
             Err(e) => return bad_request(w, &format!("bad offset: {e}"), keep_alive),
         }
     }
-    if let Some(v) = req.query_param("limit") {
+    if let Some(v) = param("limit") {
         match v.parse::<usize>() {
             Ok(n) => window.1 = Some(n),
             Err(e) => return bad_request(w, &format!("bad limit: {e}"), keep_alive),

@@ -931,6 +931,64 @@ fn stat(stats: &str, key: &str) -> u64 {
     digits.parse().unwrap()
 }
 
+/// Document churn compacts the arenas, and `/stats` reports it in a
+/// `compaction` object appended after every earlier key: the first
+/// match of each older key is still the original counter.
+#[test]
+fn stats_report_compaction_gauges_after_churn() {
+    let mut server = server();
+    request(&server, "PUT", "/documents/S", FIG1_DOC.as_bytes());
+    let r = request(&server, "POST", "/eval?semiring=nat", b"$S//d");
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    for i in 0..40 {
+        let side = format!("<s{i}> <t{i}> c {{w{i}}} u{i} </t{i}> </s{i}>");
+        let r = request(&server, "PUT", "/documents/T", side.as_bytes());
+        assert_eq!(r.status, 200, "{}", r.body_str());
+        let r = request(&server, "POST", "/eval?semiring=nat", b"$T//c");
+        assert_eq!(r.status, 200, "{}", r.body_str());
+        let script = format!("reannotate /0/0 v{i}");
+        let r = request(&server, "PATCH", "/documents/S", script.as_bytes());
+        assert_eq!(r.status, 200, "{}", r.body_str());
+    }
+    let r = request(&server, "DELETE", "/documents/T", b"");
+    assert_eq!(r.status, 200, "{}", r.body_str());
+    let s = request(&server, "GET", "/stats", b"").body_str().to_owned();
+    let at = |key: &str| {
+        s.find(&format!("\"{key}\":"))
+            .unwrap_or_else(|| panic!("{key} in {s}"))
+    };
+    assert!(at("compaction") > at("scheduler"), "{s}");
+    assert!(at("image_memo_entries") > at("memo_entries"), "{s}");
+    assert!(stat(&s, "compactions") >= 1, "{s}");
+    assert!(stat(&s, "subtrees_dropped") > 0, "{s}");
+    let live = stat(&s, "live_subtrees");
+    assert!(live > 0, "{s}");
+    assert!(stat(&s, "distinct_subtrees") <= 2 * live + 64, "{s}");
+    assert!(s.contains("\"image_memo_entries\":{\"nat\":"), "{s}");
+    assert!(s.contains("\"prob\":0}"), "{s}");
+    server.shutdown();
+}
+
+/// A repeated query parameter takes its first value, percent-decoded.
+#[test]
+fn a_repeated_eval_parameter_takes_its_first_value() {
+    let mut server = server();
+    request(&server, "PUT", "/documents/S", FIG1_DOC.as_bytes());
+    let nat = request(&server, "POST", "/eval?semiring=nat", b"$S//d");
+    assert_eq!(nat.status, 200, "{}", nat.body_str());
+    let first = request(
+        &server,
+        "POST",
+        "/eval?sem%69ring=nat&semiring=why&route=direct&route=bogus",
+        b"$S//d",
+    );
+    assert_eq!(first.status, 200, "{}", first.body_str());
+    assert_eq!(first.body_str(), nat.body_str());
+    let bad = request(&server, "POST", "/eval?route=bogus&route=direct", b"$S//d");
+    assert_eq!(bad.status, 400, "{}", bad.body_str());
+    server.shutdown();
+}
+
 #[test]
 fn a_direct_eval_after_a_patch_is_served_from_the_subtree_memo() {
     let mut server = server();

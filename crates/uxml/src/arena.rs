@@ -42,9 +42,24 @@
 //! - child ranges are canonically ordered (the [`Tree`] `Ord` of the
 //!   child values), deduplicated, and zero-annotation-free — the same
 //!   invariant as [`Forest`];
-//! - an arena only grows: content-addressed storage is append-only
-//!   (removing a document from a store does not un-intern its
-//!   subtrees; they remain available for future sharing).
+//! - rows are appended, and only [`TreeArena::compact`] removes them:
+//!   it keeps the rows reachable from the roots its caller names, in
+//!   their old relative order, so both invariants above survive it.
+//!
+//! # Compaction
+//!
+//! The values are immutable and compared by value, so nothing outside
+//! the arena can tell which row stores a subtree. A store that drops or
+//! replaces documents can therefore free the rows no stored document
+//! reaches: [`TreeArena::compact`] marks the rows reachable from the
+//! given roots in one descending pass, then moves the survivors down
+//! in place in one ascending pass, remapping child ids and pruning the
+//! `dedup` and `known` maps to the kept rows. Kept rows keep their
+//! canonical handles, so every forest built from them stays
+//! maximally shared. The returned [`IdMap`] lets the caller remap ids
+//! it holds ([`compact_mapped`] does so for an [`ImageMemo`]).
+//! [`TreeArena::compaction_due`] is the growth trigger: the rows
+//! appended since the last compaction reach the rows it kept.
 
 use crate::label::Label;
 use crate::tree::{node_fingerprint, Forest, Tree};
@@ -53,6 +68,28 @@ use std::collections::HashMap;
 
 /// Index of one distinct subtree in a [`TreeArena`].
 pub type NodeId = u32;
+
+/// The smallest growth that makes a compaction due: below it, a pass
+/// over a small arena costs more than the rows it could free.
+const COMPACT_FLOOR: usize = 64;
+
+/// Marks a dropped row in an [`IdMap`].
+const DROPPED: NodeId = NodeId::MAX;
+
+/// What a [`TreeArena::compact`] did to ids: old id → new id, or
+/// `None` for a dropped row.
+#[derive(Debug, Clone)]
+pub struct IdMap(Vec<NodeId>);
+
+impl IdMap {
+    /// The new id of old row `id`, or `None` if it was dropped.
+    pub fn get(&self, id: NodeId) -> Option<NodeId> {
+        match self.0[id as usize] {
+            DROPPED => None,
+            new => Some(new),
+        }
+    }
+}
 
 /// A columnar, hash-consing store of K-UXML subtrees. See the module
 /// docs for the layout and invariants.
@@ -76,8 +113,16 @@ pub struct TreeArena<K: Semiring> {
     dedup: HashMap<(usize, u64), Vec<NodeId>>,
     /// Canonical-handle pointer → id: O(1) re-interning of anything
     /// built from this arena's own handles. Sound to key on pointers
-    /// because the arena owns every handle for its whole lifetime.
+    /// because the arena owns every handle it lists: a pointer cannot
+    /// be freed and reused while its row is stored, and a compaction
+    /// removes a dropped row's pointer together with the row.
     known: HashMap<usize, NodeId>,
+    /// Rows the last compaction kept (0 before the first).
+    kept: usize,
+    /// Compactions run over the arena's lifetime.
+    compactions: u64,
+    /// Rows dropped by all compactions so far.
+    dropped: u64,
 }
 
 impl<K: Semiring> Default for TreeArena<K> {
@@ -92,6 +137,9 @@ impl<K: Semiring> Default for TreeArena<K> {
             handles: Vec::new(),
             dedup: HashMap::new(),
             known: HashMap::new(),
+            kept: 0,
+            compactions: 0,
+            dropped: 0,
         }
     }
 }
@@ -167,6 +215,12 @@ impl<K: Semiring> TreeArena<K> {
             .iter()
             .copied()
             .find(|&cand| self.handles[cand as usize] == *t)
+    }
+
+    /// The id of `t` if it is one of this arena's canonical handles —
+    /// a pointer probe only, never a structural compare.
+    pub fn handle_id(&self, t: &Tree<K>) -> Option<NodeId> {
+        self.known.get(&t.ptr_token()).copied()
     }
 
     /// Intern one node from already-interned children. `children` may
@@ -422,6 +476,115 @@ impl<K: Semiring> TreeArena<K> {
         )
     }
 
+    /// Whether the arena has grown enough since the last compaction
+    /// for the next one to pay: the rows appended since then reach the
+    /// rows it kept, and at least `COMPACT_FLOOR` (64). Growth is
+    /// thereby bounded by about twice the kept rows, and a pass costs
+    /// amortized O(1) per appended row.
+    pub fn compaction_due(&self) -> bool {
+        self.len() - self.kept >= self.kept.max(COMPACT_FLOOR)
+    }
+
+    /// Compactions run so far.
+    pub fn compactions(&self) -> u64 {
+        self.compactions
+    }
+
+    /// Rows dropped by all compactions so far.
+    pub fn rows_dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// How many rows are reachable from `roots`.
+    pub fn live_count(&self, roots: impl IntoIterator<Item = NodeId>) -> usize {
+        self.mark(roots).iter().filter(|&&live| live).count()
+    }
+
+    /// The rows reachable from `roots`: one descending pass, since a
+    /// row's parents all have larger ids and are decided before it.
+    fn mark(&self, roots: impl IntoIterator<Item = NodeId>) -> Vec<bool> {
+        let mut live = vec![false; self.len()];
+        for id in roots {
+            live[id as usize] = true;
+        }
+        for id in (0..self.len()).rev() {
+            if live[id] {
+                let (start, len) = self.spans[id];
+                for &c in &self.child_ids[start as usize..(start + len) as usize] {
+                    live[c as usize] = true;
+                }
+            }
+        }
+        live
+    }
+
+    /// Keep only the rows reachable from `roots` and free the rest, in
+    /// place (see the module docs). Survivors keep their relative order
+    /// and their canonical handles; the returned map gives their new
+    /// ids. Handles the caller still holds stay valid values, but a
+    /// dropped one is no longer known to the arena: interning an equal
+    /// value again stores a new row.
+    pub fn compact(&mut self, roots: impl IntoIterator<Item = NodeId>) -> IdMap {
+        let live = self.mark(roots);
+        // Release dropped handles parents first: a parent's release
+        // then never frees a child whose own handle is already gone,
+        // so no drop recurses down a dead chain.
+        let mut filler: Option<Tree<K>> = None;
+        for id in (0..self.len()).rev() {
+            if !live[id] {
+                let filler = filler
+                    .get_or_insert_with(|| Tree::new(self.labels[id], Forest::new()))
+                    .clone();
+                drop(std::mem::replace(&mut self.handles[id], filler));
+            }
+        }
+        let mut map = vec![DROPPED; self.len()];
+        let (mut kept, mut edges) = (0usize, 0usize);
+        for (id, _) in live.iter().enumerate().filter(|(_, &l)| l) {
+            // Writes land at or below the row being read, and spans are
+            // laid out in id order, so nothing is overwritten unread.
+            let (start, len) = self.spans[id];
+            let new_start = edges as u32;
+            for j in start as usize..(start + len) as usize {
+                let child = map[self.child_ids[j] as usize];
+                debug_assert_ne!(child, DROPPED, "a kept row's children are kept");
+                self.child_ids[edges] = child;
+                self.child_anns.swap(edges, j);
+                edges += 1;
+            }
+            self.labels[kept] = self.labels[id];
+            self.hashes[kept] = self.hashes[id];
+            self.sizes[kept] = self.sizes[id];
+            self.spans[kept] = (new_start, len);
+            self.handles.swap(kept, id);
+            map[id] = kept as NodeId;
+            kept += 1;
+        }
+        self.dropped += (self.len() - kept) as u64;
+        self.labels.truncate(kept);
+        self.hashes.truncate(kept);
+        self.sizes.truncate(kept);
+        self.spans.truncate(kept);
+        self.handles.truncate(kept);
+        self.child_ids.truncate(edges);
+        self.child_anns.truncate(edges);
+        let remap = |id: &mut NodeId| match map[*id as usize] {
+            DROPPED => false,
+            new => {
+                *id = new;
+                true
+            }
+        };
+        self.dedup.retain(|_, ids| {
+            ids.retain_mut(remap);
+            !ids.is_empty()
+        });
+        self.known.retain(|_, id| remap(id));
+        self.kept = kept;
+        self.compactions += 1;
+        IdMap(map)
+    }
+
     /// Test hook: intern `t`'s **root** node under a forced dedup key,
     /// children interned normally. Exercises the structural-verify path
     /// on `(size, hash)` collisions without having to construct a real
@@ -444,9 +607,36 @@ impl<K: Semiring> TreeArena<K> {
 /// The image memo of [`intern_forest_mapped`]: a source subtree's
 /// pointer → the [`NodeId`] of its image in the target arena. Each
 /// entry keeps a clone of its key tree alive, so a pointer key can
-/// never be freed and reused by a different tree while the memo
+/// never be freed and reused by a different tree while the entry
 /// lives — the memo is sound on its own, whoever owns the source.
 pub type ImageMemo<K> = HashMap<usize, (Tree<K>, NodeId)>;
+
+/// Compact `arena` together with the image memo whose ids point into
+/// it: drop the entries whose source `source_live` rejects (releasing
+/// their key trees), compact the arena down to the images of the
+/// entries left, and remap those entries' ids.
+pub fn compact_mapped<K1: Semiring, K2: Semiring>(
+    arena: &mut TreeArena<K2>,
+    memo: &mut ImageMemo<K1>,
+    mut source_live: impl FnMut(&Tree<K1>) -> bool,
+) {
+    // Release the dropped sources larger subtrees first, so that, as in
+    // `TreeArena::compact`, no release frees a chain of children.
+    let mut released: Vec<Tree<K1>> = Vec::new();
+    memo.retain(|_, (source, _)| {
+        let keep = source_live(source);
+        if !keep {
+            released.push(source.clone());
+        }
+        keep
+    });
+    released.sort_unstable_by_key(|t| std::cmp::Reverse(t.size()));
+    drop(released);
+    let map = arena.compact(memo.values().map(|&(_, id)| id));
+    for (_, id) in memo.values_mut() {
+        *id = map.get(*id).expect("the image of a kept source is kept");
+    }
+}
 
 /// Intern the image of a forest under a semiring homomorphism,
 /// directly into a `K2` arena — the hom lifting of §6.4 fused with

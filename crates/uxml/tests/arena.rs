@@ -4,9 +4,9 @@
 
 use axml_semiring::trio::collapse::{natpoly_to_posbool, natpoly_to_trio, natpoly_to_why};
 use axml_semiring::{FnHom, Nat, NatPoly, PosBool, Prob, Semiring, Trio, Tropical, Valuation, Why};
-use axml_uxml::arena::intern_forest_mapped;
+use axml_uxml::arena::{compact_mapped, intern_forest_mapped};
 use axml_uxml::hom::map_forest;
-use axml_uxml::{parse_forest, weighted_descendant_closure, Forest, Tree, TreeArena};
+use axml_uxml::{parse_forest, weighted_descendant_closure, Forest, Label, Tree, TreeArena};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -185,4 +185,157 @@ proptest! {
             prop_assert_eq!(arena.lookup(&t), Some(*id));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Compaction: survivors remapped, dropped rows forgotten
+// ---------------------------------------------------------------------
+
+/// Every subtree of `f` (each occurrence once per distinct value).
+fn subtrees(f: &Forest<NatPoly>) -> Vec<Tree<NatPoly>> {
+    let mut out = Vec::new();
+    let mut stack: Vec<Tree<NatPoly>> = f.trees().cloned().collect();
+    while let Some(t) = stack.pop() {
+        stack.extend(t.children().trees().cloned());
+        out.push(t);
+    }
+    out
+}
+
+/// Child ids stay below their parent's id.
+fn assert_topological(arena: &TreeArena<NatPoly>) {
+    for id in 0..arena.len() as u32 {
+        for (c, _) in arena.children(id) {
+            assert!(c < id, "child {c} of {id}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Intern a kept forest and a dropped one, compact down to the
+    /// kept roots: the arena equals a fresh arena of the kept forest,
+    /// every kept value resolves to its remapped id on the same
+    /// canonical handle, and no dropped handle is known any more.
+    #[test]
+    fn compaction_keeps_exactly_the_reachable_rows(keep in arb_forest(), gone in arb_forest()) {
+        let mut arena = TreeArena::<NatPoly>::new();
+        let kept_roots = arena.intern_forest(&keep);
+        let gone_roots = arena.intern_forest(&gone);
+        let old: Vec<Tree<NatPoly>> = (0..arena.len() as u32).map(|id| arena.tree(id).clone()).collect();
+
+        let map = arena.compact(kept_roots.iter().map(|(id, _)| *id));
+        let mut fresh = TreeArena::<NatPoly>::new();
+        let fresh_roots = fresh.intern_forest(&keep);
+        prop_assert_eq!(arena.len(), fresh.len());
+        prop_assert_eq!(arena.child_edge_count(), fresh.child_edge_count());
+        prop_assert_eq!(arena.rows_dropped() as usize, old.len() - arena.len());
+        prop_assert_eq!(arena.compactions(), 1);
+        assert_topological(&arena);
+
+        for (id, handle) in old.iter().enumerate() {
+            match map.get(id as u32) {
+                Some(new) => {
+                    prop_assert_eq!(arena.tree(new).ptr_token(), handle.ptr_token());
+                    prop_assert_eq!(arena.lookup(handle), Some(new));
+                    prop_assert_eq!(arena.handle_id(handle), Some(new));
+                }
+                None => prop_assert_eq!(arena.handle_id(handle), None),
+            }
+        }
+        for t in subtrees(&keep) {
+            let id = arena.lookup(&t);
+            prop_assert!(id.is_some());
+            prop_assert_eq!(arena.tree(id.unwrap()), &t);
+        }
+        let remapped: Vec<_> = kept_roots
+            .iter()
+            .map(|(id, k)| (map.get(*id).unwrap(), k.clone()))
+            .collect();
+        prop_assert_eq!(arena.canonical_forest(&remapped), keep.clone());
+        prop_assert_eq!(arena.descendant_forest(&remapped), fresh.descendant_forest(&fresh_roots));
+
+        // The dropped forest interns again, as new rows where needed.
+        let again = arena.intern_forest(&gone);
+        prop_assert_eq!(arena.canonical_forest(&again), gone.clone());
+        prop_assert_eq!(gone_roots.len(), again.len());
+        assert_topological(&arena);
+    }
+
+    /// A kind arena compacted with its image memo keeps the images of
+    /// the surviving sources only, and re-specializing them maps
+    /// nothing new.
+    #[test]
+    fn image_memo_compacts_with_its_arena(keep in arb_forest(), gone in arb_forest()) {
+        let mut poly = TreeArena::<NatPoly>::new();
+        let keep_roots = poly.intern_forest(&keep);
+        let keep = poly.canonical_forest(&keep_roots);
+        let gone_roots = poly.intern_forest(&gone);
+        let gone = poly.canonical_forest(&gone_roots);
+        let h = FnHom::new(|p: &NatPoly| p.eval(&Valuation::<Nat>::new()));
+        let mut nat = TreeArena::<Nat>::new();
+        let mut memo = Default::default();
+        intern_forest_mapped(&mut nat, &mut memo, &h, &keep);
+        intern_forest_mapped(&mut nat, &mut memo, &h, &gone);
+
+        poly.compact(keep_roots.iter().map(|(id, _)| *id));
+        compact_mapped(&mut nat, &mut memo, |t| poly.handle_id(t).is_some());
+        prop_assert!(memo.values().all(|(t, _)| poly.handle_id(t).is_some()));
+        let (rows, entries) = (nat.len(), memo.len());
+        let roots = intern_forest_mapped(&mut nat, &mut memo, &h, &keep);
+        prop_assert_eq!((nat.len(), memo.len()), (rows, entries), "nothing re-mapped");
+        prop_assert_eq!(nat.canonical_forest(&roots), map_forest(&h, &keep));
+    }
+}
+
+/// The growth trigger: appended rows must reach the rows the last
+/// compaction kept, and at least 64.
+#[test]
+fn compaction_is_due_once_the_arena_doubles() {
+    let mut arena = TreeArena::<NatPoly>::new();
+    let leaf = |arena: &mut TreeArena<NatPoly>, i: usize| {
+        arena.intern_node(Label::new(&format!("due{i}")), Vec::new())
+    };
+    for i in 0..63 {
+        leaf(&mut arena, i);
+    }
+    assert!(!arena.compaction_due(), "below the floor");
+    let kept: Vec<u32> = (0..64).map(|i| leaf(&mut arena, i)).collect();
+    assert!(arena.compaction_due(), "64 rows appended");
+    arena.compact(kept.iter().copied());
+    assert_eq!(arena.len(), 64);
+    for i in 64..127 {
+        leaf(&mut arena, i);
+    }
+    assert!(!arena.compaction_due(), "63 appended since 64 kept");
+    leaf(&mut arena, 127);
+    assert!(arena.compaction_due(), "64 appended since 64 kept");
+}
+
+/// Dropping a long dead chain releases it without recursing down it,
+/// from the arena and from an image memo keyed on it: 20 000 levels
+/// would overflow a test thread's stack if the root's release freed
+/// the whole chain beneath it.
+#[test]
+fn dropping_a_deep_chain_does_not_recurse() {
+    let mut arena = TreeArena::<NatPoly>::new();
+    let mut id = arena.intern_node(Label::new("deep"), Vec::new());
+    for _ in 0..20_000 {
+        id = arena.intern_node(Label::new("deep"), vec![(id, NatPoly::one())]);
+    }
+    // The chain's images in ℕ, memoized by source like a kind arena's.
+    let chain = arena.canonical_forest(&[(id, NatPoly::one())]);
+    let h = FnHom::new(|p: &NatPoly| p.eval(&Valuation::<Nat>::new()));
+    let mut nat = TreeArena::<Nat>::new();
+    let mut memo = Default::default();
+    intern_forest_mapped(&mut nat, &mut memo, &h, &chain);
+    drop(chain);
+
+    let map = arena.compact(std::iter::empty());
+    assert!(arena.is_empty());
+    assert_eq!(map.get(id), None);
+    // The memo now holds the last references to the source chain.
+    compact_mapped(&mut nat, &mut memo, |t| arena.handle_id(t).is_some());
+    assert!(memo.is_empty() && nat.is_empty());
 }

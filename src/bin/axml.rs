@@ -16,7 +16,7 @@
 use annotated_xml::prelude::*;
 use annotated_xml::uxml::print::pretty;
 use axml::json::{result_json, value_json, Json};
-use axml::{Engine, EvalOptions, IncrStats, Route, SemiringKind};
+use axml::{Engine, EvalOptions, Route, SemiringKind, StorageStats};
 use axml_uxml::{parse_forest, ParseAnnotation};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -59,8 +59,9 @@ streaming:       --stream prints result pieces as they are produced
 stats:           --stats appends a stats line after the result (the global
                  pool's lane queues and execution counters, and the
                  engine's incremental counters: memo hits/misses and the
-                 memo_entries gauge, and the interned label/variable
-                 counts; one JSON object with --format json);
+                 memo_entries gauge, the interned label/variable
+                 counts, and the arena compaction gauges; one JSON
+                 object with --format json);
                  `edit` accepts it too
 edit:            applies a line-based edit script (splice | relabel |
                  insert | delete | reannotate, child-index paths, one op
@@ -309,9 +310,9 @@ trait SemiringDispatch {
 /// not ℕ\[X\]-representable (`bool`, `clearance`, and PosBool documents
 /// written in DNF syntax) keep the pre-facade static path.
 fn query_cmd(opts: &Opts, query: &str) -> Result<(), String> {
-    let incr = query_result(opts, query)?;
+    let stats = query_result(opts, query)?;
     if opts.stats {
-        print_stats(opts.format, &incr);
+        print_stats(opts.format, &stats);
     }
     Ok(())
 }
@@ -319,11 +320,13 @@ fn query_cmd(opts: &Opts, query: &str) -> Result<(), String> {
 /// `--stats`: the counters after the result — the global pool's lane
 /// queues and execution counters (all zero when the evaluation never
 /// touched the pool: sequential mode, tiny inputs), the engine's
-/// incremental counters (all zero when nothing was edited) and the
-/// process's interned label/variable counts. Separate from the result
-/// so its bytes stay identical with and without the flag: three text
-/// lines, or one JSON object.
-fn print_stats(format: OutputFormat, incr: &IncrStats) {
+/// incremental counters (all zero when nothing was edited), the
+/// process's interned label/variable counts and the engine's arena
+/// compaction gauges. Separate from the result so its bytes stay
+/// identical with and without the flag: four text lines, or one JSON
+/// object.
+fn print_stats(format: OutputFormat, stats: &StorageStats) {
+    let (incr, c) = (&stats.incr, &stats.compaction);
     let s = axml::scheduler_stats();
     // Process-wide intern-pool sizes (names are never freed).
     let labels = axml_uxml::Label::interned_count();
@@ -355,6 +358,20 @@ fn print_stats(format: OutputFormat, incr: &IncrStats) {
                 incr.memo_entries
             );
             println!("interned: labels={labels} vars={vars}");
+            let memos: Vec<String> = c
+                .image_memo_entries
+                .iter()
+                .map(|(kind, n)| format!("{kind}:{n}"))
+                .collect();
+            println!(
+                "compaction: live_subtrees={} subtrees_dropped={} compactions={} \
+                 last_pause_us={} image_memo_entries={}",
+                c.live_subtrees,
+                c.subtrees_dropped,
+                c.compactions,
+                c.last_pause_us,
+                memos.join(",")
+            );
         }
         OutputFormat::Json => {
             let mut j = Json::new();
@@ -367,17 +384,18 @@ fn print_stats(format: OutputFormat, incr: &IncrStats) {
             j.int(labels as u64);
             j.key("interned_vars");
             j.int(vars as u64);
+            j.key("compaction");
+            axml::json::compaction_json(&mut j, c);
             j.end_obj();
             println!("{}", j.finish());
         }
     }
 }
 
-/// Run the query and print its result; returns the engine's
-/// incremental counters (all zero on the static paths, which have no
-/// engine).
-fn query_result(opts: &Opts, query: &str) -> Result<IncrStats, String> {
-    let no_engine = |()| IncrStats::default();
+/// Run the query and print its result; returns the engine's storage
+/// stats (an empty engine's on the static paths, which have none).
+fn query_result(opts: &Opts, query: &str) -> Result<StorageStats, String> {
+    let no_engine = |()| Engine::new().storage_stats();
     match opts.semiring.as_str() {
         "bool" => return static_query::<bool>(opts, query).map(no_engine),
         "clearance" => return static_query::<Clearance>(opts, query).map(no_engine),
@@ -415,7 +433,7 @@ fn query_result(opts: &Opts, query: &str) -> Result<IncrStats, String> {
             OutputFormat::Json => println!("{}", result_json(query, &eval_opts, &out)),
         }
     }
-    Ok(engine.storage_stats().incr)
+    Ok(engine.storage_stats())
 }
 
 /// `axml edit`: load the document, apply the edit script through
@@ -479,7 +497,7 @@ fn edit_cmd(opts: &Opts) -> Result<(), String> {
         edit_query(opts, &engine, &query)?;
     }
     if opts.stats {
-        print_stats(opts.format, &engine.storage_stats().incr);
+        print_stats(opts.format, &engine.storage_stats());
     }
     Ok(())
 }

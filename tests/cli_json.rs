@@ -200,9 +200,20 @@ fn stats_flag_appends_a_scheduler_line() {
         "\"max_queue_residency_ns\":",
         "\"interned_labels\":",
         "\"interned_vars\":",
+        "\"compaction\":",
+        "\"live_subtrees\":",
+        "\"subtrees_dropped\":",
+        "\"compactions\":",
+        "\"last_pause_us\":",
+        "\"image_memo_entries\":{\"nat\":",
     ] {
         assert!(stats.contains(needle), "missing {needle} in {stats}");
     }
+    // The compaction gauges follow every earlier key, and the query's
+    // ℕ read left one image-memo entry per distinct subtree.
+    assert!(stats.find("\"compaction\":") > stats.find("\"interned_vars\":"));
+    assert!(stats.contains("\"live_subtrees\":3"), "{stats}");
+    assert!(stats.contains("\"nat\":3"), "{stats}");
 
     // Text mode gets a human-readable line with the same counters.
     let out = run_axml(&[
@@ -216,6 +227,7 @@ fn stats_flag_appends_a_scheduler_line() {
     ]);
     assert!(out.contains("scheduler: workers="), "{out}");
     assert!(out.contains("interned: labels="), "{out}");
+    assert!(out.contains("compaction: live_subtrees=2 "), "{out}");
 }
 
 #[test]
